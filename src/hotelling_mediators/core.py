@@ -15,6 +15,7 @@ freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Union
@@ -162,6 +163,8 @@ class PiecewiseLinearDensity:
             raise ValueError("breakpoints and values must have equal length")
         if len(xs) < 2:
             raise ValueError("need at least two breakpoints")
+        if not all(math.isfinite(v) for v in xs + gs):
+            raise ValueError("breakpoints and density values must be finite")
         if xs[0] != 0.0 or xs[-1] != 1.0:
             raise ValueError("breakpoints must start at 0 and end at 1")
         if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -514,6 +517,8 @@ class GameSpec:
     distribution: UserDistribution = UNIFORM
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"the number of players must be an integer, got n={self.n!r}")
         if self.n < 2:
             raise ValueError(f"need at least two players, got n={self.n}")
         m = self.mediator

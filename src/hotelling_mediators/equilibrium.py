@@ -19,6 +19,7 @@ from itertools import combinations_with_replacement, islice
 import numpy as np
 
 from .core import (
+    UNIFORM,
     Clime,
     Dictator,
     Glime,
@@ -266,8 +267,11 @@ def pne_enumerate(
     renaming the players), so the grid of sorted profiles is searched.
     ``shard=(start, stop)`` restricts the scan to a range of grid indices so
     long runs can be split and resumed; results of disjoint shards union to
-    the full answer.
+    the full answer.  A non-positive or non-finite ``grid_step`` and a shard
+    outside ``0 <= start < stop <= total`` raise ValueError.
     """
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise ValueError(f"grid_step must be a positive finite number, got {grid_step!r}")
     grid_n = round(1.0 / grid_step)
     if abs(grid_n * grid_step - 1.0) > 1e-9 or grid_n < 1:
         raise ValueError(f"1/grid_step must be an integer, got {grid_step!r}")
@@ -277,6 +281,8 @@ def pne_enumerate(
             f"grid holds {total} sorted profiles, over the {_MAX_GRID_PROFILES} budget"
         )
     start, stop = (0, total) if shard is None else shard
+    if not 0 <= start < stop <= total:
+        raise ValueError(f"shard must satisfy 0 <= start < stop <= {total}, got {shard!r}")
     if threads > 1:
         span = stop - start
         chunk = max(1, math.ceil(span / (threads * 8)))
@@ -296,19 +302,24 @@ def known_pne(game):
     """Analytically characterized equilibrium sets, when available.
 
     Returns a list of profiles, or None when the library does not characterize
-    the PNE set of the game (the grid enumerator still applies there).
+    the PNE set of the game (the grid enumerator still applies there).  The
+    no-intervention and interval rules are characterized for the uniform
+    density only; the dictated targets and the quantile rule's equilibria
+    hold under any density.
     """
     m = game.mediator
     n = game.n
     if isinstance(m, Dictator):
         return [tuple(m.targets)]
+    if isinstance(m, Glime) and n >= 3:
+        return [quantile_locations(n, game.distribution)]
+    if game.distribution != UNIFORM:
+        return None
     if isinstance(m, Lime):
         if n >= 3:
             return [optimal_locations(n)]
         a, b = 0.25, 0.75
         return [(a, a), (a, b), (b, a), (b, b)]
-    if isinstance(m, Glime) and n >= 3:
-        return [quantile_locations(n, game.distribution)]
     if isinstance(m, Clime) and n == 2:
         a, b = 0.5 - m.lam, 0.5 + m.lam
         return [(a, a), (a, b), (b, a), (b, b)]

@@ -24,11 +24,20 @@ location, so each (mediator, profile) pair compiles into a
 :class:`PiecewisePolicy`: an exact list of breakpoints with one direction
 distribution per open piece.  All payoff and social-cost integrals downstream
 run over these pieces in closed form.
+
+Compilation is linear-size.  The rule is bound to the profile first: the
+facilities it chooses among, and per protected interval the outside
+facilities and the branch they select, are resolved once per profile rather
+than once per user.  The candidate breakpoints are O(n): 0 and 1, the
+facilities, the midpoints of adjacent distinct sites, the interval endpoints,
+and per interval one midpoint across it (see :func:`_policy_breakpoints`).
+The bound rule scans O(n) facilities once per piece, so a profile compiles
+in O(n^2) time.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -101,10 +110,8 @@ def dict_direct(profile, t, targets, equality_tol=1e-9):
     locs = validate_profile(profile)
     t = validate_location(t)
     targets = validate_profile(targets, len(locs))
-    obeying = [i for i in range(len(locs)) if abs(locs[i] - targets[i]) <= equality_tol]
-    if obeying:
-        return _nearest_weights(locs, t, obeying)
-    return (1.0 / len(locs),) * len(locs)
+    rule, _ = _dictator_rule(locs, targets, equality_tol)
+    return rule(t)
 
 
 # A facility this close to a protected-interval endpoint is canonicalized
@@ -136,58 +143,100 @@ def _snap_to_endpoints(locs, piis):
     return locs if out is None else tuple(out)
 
 
-def _limited_direct(locs, t, piis, epsilon, half_split):
-    """Shared body of the limited-intervention rules.
+def _dictator_rule(locs, targets, equality_tol):
+    """Bind the dictated-targets rule to one profile: ``(rule, sites)``.
 
-    ``piis`` are disjoint open intervals and ``locs`` are canonicalized
-    (facilities sit exactly on any endpoint they are meant to occupy).
-    Inside an interval, facilities strictly inside are skipped: users go to
-    the nearest facility outside (``half_split=False``) or 50/50 to the
-    nearest-left / nearest-right outside facility (``half_split=True``).
-    With one occupied side only, an ``epsilon`` share is redirected uniformly
-    at random; with no outside facility at all the rule degrades to plain
-    nearest.  At interval endpoints and outside every interval the rule is
-    plain nearest.
+    Obeying players (|s_i - target_i| <= equality_tol) share the user by the
+    nearest rule restricted to them, and their locations are the ``sites``.
+    If nobody obeys, every user is assigned uniformly at random.
     """
     n = len(locs)
-    for lo, hi in piis:
-        if lo < t < hi:
-            left = [i for i in range(n) if locs[i] <= lo]
-            right = [i for i in range(n) if locs[i] >= hi]
-            if left and right:
-                if half_split:
-                    wl = _nearest_weights(locs, t, left)
-                    wr = _nearest_weights(locs, t, right)
-                    return tuple(0.5 * a + 0.5 * b for a, b in zip(wl, wr))
-                return _nearest_weights(locs, t, left + right)
-            if left or right:
-                w = _nearest_weights(locs, t, left or right)
-                keep = 1.0 - epsilon
-                u = epsilon / n
-                return tuple(keep * x + u for x in w)
+    obeying = [i for i in range(n) if abs(locs[i] - targets[i]) <= equality_tol]
+    if not obeying:
+        uniform = (1.0 / n,) * n
+        return (lambda t: uniform), ()
+    return (lambda t: _nearest_weights(locs, t, obeying)), [locs[i] for i in obeying]
+
+
+def _limited_rule(locs, piis, epsilon, half_split):
+    """Bind the limited-intervention rules to one canonicalized profile.
+
+    ``piis`` are disjoint open intervals in increasing order and ``locs`` are
+    canonicalized (facilities sit exactly on any endpoint they are meant to
+    occupy).  Inside an interval, facilities strictly inside are skipped:
+    users go to the nearest facility outside (``half_split=False``) or 50/50
+    to the nearest-left / nearest-right outside facility
+    (``half_split=True``).  With one occupied side only, an ``epsilon`` share
+    is redirected uniformly at random; with no outside facility at all the
+    rule degrades to plain nearest.  At interval endpoints and outside every
+    interval the rule is plain nearest.
+
+    The outside facilities of an interval, and the branch they select, are
+    resolved once per bound profile, for the first user inside it; after
+    that a user costs one bisection for her interval and a scan of the
+    facilities bound to it.
+    """
+    order = sorted(range(len(locs)), key=locs.__getitem__)
+    ranked = [locs[i] for i in order]
+    los = [lo for lo, _ in piis]
+    branches = [None] * len(piis)
+
+    def rule(t):
+        k = bisect_left(los, t) - 1  # the last interval with lo < t
+        if k < 0 or t >= piis[k][1]:
             return _nearest_weights(locs, t)
-    return _nearest_weights(locs, t)
+        branch = branches[k]
+        if branch is None:
+            lo, hi = piis[k]
+            left = order[: bisect_right(ranked, lo)]
+            right = order[bisect_left(ranked, hi) :]
+            branch = branches[k] = _interval_branch(locs, left, right, epsilon, half_split)
+        return branch(t)
+
+    return rule
+
+
+def _interval_branch(locs, left, right, epsilon, half_split):
+    """Rule for users strictly inside one interval, given the facilities at
+    or left of it (``left``) and at or right of it (``right``)."""
+    if left and right:
+        if half_split:
+
+            def split(t):
+                wl = _nearest_weights(locs, t, left)
+                wr = _nearest_weights(locs, t, right)
+                return tuple(0.5 * a + 0.5 * b for a, b in zip(wl, wr))
+
+            return split
+        both = left + right
+        return lambda t: _nearest_weights(locs, t, both)
+    if left or right:
+        side = left or right
+        keep = 1.0 - epsilon
+        u = epsilon / len(locs)
+        return lambda t: tuple(keep * x + u for x in _nearest_weights(locs, t, side))
+    return lambda t: _nearest_weights(locs, t)
 
 
 def lime_direct(profile, t, epsilon):
     locs = validate_profile(profile)
     t = validate_location(t)
     piis = _lime_piis(len(locs))
-    return _limited_direct(_snap_to_endpoints(locs, piis), t, piis, epsilon, half_split=False)
+    return _limited_rule(_snap_to_endpoints(locs, piis), piis, epsilon, half_split=False)(t)
 
 
 def glime_direct(profile, t, epsilon, dist=UNIFORM):
     locs = validate_profile(profile)
     t = validate_location(t)
     piis = _glime_piis(len(locs), dist)
-    return _limited_direct(_snap_to_endpoints(locs, piis), t, piis, epsilon, half_split=True)
+    return _limited_rule(_snap_to_endpoints(locs, piis), piis, epsilon, half_split=True)(t)
 
 
 def clime_direct(profile, t, lam, epsilon):
     locs = validate_profile(profile)
     t = validate_location(t)
     piis = _clime_piis(len(locs), lam)
-    return _limited_direct(_snap_to_endpoints(locs, piis), t, piis, epsilon, half_split=False)
+    return _limited_rule(_snap_to_endpoints(locs, piis), piis, epsilon, half_split=False)(t)
 
 
 def _lime_piis(n):
@@ -241,30 +290,30 @@ def _game_piis(game):
     return pii_intervals(game.mediator, game.n, game.distribution)
 
 
-def _pointwise_rule(game, locs):
-    """Bind a game and a profile into a plain ``t -> distribution`` callable."""
+def _pointwise_rule(game, piis, locs):
+    """Bind a game and a profile canonicalized against ``piis`` into
+    ``(rule, sites)``.
+
+    ``rule`` is a plain ``t -> distribution`` callable that makes each
+    per-profile decision once.  ``sites`` are the locations of the
+    facilities it chooses among by distance: the obeying ones under the
+    dictator rule, all of them otherwise.
+    """
     m = game.mediator
     if isinstance(m, Nime):
-        return lambda t: _nearest_weights(locs, t)
+        return (lambda t: _nearest_weights(locs, t)), locs
     if isinstance(m, Dictator):
-        targets, tol = m.targets, m.equality_tol
-        obeying = [i for i in range(len(locs)) if abs(locs[i] - targets[i]) <= tol]
-        if obeying:
-            return lambda t: _nearest_weights(locs, t, obeying)
-        uniform = (1.0 / len(locs),) * len(locs)
-        return lambda t: uniform
-    piis = _game_piis(game)
-    half = isinstance(m, Glime)
-    eps = m.epsilon
-    snapped = _snap_to_endpoints(locs, piis)
-    return lambda t: _limited_direct(snapped, t, piis, eps, half)
+        return _dictator_rule(locs, m.targets, m.equality_tol)
+    return _limited_rule(locs, piis, m.epsilon, isinstance(m, Glime)), locs
 
 
 def direct(game, profile, t):
     """Evaluate the game's mediator pointwise: user ``t`` -> distribution."""
     locs = validate_profile(profile, game.n)
     t = validate_location(t)
-    return _pointwise_rule(game, locs)(t)
+    piis = _game_piis(game)
+    rule, _ = _pointwise_rule(game, piis, _snap_to_endpoints(locs, piis))
+    return rule(t)
 
 
 # ---------------------------------------------------------------------------
@@ -302,43 +351,60 @@ class PiecewisePolicy:
         )
 
 
-def _policy_breakpoints(locs, piis):
-    """All locations where the direction rule may change.
+def _policy_breakpoints(locs, sites, piis):
+    """Candidate locations where the bound rule may change: O(n) of them.
 
-    The rule can only switch at a facility, at a midpoint between two
-    distinct facilities (a nearest-facility tie), or at a protected-interval
-    endpoint; 0 and 1 close off the outer pieces.  A degenerate profile with
-    every facility at the same point yields just {0, s, 1}.
+    ``sites`` are the sorted distinct locations the rule chooses among.  The
+    candidates are 0 and 1, every facility, the midpoint of every pair of
+    adjacent sites, every protected-interval endpoint, and per interval the
+    midpoint between the last site <= lo and the first site >= hi when it
+    falls inside the interval.
+
+    The set is complete.  Inside an interval the branch is fixed for the
+    profile, so the rule can only change where the nearest facility of the
+    scanned subset does.  Outside every interval, and inside one with no
+    outside facility, the whole site set is scanned, and its nearest site
+    changes only at an adjacent-site midpoint.  Inside an interval with both
+    sides occupied, the nearest of the outside facilities is the last site
+    <= lo or the first site >= hi, so it changes only at their midpoint.  The
+    one-sided and half-split branches pick the nearest facility of one side,
+    which cannot change while the user stays strictly inside.  The interval
+    endpoints bound those branches.  A facility is no switch point unless it
+    is also one of the candidates above; the facilities are listed so a
+    compiled policy records its value at each of them explicitly.  In floats
+    a nearest-facility switch can land one ulp past its midpoint, which moves
+    a piece boundary, and so an integral, by at most that ulp.
     """
-    n = len(locs)
     points = {0.0, 1.0}
     points.update(locs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if locs[i] != locs[j]:
-                points.add(0.5 * (locs[i] + locs[j]))
+    points.update(0.5 * (a + b) for a, b in zip(sites, sites[1:]))
     for lo, hi in piis:
         points.add(lo)
         points.add(hi)
-    return sorted(p for p in points if 0.0 <= p <= 1.0)
+        k = bisect_right(sites, lo)
+        j = bisect_left(sites, hi)
+        if k and j < len(sites):
+            mid = 0.5 * (sites[k - 1] + sites[j])
+            if lo < mid < hi:
+                points.add(mid)
+    return sorted(points)
 
 
 def _compiled_pieces(game, locs):
     """Canonicalized locations plus (lo, hi, distribution) pieces over (0, 1).
 
-    Adjacent pieces with identical distributions are coalesced; the returned
-    breakpoint list still holds every candidate switch point, where the rule
-    may deviate pointwise (ties, interval endpoints).
+    Facilities are snapped onto interval endpoints once, here, and the rule
+    is bound to the snapped profile once.  Adjacent pieces with identical
+    distributions are coalesced; the returned breakpoint list still holds
+    every candidate switch point, where the rule may deviate pointwise
+    (ties, interval endpoints).
     """
     piis = _game_piis(game)
     locs = _snap_to_endpoints(locs, piis)
-    rule = _pointwise_rule(game, locs)
-    bps = _policy_breakpoints(locs, piis)
+    rule, sites = _pointwise_rule(game, piis, locs)
+    bps = _policy_breakpoints(locs, sorted(set(sites)), piis)
     pieces = []
-    for k in range(len(bps) - 1):
-        lo, hi = bps[k], bps[k + 1]
-        if hi <= lo:
-            continue
+    for lo, hi in zip(bps, bps[1:]):
         d = rule(0.5 * (lo + hi))
         if pieces and pieces[-1][2] == d:
             pieces[-1] = (pieces[-1][0], hi, d)

@@ -127,6 +127,10 @@ class TestUsageErrors:
         code, _ = run_subprocess("payoff", "--mediator", "magic", "--n", "2", "--profile", "0.1,0.2")
         assert code == 2
 
+    def test_zero_grid_step(self):
+        code, _ = run_subprocess("pne", "--mediator", "nime", "--n", "2", "--enumerate", "--grid-step", "0")
+        assert code == 2
+
 
 class TestDictTargetsFlag:
     def test_custom_targets(self, capsys):

@@ -93,6 +93,14 @@ class TestRampDensity:
         with pytest.raises(ValueError):
             PiecewiseLinearDensity((0.0, 1.0), (2.0, -0.0000001))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN compares false everywhere, so it used to pass every check.
+        with pytest.raises(ValueError):
+            PiecewiseLinearDensity((0.0, 0.5, 1.0), (1.0, bad, 1.0))
+        with pytest.raises(ValueError):
+            PiecewiseLinearDensity((0.0, bad, 1.0), (1.0, 1.0, 1.0))
+
 
 class TestMoments:
     def test_uniform_abs_moment_split(self):
@@ -214,6 +222,14 @@ class TestMediatorRecords:
     def test_min_players(self):
         with pytest.raises(ValueError):
             GameSpec(1, Nime())
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None])
+    def test_integer_players(self, n):
+        with pytest.raises(ValueError):
+            GameSpec(n, Nime())
+
+    def test_numpy_integer_players(self):
+        assert GameSpec(np.int64(3), Nime()).n == 3
 
     def test_mediator_json_roundtrip(self):
         for m in (

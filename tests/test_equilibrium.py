@@ -139,6 +139,20 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             pne_enumerate(GameSpec(2, Nime()), 0.3)
 
+    @pytest.mark.parametrize("step", [0.0, -0.25, math.inf, math.nan])
+    def test_grid_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError):
+            pne_enumerate(GameSpec(2, Nime()), step)
+
+    @pytest.mark.parametrize("shard", [(10, 5), (5, 5), (-1, 5), (0, 2146), (2146, 2147)])
+    def test_invalid_shard_rejected(self, shard):
+        # The 1/64 two-player grid holds comb(66, 2) = 2145 sorted profiles.
+        with pytest.raises(ValueError):
+            pne_enumerate(GameSpec(2, Nime()), 1 / 64, shard=shard)
+
+    def test_last_profile_shard(self):
+        assert pne_enumerate(GameSpec(2, Nime()), 1 / 64, shard=(2144, 2145)) == []
+
     def test_unique_equilibria_on_grids_containing_them(self):
         # The characterized equilibrium sets are singletons; the grids below
         # contain the profiles exactly, so enumeration must return them alone.
@@ -199,6 +213,22 @@ class TestKnownPne:
         assert known_pne(GameSpec(3, Nime())) is None
         assert known_pne(GameSpec(2, Glime(epsilon=1e-3))) is None
         assert known_pne(GameSpec(4, Clime(lam=1 / 8, epsilon=1e-3))) is None
+
+    def test_uniform_only_answers_absent_under_other_densities(self):
+        # The uniform-density equilibria of these rules fail certification
+        # under the ramp, so no characterization is claimed there.
+        cases = [
+            (GameSpec(2, Nime(), RAMP), [(0.5, 0.5)]),
+            (GameSpec(5, Lime(epsilon=1e-3), RAMP), [optimal_locations(5)]),
+            (
+                GameSpec(2, Clime(lam=1 / 8, epsilon=1e-3), RAMP),
+                [(a, b) for a in (0.375, 0.625) for b in (0.375, 0.625)],
+            ),
+        ]
+        for game, uniform_answer in cases:
+            assert known_pne(game) is None, game.mediator
+            for profile in uniform_answer:
+                assert not is_pne(game, profile).is_pne, (game.mediator, profile)
 
     def test_overridden_targets_are_the_dictated_equilibrium(self):
         game = GameSpec(2, Dictator(targets=(0.3, 0.6)))
