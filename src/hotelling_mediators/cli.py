@@ -83,13 +83,13 @@ def _build_mediator(args):
 
 
 def _build_game(args):
-    dist = UNIFORM
-    if args.distribution:
-        with open(args.distribution) as fh:
-            dist = distribution_from_json(json.load(fh))
     try:
+        dist = UNIFORM
+        if args.distribution:
+            with open(args.distribution) as fh:
+                dist = distribution_from_json(json.load(fh))
         return GameSpec(n=args.n, mediator=_build_mediator(args), distribution=dist)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
 

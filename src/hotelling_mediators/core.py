@@ -130,6 +130,13 @@ class Uniform:
             return 0.5 * (b * b - a * a) - c * (b - a)
         return 0.5 * ((c - a) * (c - a) + (b - c) * (b - c))
 
+    def abs_moment_array(self, c, a, b):
+        """:meth:`abs_moment` elementwise over broadcast arrays, bitwise equal."""
+        below = c * (b - a) - 0.5 * (b * b - a * a)
+        above = 0.5 * (b * b - a * a) - c * (b - a)
+        split = 0.5 * ((c - a) * (c - a) + (b - c) * (b - c))
+        return np.where(b <= c, below, np.where(a >= c, above, split))
+
     def quantile_array(self, p):
         return np.asarray(p, dtype=float)
 
@@ -189,11 +196,13 @@ class PiecewiseLinearDensity:
     @staticmethod
     def _segment_fm(k, x, xs, gs):
         # Closed form of the integral of t*g(t) from xs[k] to x within segment k.
+        # Scalars or numpy arrays alike; the cube is spelled as products
+        # because numpy's ``x ** 3`` and Python's ``pow`` can differ by an ulp.
         x0 = xs[k]
         h = xs[k + 1] - x0
         m = (gs[k + 1] - gs[k]) / h
         c = gs[k] - m * x0
-        return 0.5 * c * (x * x - x0 * x0) + m * (x ** 3 - x0 ** 3) / 3.0
+        return 0.5 * c * (x * x - x0 * x0) + m * (x * x * x - x0 * x0 * x0) / 3.0
 
     def _segment_index(self, t):
         # Segment k such that breakpoints[k] <= t, with t == 1 mapped to the last one.
@@ -283,6 +292,30 @@ class PiecewiseLinearDensity:
         right = self.first_moment(c, b) - c * self.mass(c, b)
         return left + right
 
+    def _prefixes_array(self, t):
+        # Arrays of cdf(t) and of the first-moment prefix at t, by the
+        # scalar formulas of cdf and _fm_prefix.
+        xs = np.array(self.breakpoints)
+        gs = np.array(self.values)
+        k = np.clip(np.searchsorted(xs, t, side="right") - 1, 0, len(xs) - 2)
+        u = t - xs[k]
+        m = (gs[k + 1] - gs[k]) / (xs[k + 1] - xs[k])
+        cdf = np.array(self._cum_mass)[k] + u * (gs[k] + 0.5 * m * u)
+        fm = np.array(self._cum_fm)[k] + self._segment_fm(k, t, xs, gs)
+        return cdf, fm
+
+    def abs_moment_array(self, c, a, b):
+        """:meth:`abs_moment` elementwise over broadcast arrays, bitwise equal."""
+        c, a, b = np.broadcast_arrays(c, a, b)
+        cdf_a, fm_a = self._prefixes_array(a)
+        cdf_b, fm_b = self._prefixes_array(b)
+        cdf_c, fm_c = self._prefixes_array(c)
+        below = c * (cdf_b - cdf_a) - (fm_b - fm_a)
+        above = (fm_b - fm_a) - c * (cdf_b - cdf_a)
+        left = c * (cdf_c - cdf_a) - (fm_c - fm_a)
+        right = (fm_b - fm_c) - c * (cdf_b - cdf_c)
+        return np.where(b <= c, below, np.where(a >= c, above, left + right))
+
     def quantile_array(self, p):
         """Vectorized quantile, used by the Monte Carlo sampler."""
         p = np.asarray(p, dtype=float)
@@ -315,13 +348,25 @@ UserDistribution = Union[Uniform, PiecewiseLinearDensity]
 UNIFORM = Uniform()
 
 
+def _json_numbers(obj, key):
+    values = obj.get(key)
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise ValueError(f"pwl distribution needs {key!r} as a list of numbers")
+    return tuple(values)
+
+
 def distribution_from_json(obj):
-    """Parse ``{"kind": "uniform"}`` or ``{"kind": "pwl", ...}``."""
+    """Parse ``{"kind": "uniform"}`` or ``{"kind": "pwl", "breakpoints":
+    [...], "values": [...]}``; any other shape raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a distribution must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "uniform":
         return UNIFORM
     if kind == "pwl":
-        return PiecewiseLinearDensity(tuple(obj["breakpoints"]), tuple(obj["values"]))
+        return PiecewiseLinearDensity(_json_numbers(obj, "breakpoints"), _json_numbers(obj, "values"))
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice
 
 import numpy as np
 
@@ -142,6 +141,7 @@ class PneReport:
     ``is_pne`` means no candidate deviation improved any player's payoff by
     more than ``gain_tol``; it is not a proof over the continuum.  When the
     verdict is negative, ``witness`` holds one beneficial deviation.
+    ``candidate_count`` is the number of deviations priced.
     """
 
     is_pne: bool
@@ -175,21 +175,17 @@ def is_pne(
 
     With ``exhaustive=False`` the scan stops at the first beneficial
     deviation; ``worst_gain`` is then the gain found rather than the maximum,
-    which is all a refutation needs.
+    which is all a refutation needs, and ``candidate_count`` counts the
+    probes made up to it.
     """
     if gain_tol <= 0.0:
         raise ValueError("gain_tol must be positive")
     locs = validate_profile(profile, game.n)
     worst_gain, witness, count = -math.inf, None, 0
     if not exhaustive:
-        static_pts = _static_candidates(game, grid_points)
-        hit = _refute_fast(game, locs, gain_tol, static_pts)
-        count = game.n * (len(static_pts) + 5 * (game.n - 1))
+        count, hit = _refute_fast(game, locs, gain_tol, _static_candidates(game, grid_points))
         if hit is not None:
-            player, y = hit
-            trial = list(locs)
-            trial[player] = y
-            worst_gain = _payoff_locs(game, tuple(trial))[player] - _payoff_locs(game, locs)[player]
+            player, y, worst_gain = hit
             witness = (player, y)
     else:
         for player in range(game.n):
@@ -214,41 +210,67 @@ def is_pne(
 def _refute_fast(game, locs, gain_tol, static_pts):
     """Early-exit equilibrium check used by enumeration.
 
-    Returns None when no candidate beats the profile, otherwise the first
-    witness found.  Probes every player's opponent-derived candidates (the
-    historically strongest refutations) before anyone's grid candidates, and
-    skips deduplication: a duplicate only costs one redundant evaluation.
+    Returns ``(probes, hit)``: the number of deviations priced, and None when
+    no candidate beats the profile, otherwise the first witness found as
+    ``(player, deviation, gain)``.  Probes every player's opponent-derived
+    candidates (the historically strongest refutations) before anyone's grid
+    candidates, and skips deduplication: a duplicate only costs one
+    redundant evaluation.
     """
     base = _payoff_locs(game, locs)
     n = len(locs)
     trial = list(locs)
-    for player in range(n):
-        threshold = base[player] + gain_tol
-        for y in _opponent_candidates(game, locs, player):
-            trial[player] = y
-            if _payoff_locs(game, tuple(trial))[player] > threshold:
-                return player, y
-        trial[player] = locs[player]
-    for player in range(n):
-        threshold = base[player] + gain_tol
-        for y in static_pts:
-            trial[player] = y
-            if _payoff_locs(game, tuple(trial))[player] > threshold:
-                return player, y
-        trial[player] = locs[player]
-    return None
+    probes = 0
+    for stage in range(2):
+        for player in range(n):
+            threshold = base[player] + gain_tol
+            pts = _opponent_candidates(game, locs, player) if stage == 0 else static_pts
+            for y in pts:
+                trial[player] = y
+                probes += 1
+                value = _payoff_locs(game, tuple(trial))[player]
+                if value > threshold:
+                    return probes, (player, y, value - base[player])
+            trial[player] = locs[player]
+    return probes, None
+
+
+def _unrank_combo(rank, top, n):
+    """The ``rank``-th (0-based) entry of
+    ``combinations_with_replacement(range(top + 1), n)``, by stars and bars."""
+    combo = []
+    value = 0
+    for slots in range(n - 1, -1, -1):
+        # Sorted tails of length ``slots`` over value..top, after ``value``.
+        while rank >= (block := math.comb(top - value + slots, slots)):
+            rank -= block
+            value += 1
+        combo.append(value)
+    return combo
+
+
+def _combos(top, n, start, stop):
+    """Entries ``start`` to ``stop - 1`` of
+    ``combinations_with_replacement(range(top + 1), n)``, without iterating
+    past the first ``start``."""
+    idx = _unrank_combo(start, top, n)
+    for _ in range(stop - start):
+        yield tuple(idx)
+        i = n - 1
+        while i >= 0 and idx[i] == top:
+            i -= 1
+        if i < 0:
+            return
+        idx[i:] = [idx[i] + 1] * (n - i)
 
 
 def _enumerate_chunk(args):
     game, grid_n, start, stop, gain_tol, grid_points = args
     static_pts = _static_candidates(game, grid_points)
-    combos = islice(
-        combinations_with_replacement(range(grid_n + 1), game.n), start, stop
-    )
     found = []
-    for combo in combos:
+    for combo in _combos(grid_n, game.n, start, stop):
         locs = tuple(k / grid_n for k in combo)
-        if _refute_fast(game, locs, gain_tol, static_pts) is None:
+        if _refute_fast(game, locs, gain_tol, static_pts)[1] is None:
             found.append(locs)
     return found
 

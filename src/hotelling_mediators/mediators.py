@@ -33,6 +33,11 @@ facilities, the midpoints of adjacent distinct sites, the interval endpoints,
 and per interval one midpoint across it (see :func:`_policy_breakpoints`).
 The bound rule scans O(n) facilities once per piece, so a profile compiles
 in O(n^2) time.
+
+:func:`_compiled_rows` is the same compiler over a ``(B, n)`` array of
+profiles, used to price many random profiles at once.  Its candidates are
+padded to one width with duplicates, and every non-empty piece it yields is
+bitwise the scalar compiler's.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .core import (
     UNIFORM,
@@ -423,3 +430,98 @@ def compile_policy(game, profile, include_point_dists=True):
         piece_dists=tuple(d for _, _, d in pieces),
         point_dists=point_dists,
     )
+
+
+# ---------------------------------------------------------------------------
+# Row compilation: many profiles at once
+# ---------------------------------------------------------------------------
+
+
+def _snap_rows(locs, piis):
+    """:func:`_snap_to_endpoints` applied to every row of a ``(B, n)`` array."""
+    out = np.array(locs, dtype=float)
+    for lo, hi in piis:
+        near_lo = (out != lo) & (np.abs(out - lo) <= _PII_FACILITY_SNAP)
+        near_hi = ~near_lo & (out != hi) & (np.abs(out - hi) <= _PII_FACILITY_SNAP)
+        out[near_lo] = lo
+        out[near_hi] = hi
+    return out
+
+
+def _nearest_rows(dists, subset):
+    """:func:`_nearest_weights` over the last axis, restricted to ``subset``."""
+    masked = np.where(subset, dists, np.inf)
+    tie = (masked == masked.min(axis=-1, keepdims=True)) & subset
+    count = tie.sum(axis=-1, keepdims=True)
+    return np.where(tie, 1.0 / np.maximum(count, 1), 0.0)
+
+
+def _compiled_rows(game, locs):
+    """Array form of :func:`_compiled_pieces` over canonicalized ``(B, n)`` rows.
+
+    Returns ``(cands, weights)``: per row the sorted candidate breakpoints of
+    :func:`_policy_breakpoints`, padded to one width with duplicates of its
+    own candidates, and the bound rule at the midpoint of every consecutive
+    pair, shape ``(B, K - 1, n)``.  Padding only makes zero-width pieces,
+    whose midpoint is a breakpoint; callers skip them.  Pieces are not
+    coalesced.  Every non-empty piece and its weights are bitwise those of
+    the scalar compiler, which stays the path for single profiles: the
+    array overhead only pays off over many rows.
+    """
+    m = game.mediator
+    piis = _game_piis(game)
+    rows, n = locs.shape
+    if isinstance(m, Dictator):
+        subset = np.abs(locs - np.asarray(m.targets)) <= m.equality_tol
+        # Disobeying players stand in as copies of an obeying site (or of 0.0
+        # when nobody obeys), so their midpoints are candidates already.
+        fill = np.where(subset, locs, 0.0).max(axis=1, keepdims=True)
+        sites = np.sort(np.where(subset, locs, fill), axis=1)
+    else:
+        sites = np.sort(locs, axis=1)
+    parts = [np.zeros((rows, 1)), np.ones((rows, 1)), locs, 0.5 * (sites[:, :-1] + sites[:, 1:])]
+    for lo, hi in piis:
+        below = sites <= lo
+        above = sites >= hi
+        # The last site <= lo and the first site >= hi (0.0 and 1.0 when absent).
+        mid = 0.5 * (np.where(below, sites, 0.0).max(axis=1) + np.where(above, sites, 1.0).min(axis=1))
+        ok = below.any(axis=1) & above.any(axis=1) & (lo < mid) & (mid < hi)
+        parts.append(np.repeat([[lo, hi]], rows, axis=0))
+        parts.append(np.where(ok, mid, lo)[:, None])
+    cands = np.sort(np.concatenate(parts, axis=1), axis=1)
+
+    t = 0.5 * (cands[:, :-1] + cands[:, 1:])
+    dists = np.abs(locs[:, None, :] - t[:, :, None])
+    if isinstance(m, Nime):
+        return cands, _nearest_rows(dists, True)
+    if isinstance(m, Dictator):
+        weights = _nearest_rows(dists, subset[:, None, :])
+        return cands, np.where(subset.any(axis=1)[:, None, None], weights, 1.0 / n)
+    return cands, _limited_rows(locs, dists, t, piis, m.epsilon, isinstance(m, Glime))
+
+
+def _limited_rows(locs, dists, t, piis, epsilon, half_split):
+    """:func:`_limited_rule` at user locations ``t`` of shape ``(B, P)``."""
+    los = np.array([lo for lo, _ in piis])
+    his = np.array([hi for _, hi in piis])
+    k = np.searchsorted(los, t, side="left") - 1  # the last interval with lo < t
+    k0 = np.maximum(k, 0)
+    inside = ((k >= 0) & (t < his[k0]))[..., None]
+    left = locs[:, None, :] <= los[k0][..., None]
+    right = locs[:, None, :] >= his[k0][..., None]
+    has_left = left.any(axis=-1, keepdims=True)
+    has_right = right.any(axis=-1, keepdims=True)
+    both = inside & has_left & has_right
+    one = inside & (has_left ^ has_right)
+    # One nearest scan serves every branch but the half split's right side.
+    if half_split:
+        subset = np.where(both, left, np.where(one, left | right, True))
+    else:
+        subset = np.where(inside & (has_left | has_right), left | right, True)
+    weights = _nearest_rows(dists, subset)
+    keep = 1.0 - epsilon
+    u = epsilon / locs.shape[1]
+    weights = np.where(one, keep * weights + u, weights)
+    if half_split:
+        weights = np.where(both, 0.5 * weights + 0.5 * _nearest_rows(dists, right), weights)
+    return weights

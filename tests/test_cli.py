@@ -132,6 +132,29 @@ class TestUsageErrors:
         assert code == 2
 
 
+class TestMalformedDistribution:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            None,
+            "{not json",
+            "[0.0, 1.0]",
+            '{"kind": "pwl", "values": [1.0, 1.0]}',
+            '{"kind": "pwl", "breakpoints": [0.0, 1.0], "values": ["a", "b"]}',
+            '{"kind": "pwl", "breakpoints": [0.0, 1.0], "values": [1.0, 3.0]}',
+        ],
+        ids=["missing-file", "invalid-json", "json-list", "no-breakpoints", "non-numeric", "mass-not-one"],
+    )
+    def test_exits_two_with_error_line(self, text, tmp_path, capsys):
+        path = tmp_path / "dist.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["payoff", "--mediator", "nime", "--n", "2", "--profile", "0.2,0.8", "--distribution", str(path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestDictTargetsFlag:
     def test_custom_targets(self, capsys):
         code, out = run_cli(

@@ -1,6 +1,7 @@
 """Equilibrium certification, enumeration, dynamics, and neutrality."""
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from hotelling_mediators import (
     quantile_locations,
     social_cost,
 )
+from hotelling_mediators import equilibrium
+from hotelling_mediators.equilibrium import _combos
 
 RAMP = PiecewiseLinearDensity((0.0, 1.0), (0.0, 2.0))
 DELTA = 1e-6
@@ -103,6 +106,21 @@ class TestIsPne:
         game = GameSpec(4, Clime(lam=1 / 8, epsilon=1e-3))
         assert is_pne(game, (1 / 8, 3 / 8, 5 / 8, 7 / 8)).is_pne
 
+    @pytest.mark.parametrize("profile", [optimal_locations(5), (0.1, 0.3, 0.5, 0.7, 0.95)])
+    def test_fast_check_counts_its_probes(self, profile, monkeypatch):
+        calls = []
+        payoff_locs = equilibrium._payoff_locs
+
+        def counting(game, locs):
+            calls.append(locs)
+            return payoff_locs(game, locs)
+
+        monkeypatch.setattr(equilibrium, "_payoff_locs", counting)
+        report = is_pne(GameSpec(5, Lime(epsilon=1e-3)), profile, exhaustive=False)
+        assert report.is_pne == (profile == optimal_locations(5))
+        # One call prices the profile itself; every other one is a probe.
+        assert report.candidate_count == len(calls) - 1
+
     def test_report_json(self):
         report = is_pne(GameSpec(2, Nime()), (0.4, 0.9))
         blob = report.to_json()
@@ -130,6 +148,17 @@ class TestEnumeration:
         for a in range(0, total, 541):
             parts.extend(pne_enumerate(game, 1 / 64, shard=(a, min(a + 541, total))))
         assert sorted(parts) == pne_enumerate(game, 1 / 64)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_shard_seek_matches_islice(self, n):
+        grid_n = 12
+        full = list(combinations_with_replacement(range(grid_n + 1), n))
+        rng = np.random.default_rng(n)
+        for _ in range(30):
+            start, stop = sorted(int(v) for v in rng.choice(len(full) + 1, 2, replace=False))
+            assert list(_combos(grid_n, n, start, stop)) == full[start:stop], (start, stop)
+        cuts = [0, *sorted(int(v) for v in rng.choice(range(1, len(full)), 6, replace=False)), len(full)]
+        assert [c for a, b in zip(cuts, cuts[1:]) for c in _combos(grid_n, n, a, b)] == full
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):
