@@ -26,13 +26,8 @@ from .core import (
 )
 from .mediators import (
     PiecewisePolicy,
-    clime_direct,
     compile_policy,
-    dict_direct,
     direct,
-    glime_direct,
-    lime_direct,
-    nime_direct,
     pii_intervals,
 )
 from .metrics import (
@@ -77,13 +72,8 @@ __all__ = [
     "quantile_locations",
     "validate_profile",
     "PiecewisePolicy",
-    "clime_direct",
     "compile_policy",
-    "dict_direct",
     "direct",
-    "glime_direct",
-    "lime_direct",
-    "nime_direct",
     "pii_intervals",
     "IcEstimate",
     "adversarial_profile",

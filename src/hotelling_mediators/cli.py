@@ -24,18 +24,9 @@ import json
 import math
 import sys
 
-from .core import (
-    Clime,
-    Dictator,
-    GameSpec,
-    Glime,
-    Lime,
-    Nime,
-    UNIFORM,
-    distribution_from_json,
-)
+from .core import _MEDIATORS, UNIFORM, Dictator, GameSpec, Lime, distribution_from_json, mediator_from_json
 from .equilibrium import is_pne, pne_enumerate
-from .metrics import analytic_ic_bounds, ic_search, payoff, social_cost
+from .metrics import ic_search, payoff, social_cost
 
 __all__ = ["main"]
 
@@ -50,48 +41,27 @@ def _parse_profile(text, n):
     try:
         values = tuple(float(v) for v in text.split(","))
     except ValueError:
-        print(f"error: malformed profile {text!r}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"malformed profile {text!r}") from None
     if len(values) != n:
-        print(f"error: profile has {len(values)} entries, expected n={n}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"profile has {len(values)} entries, expected n={n}")
     if any(not 0.0 <= v <= 1.0 for v in values):
-        print("error: profile locations must lie in [0, 1]", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("profile locations must lie in [0, 1]")
     return values
 
 
-def _build_mediator(args):
-    kind = args.mediator
-    if kind == "nime":
-        return Nime()
-    if kind == "dict":
-        targets = None
-        if args.targets:
-            targets = tuple(float(v) for v in args.targets.split(","))
-        return Dictator(targets=targets, equality_tol=args.equality_tol)
-    if kind == "lime":
-        return Lime(epsilon=args.epsilon)
-    if kind == "glime":
-        return Glime(epsilon=args.epsilon)
-    if kind == "clime":
-        if args.lam is None:
-            print("error: --lambda is required for the clime mediator", file=sys.stderr)
-            raise SystemExit(2)
-        return Clime(lam=args.lam, epsilon=args.epsilon)
-    raise SystemExit(2)
-
-
 def _build_game(args):
-    try:
-        dist = UNIFORM
-        if args.distribution:
-            with open(args.distribution) as fh:
-                dist = distribution_from_json(json.load(fh))
-        return GameSpec(n=args.n, mediator=_build_mediator(args), distribution=dist)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    """The game of the flags: the mediator flags become its wire object,
+    which the mediator's own record parses."""
+    dist = UNIFORM
+    if args.distribution:
+        with open(args.distribution) as fh:
+            dist = distribution_from_json(json.load(fh))
+    wire = {"kind": args.mediator, "epsilon": args.epsilon, "equalityTol": args.equality_tol}
+    if args.lam is not None:
+        wire["lambda"] = args.lam
+    if args.targets:
+        wire["targets"] = [float(v) for v in args.targets.split(",")]
+    return GameSpec(n=args.n, mediator=mediator_from_json(wire), distribution=dist)
 
 
 def _emit(args, json_obj, csv_lines):
@@ -132,15 +102,8 @@ def _cmd_pne(args):
     game = _build_game(args)
     if args.enumerate:
         if args.grid_step is None:
-            print("error: --enumerate requires --grid-step", file=sys.stderr)
-            raise SystemExit(2)
-        try:
-            profiles = pne_enumerate(
-                game, args.grid_step, gain_tol=args.gain_tol, threads=args.threads
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(2)
+            raise ValueError("--enumerate requires --grid-step")
+        profiles = pne_enumerate(game, args.grid_step, gain_tol=args.gain_tol, threads=args.threads)
         _emit(
             args,
             {"profiles": [list(p) for p in profiles]},
@@ -148,8 +111,7 @@ def _cmd_pne(args):
         )
         return _check_expect(args.expect, "empty" if not profiles else "nonempty")
     if not args.profile:
-        print("error: pne needs --profile or --enumerate", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("pne needs --profile or --enumerate")
     profile = _parse_profile(args.profile, game.n)
     report = is_pne(game, profile, gain_tol=args.gain_tol)
     header = "isPne,worstGain,witnessPlayer,witnessDeviation,candidateCount,gainTol,gridStep"
@@ -205,12 +167,11 @@ def _cmd_table1(args):
     for n in range(2, 9):
         optimal = 1.0 / (4 * n)
         best, worst = _nime_pne_costs(n)
-        dict_game = GameSpec(n, Dictator())
-        dict_est = ic_search(dict_game, budget=args.budget, seed=args.seed, threads=args.threads)
-        dict_lower, _ = analytic_ic_bounds(dict_game.mediator, n)
-        lime = Lime(epsilon=args.epsilon)
-        lime_est = ic_search(GameSpec(n, lime), budget=args.budget, seed=args.seed, threads=args.threads)
-        lime_lower, lime_upper = analytic_ic_bounds(lime, n)
+        dict_est = ic_search(GameSpec(n, Dictator()), budget=args.budget, seed=args.seed, threads=args.threads)
+        dict_lower = dict_est.analytic_lower
+        lime_game = GameSpec(n, Lime(epsilon=args.epsilon))
+        lime_est = ic_search(lime_game, budget=args.budget, seed=args.seed, threads=args.threads)
+        lime_lower, lime_upper = lime_est.analytic_lower, lime_est.analytic_upper
         flags = []
         if dict_est.search_lower < dict_lower - 5e-3:
             flags.append("dict:search<lower")
@@ -259,7 +220,7 @@ def _cmd_table1(args):
 
 
 def _add_game_flags(p):
-    p.add_argument("--mediator", required=True, choices=["nime", "dict", "lime", "glime", "clime"])
+    p.add_argument("--mediator", required=True, choices=list(_MEDIATORS))
     p.add_argument("--n", type=int, required=True, help="number of players")
     p.add_argument("--epsilon", type=float, default=1e-3, help="random-redirect weight")
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="clime interval half-width")
@@ -320,7 +281,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        # Every usage error (bad flags, files or values) ends here.
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -5,8 +5,15 @@ in ``[0, 1]``, users are spread over the same segment according to a
 continuous density, and a mediator decides which facility serves each user.
 This module holds the primitive building blocks: locations and strategy
 profiles, user distributions (uniform or piecewise-linear density) with exact
-closed-form CDF / quantile / moment integrals, the mediator parameter records,
-and the full game description.
+closed-form CDF / quantile / moment integrals, the mediator records, and the
+full game description.
+
+Each mediator record is the one place that knows its kind: its wire format,
+its checks against the player count, its protected intervals, its analytic
+intervention-cost bounds, its adversarial fixture and its characterized
+equilibria.  A private ``kind -> class`` registry resolves kind strings for
+the wire format, the fixtures and the command line.  The direction rules and
+their compilers live in :mod:`hotelling_mediators.mediators`.
 
 Everything here is immutable and purely functional; values can be shared
 freely across threads.
@@ -18,6 +25,7 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import ClassVar, Union
 
 import numpy as np
@@ -348,12 +356,14 @@ UserDistribution = Union[Uniform, PiecewiseLinearDensity]
 UNIFORM = Uniform()
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _json_numbers(obj, key):
     values = obj.get(key)
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
-        raise ValueError(f"pwl distribution needs {key!r} as a list of numbers")
+    if not isinstance(values, list) or not all(_is_number(v) for v in values):
+        raise ValueError(f"{obj['kind']} needs {key!r} as a list of numbers")
     return tuple(values)
 
 
@@ -400,7 +410,7 @@ def quantile_locations(n, dist=UNIFORM):
 
 
 # ---------------------------------------------------------------------------
-# Mediator parameter records
+# Mediator records
 # ---------------------------------------------------------------------------
 
 # Proofs about the limited-intervention rules need the random-redirect weight
@@ -414,22 +424,95 @@ def _check_epsilon(epsilon):
         raise ValueError(f"epsilon must lie in (0, 1/3), got {epsilon!r}")
 
 
+def _json_number(obj, key, default):
+    value = obj.get(key, default)
+    if not _is_number(value):
+        raise ValueError(f"the {obj['kind']} mediator needs {key!r} as a number, got {value!r}")
+    return float(value)
+
+
+def _check_offset_fixture(kind, n, delta):
+    if n < 3:
+        raise ValueError(f"the {kind} fixture needs n >= 3")
+    if not 0.0 < delta < 1.0 / (2 * n):
+        raise ValueError(f"delta must lie in (0, 1/(2n)), got {delta!r}")
+
+
+def _players(n):
+    n = int(n)
+    if n < 2:
+        raise ValueError(f"need at least two players, got n={n}")
+    return n
+
+
+def _corners(a, b):
+    return [(a, a), (a, b), (b, a), (b, b)]
+
+
+class Mediator:
+    """Base of the mediator records (see the module docstring).
+
+    The defaults describe a rule that never overrides the nearest-facility
+    assignment and about which nothing is proven; each record overrides what
+    differs for its kind.
+    """
+
+    kind: ClassVar[str]
+
+    def bind(self, n):
+        """This record as used in an n-player game; ValueError if it cannot be."""
+        return self
+
+    def intervals(self, n, dist):
+        """Protected intervals: open, disjoint, increasing, inside (0, 1)."""
+        return ()
+
+    def to_json(self):
+        return {"kind": self.kind}
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls()
+
+    def ic_bounds(self, n):
+        """Proven (lower, upper) intervention-cost bounds under the uniform
+        density; None where no bound is proven."""
+        return (None, None)
+
+    @classmethod
+    def fixture(cls, n, delta):
+        """A profile known to drive the intervention gap close to its
+        supremum; ValueError where the construction is not defined."""
+        raise ValueError(f"no adversarial fixture for mediator kind {cls.kind!r}")
+
+    def known_pne(self, n, dist):
+        """The characterized equilibrium profiles, or None."""
+        return None
+
+
 @dataclass(frozen=True)
-class Nime:
+class Nime(Mediator):
     """No-intervention mediator: nearest facility, ties split uniformly."""
 
     kind: ClassVar[str] = "nime"
 
+    def ic_bounds(self, n):
+        return (0.0, 0.0)
+
+    def known_pne(self, n, dist):
+        return [(0.5, 0.5)] if n == 2 and dist == UNIFORM else None
+
 
 @dataclass(frozen=True)
-class Dictator:
+class Dictator(Mediator):
     """Punishing mediator that dictates one target location per player.
 
     Players found at their target (within ``equality_tol``) share the users
     by the nearest-facility rule restricted to them; players that disobey get
     no users at all.  If everyone disobeys, users are assigned uniformly at
     random.  ``targets=None`` resolves to the socially optimal locations when
-    a game is built.
+    a game is built.  The dictated targets are the equilibrium under any
+    density.
     """
 
     targets: tuple | None = None
@@ -440,48 +523,137 @@ class Dictator:
     def __post_init__(self):
         if self.targets is not None:
             object.__setattr__(self, "targets", validate_profile(self.targets))
-        if self.equality_tol < 0.0:
-            raise ValueError("equality_tol must be nonnegative")
+        if not self.equality_tol >= 0.0:
+            raise ValueError(f"equality_tol must be a nonnegative number, got {self.equality_tol!r}")
+
+    def bind(self, n):
+        if self.targets is None:
+            return replace(self, targets=optimal_locations(n))
+        if len(self.targets) != n:
+            raise ValueError(f"dictator targets have length {len(self.targets)}, expected {n}")
+        return self
+
+    def to_json(self):
+        out = {"kind": self.kind, "equalityTol": self.equality_tol}
+        if self.targets is not None:
+            out["targets"] = list(self.targets)
+        return out
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(
+            targets=_json_numbers(obj, "targets") if obj.get("targets") is not None else None,
+            equality_tol=_json_number(obj, "equalityTol", 1e-9),
+        )
+
+    def ic_bounds(self, n):
+        return (0.5 - 3.0 / (4 * n) + 1.0 / (4 * n * n), None)
+
+    @classmethod
+    def fixture(cls, n, delta):
+        _check_offset_fixture(cls.kind, n, delta)
+        # First player obeys her target; everyone else stands just off target.
+        return (1.0 / (2 * n),) + tuple((2 * i - 1) / (2 * n) + delta for i in range(2, n + 1))
+
+    def known_pne(self, n, dist):
+        return [tuple(self.targets)]
+
+
+class _Limited(Mediator):
+    """Base of the limited-intervention records, which all carry ``epsilon``."""
+
+    # Users inside an interval with outside facilities on both sides go 50/50
+    # to the nearest on the left and on the right, instead of to the nearest
+    # of both.
+    half_split: ClassVar[bool] = False
+
+    def __post_init__(self):
+        _check_epsilon(self.epsilon)
+
+    def to_json(self):
+        return {"kind": self.kind, "epsilon": self.epsilon}
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(epsilon=_json_number(obj, "epsilon", 1e-3))
 
 
 @dataclass(frozen=True)
-class Lime:
+class Lime(_Limited):
     """Limited-intervention mediator for the uniform distribution.
 
     Users inside a protected interval between consecutive socially optimal
     locations are never served by a facility inside that interval; with
     probability ``epsilon`` they are redirected to a uniformly random player
-    whenever the interval has outside facilities on one side only.
+    whenever the interval has outside facilities on one side only.  Its
+    equilibria are characterized for the uniform density only.
     """
 
     epsilon: float = 1e-3
 
     kind: ClassVar[str] = "lime"
 
-    def __post_init__(self):
-        _check_epsilon(self.epsilon)
+    def intervals(self, n, dist):
+        opt = optimal_locations(n)
+        return tuple(zip(opt, opt[1:]))
+
+    def ic_bounds(self, n):
+        if n == 2:
+            return (None, None)
+        return ((1.0 - self.epsilon / 2) * (2 * n - 4.0) / (n * n), (2 * n - 3.5) / (n * n))
+
+    @classmethod
+    def fixture(cls, n, delta):
+        _check_offset_fixture(cls.kind, n, delta)
+        k = math.ceil(n / 2)
+        lo = 1.0 / (2 * n) + delta
+        hi = (2 * n - 1.0) / (2 * n) - delta
+        return (lo,) * k + (hi,) * (n - k)
+
+    def known_pne(self, n, dist):
+        if dist != UNIFORM:
+            return None
+        return [optimal_locations(n)] if n >= 3 else _corners(0.25, 0.75)
 
 
 @dataclass(frozen=True)
-class Glime:
+class Glime(_Limited):
     """Quantile-based generalization of :class:`Lime` to arbitrary densities.
 
     Protected intervals sit between consecutive odd quantiles of the user
     distribution, and a user with outside facilities on both sides is sent to
     the nearest facility on the left or on the right with probability 1/2
-    each (instead of the overall nearest).
+    each (instead of the overall nearest).  For n >= 3 the odd quantiles are
+    the equilibrium under any density.  Its fixture needs no offset and
+    ignores ``delta``.
     """
 
     epsilon: float = 1e-3
 
     kind: ClassVar[str] = "glime"
+    half_split: ClassVar[bool] = True
 
-    def __post_init__(self):
-        _check_epsilon(self.epsilon)
+    def intervals(self, n, dist):
+        qs = quantile_locations(n, dist)
+        return tuple(zip(qs, qs[1:]))
+
+    def ic_bounds(self, n):
+        return (
+            0.25 - 1.0 / (2 * n) + 1.0 / (4 * n * n),
+            0.5 - 3.0 / (4 * n) + 1.0 / (4 * n * n),
+        )
+
+    @classmethod
+    def fixture(cls, n, delta):
+        k = n // 2
+        return (1.0 / (2 * n),) * k + ((2 * n - 1.0) / (2 * n),) * (n - k)
+
+    def known_pne(self, n, dist):
+        return [quantile_locations(n, dist)] if n >= 3 else None
 
 
 @dataclass(frozen=True)
-class Clime:
+class Clime(_Limited):
     """Limited-intervention mediator with two configurable-width intervals.
 
     Only the intervals (1/n - lam, 1/n + lam) and ((n-1)/n - lam,
@@ -496,12 +668,57 @@ class Clime:
     kind: ClassVar[str] = "clime"
 
     def __post_init__(self):
-        _check_epsilon(self.epsilon)
+        super().__post_init__()
         if not 0.0 < self.lam < 0.5:
             raise ValueError(f"lambda must lie in (0, 1/2), got {self.lam!r}")
 
+    def bind(self, n):
+        if n == 2:
+            if not self.lam <= 0.25:
+                raise ValueError(f"two-player games need lambda <= 1/4, got {self.lam!r}")
+            return self
+        # Both protected intervals must stay inside (0, 1) and be disjoint.
+        bound = min(1.0 / n, (n - 2) / (2.0 * n))
+        if not self.lam < bound:
+            raise ValueError(f"lambda must be below {bound} for n={n}, got {self.lam!r}")
+        return self
 
-Mediator = Union[Nime, Dictator, Lime, Glime, Clime]
+    def intervals(self, n, dist):
+        # Endpoints are rounded from exact rational arithmetic so that a
+        # facility standing at a mathematically equal location (for example
+        # 3/10 against 1/5 + 1/10) compares equal instead of drifting one ulp
+        # inside.  For two players the index set {1, n-1} collapses to a
+        # single centered interval.
+        width = Fraction(self.lam)
+        centers = {Fraction(1, n), Fraction(n - 1, n)}
+        return tuple((float(c - width), float(c + width)) for c in sorted(centers))
+
+    def to_json(self):
+        return {"kind": self.kind, "lambda": self.lam, "epsilon": self.epsilon}
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(lam=_json_number(obj, "lambda", None), epsilon=_json_number(obj, "epsilon", 1e-3))
+
+    def ic_bounds(self, n):
+        if n == 2:
+            value = self.lam - self.lam * self.lam
+            return (value, value)
+        return (None, 4.0 * self.lam)
+
+    @classmethod
+    def fixture(cls, n, delta):
+        if n != 2:
+            raise ValueError("the clime fixture is defined for n=2 only")
+        return (0.0, 0.5)
+
+    def known_pne(self, n, dist):
+        return _corners(0.5 - self.lam, 0.5 + self.lam) if n == 2 and dist == UNIFORM else None
+
+
+# The registry of mediator kinds: the wire format, the fixtures and the
+# command line's --mediator choices all resolve a kind string here.
+_MEDIATORS = {cls.kind: cls for cls in (Nime, Dictator, Lime, Glime, Clime)}
 
 
 def mediator_from_json(obj):
@@ -509,43 +726,19 @@ def mediator_from_json(obj):
 
     Schema: ``{"kind": "nime"|"dict"|"lime"|"glime"|"clime", "epsilon": ...,
     "lambda": ..., "targets": [...], "equalityTol": ...}`` with parameters
-    only where the kind uses them.
+    only where the kind uses them.  Any other shape raises ValueError.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"a mediator must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind == "nime":
-        return Nime()
-    if kind == "dict":
-        targets = obj.get("targets")
-        return Dictator(
-            targets=tuple(targets) if targets is not None else None,
-            equality_tol=float(obj.get("equalityTol", 1e-9)),
-        )
-    if kind == "lime":
-        return Lime(epsilon=float(obj.get("epsilon", 1e-3)))
-    if kind == "glime":
-        return Glime(epsilon=float(obj.get("epsilon", 1e-3)))
-    if kind == "clime":
-        if "lambda" not in obj:
-            raise ValueError("clime mediator requires a lambda parameter")
-        return Clime(lam=float(obj["lambda"]), epsilon=float(obj.get("epsilon", 1e-3)))
-    raise ValueError(f"unknown mediator kind {kind!r}")
+    cls = _MEDIATORS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown mediator kind {kind!r}")
+    return cls.from_json(obj)
 
 
 def mediator_to_json(mediator):
-    if isinstance(mediator, Nime):
-        return {"kind": "nime"}
-    if isinstance(mediator, Dictator):
-        out = {"kind": "dict", "equalityTol": mediator.equality_tol}
-        if mediator.targets is not None:
-            out["targets"] = list(mediator.targets)
-        return out
-    if isinstance(mediator, Lime):
-        return {"kind": "lime", "epsilon": mediator.epsilon}
-    if isinstance(mediator, Glime):
-        return {"kind": "glime", "epsilon": mediator.epsilon}
-    if isinstance(mediator, Clime):
-        return {"kind": "clime", "lambda": mediator.lam, "epsilon": mediator.epsilon}
-    raise TypeError(f"not a mediator: {mediator!r}")
+    return mediator.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -555,37 +748,23 @@ def mediator_to_json(mediator):
 
 @dataclass(frozen=True)
 class GameSpec:
-    """A game is the number of players, the mediator, and the user density."""
+    """A game is the number of players, the mediator, and the user density.
+
+    The mediator is bound to the player count at construction, and its
+    protected intervals for this game are worked out once into ``piis``.
+    """
 
     n: int
     mediator: Mediator
     distribution: UserDistribution = UNIFORM
+    piis: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
             raise ValueError(f"the number of players must be an integer, got n={self.n!r}")
         if self.n < 2:
             raise ValueError(f"need at least two players, got n={self.n}")
-        m = self.mediator
-        if isinstance(m, Dictator):
-            if m.targets is None:
-                object.__setattr__(
-                    self, "mediator", replace(m, targets=optimal_locations(self.n))
-                )
-            elif len(m.targets) != self.n:
-                raise ValueError(
-                    f"dictator targets have length {len(m.targets)}, expected {self.n}"
-                )
-        if isinstance(m, Clime):
-            if self.n == 2:
-                if not m.lam <= 0.25:
-                    raise ValueError(
-                        f"two-player games need lambda <= 1/4, got {m.lam!r}"
-                    )
-            else:
-                # Both protected intervals must stay inside (0, 1) and be disjoint.
-                bound = min(1.0 / self.n, (self.n - 2) / (2.0 * self.n))
-                if not m.lam < bound:
-                    raise ValueError(
-                        f"lambda must be below {bound} for n={self.n}, got {m.lam!r}"
-                    )
+        if not isinstance(self.mediator, Mediator):
+            raise TypeError(f"not a mediator: {self.mediator!r}")
+        object.__setattr__(self, "mediator", self.mediator.bind(self.n))
+        object.__setattr__(self, "piis", self.mediator.intervals(self.n, self.distribution))

@@ -17,18 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    UNIFORM,
-    Clime,
-    Dictator,
-    Glime,
-    Lime,
-    Nime,
-    optimal_locations,
-    quantile_locations,
-    validate_profile,
-)
-from .mediators import _game_piis
+from .core import Dictator, quantile_locations, validate_profile
 from .metrics import _payoff_locs
 
 __all__ = [
@@ -57,7 +46,7 @@ _MAX_GRID_PROFILES = 10**8
 def _static_candidates(game, grid_points, include_offsets=True):
     """Profile-independent part of the candidate set, in probe order."""
     pts = []
-    for lo, hi in _game_piis(game):
+    for lo, hi in game.piis:
         for e in (lo, hi):
             pts.append(e)
             if include_offsets:
@@ -86,7 +75,7 @@ def _opponent_candidates(game, locs, player, include_offsets=True):
             pts.append(z - _SIDE_DELTA)
             pts.append(z + _SIDE_DELTA)
         pts.append(z)
-    for lo, hi in _game_piis(game):
+    for lo, hi in game.piis:
         for e in (lo, hi):
             for z in opponents:
                 pts.append(2.0 * e - z)
@@ -113,6 +102,20 @@ def candidate_deviations(game, profile, player, grid_points=_DEFAULT_GRID_POINTS
     return list(dict.fromkeys(pts))
 
 
+def _check_gain_tol(gain_tol):
+    if not (math.isfinite(gain_tol) and gain_tol > 0.0):
+        raise ValueError(f"gain_tol must be a positive finite number, got {gain_tol!r}")
+
+
+def _deviation_payoffs(game, locs, player, candidates):
+    """The candidate-scan loop: ``(y, payoff of player at y)`` for each
+    candidate deviation ``y``, opponents fixed, in probe order."""
+    trial = list(locs)
+    for y in candidates:
+        trial[player] = y
+        yield y, _payoff_locs(game, tuple(trial))[player]
+
+
 def best_response_gain(game, profile, player, candidates):
     """Best payoff improvement of ``player`` over the candidate deviations.
 
@@ -125,10 +128,7 @@ def best_response_gain(game, profile, player, candidates):
         raise ValueError("need at least one candidate deviation")
     base = _payoff_locs(game, locs)[player]
     best_gain, best_y = -math.inf, None
-    trial = list(locs)
-    for y in candidates:
-        trial[player] = y
-        value = _payoff_locs(game, tuple(trial))[player]
+    for y, value in _deviation_payoffs(game, locs, player, candidates):
         if value - base > best_gain:
             best_gain, best_y = value - base, y
     return best_gain, best_y
@@ -178,8 +178,7 @@ def is_pne(
     which is all a refutation needs, and ``candidate_count`` counts the
     probes made up to it.
     """
-    if gain_tol <= 0.0:
-        raise ValueError("gain_tol must be positive")
+    _check_gain_tol(gain_tol)
     locs = validate_profile(profile, game.n)
     worst_gain, witness, count = -math.inf, None, 0
     if not exhaustive:
@@ -218,20 +217,15 @@ def _refute_fast(game, locs, gain_tol, static_pts):
     redundant evaluation.
     """
     base = _payoff_locs(game, locs)
-    n = len(locs)
-    trial = list(locs)
     probes = 0
     for stage in range(2):
-        for player in range(n):
+        for player in range(len(locs)):
             threshold = base[player] + gain_tol
             pts = _opponent_candidates(game, locs, player) if stage == 0 else static_pts
-            for y in pts:
-                trial[player] = y
+            for y, value in _deviation_payoffs(game, locs, player, pts):
                 probes += 1
-                value = _payoff_locs(game, tuple(trial))[player]
                 if value > threshold:
                     return probes, (player, y, value - base[player])
-            trial[player] = locs[player]
     return probes, None
 
 
@@ -290,8 +284,10 @@ def pne_enumerate(
     ``shard=(start, stop)`` restricts the scan to a range of grid indices so
     long runs can be split and resumed; results of disjoint shards union to
     the full answer.  A non-positive or non-finite ``grid_step`` and a shard
-    outside ``0 <= start < stop <= total`` raise ValueError.
+    outside ``0 <= start < stop <= total`` raise ValueError, as does a
+    ``gain_tol`` that is not a positive finite number.
     """
+    _check_gain_tol(gain_tol)
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise ValueError(f"grid_step must be a positive finite number, got {grid_step!r}")
     grid_n = round(1.0 / grid_step)
@@ -329,25 +325,7 @@ def known_pne(game):
     density only; the dictated targets and the quantile rule's equilibria
     hold under any density.
     """
-    m = game.mediator
-    n = game.n
-    if isinstance(m, Dictator):
-        return [tuple(m.targets)]
-    if isinstance(m, Glime) and n >= 3:
-        return [quantile_locations(n, game.distribution)]
-    if game.distribution != UNIFORM:
-        return None
-    if isinstance(m, Lime):
-        if n >= 3:
-            return [optimal_locations(n)]
-        a, b = 0.25, 0.75
-        return [(a, a), (a, b), (b, a), (b, b)]
-    if isinstance(m, Clime) and n == 2:
-        a, b = 0.5 - m.lam, 0.5 + m.lam
-        return [(a, a), (a, b), (b, a), (b, b)]
-    if isinstance(m, Nime) and n == 2:
-        return [(0.5, 0.5)]
-    return None
+    return game.mediator.known_pne(game.n, game.distribution)
 
 
 @dataclass(frozen=True)
@@ -381,12 +359,12 @@ def better_response_dynamics(
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
+    _check_gain_tol(gain_tol)
     rng = np.random.default_rng(seed)
     current = validate_profile(start, game.n)
     states = [current]
     static_pts = _static_candidates(game, grid_points, include_offsets=False)
-    converged = False
-    for _ in range(max_steps):
+    while True:
         improvers = []
         for player in range(game.n):
             pts = _opponent_candidates(game, current, player, include_offsets=False)
@@ -394,28 +372,16 @@ def better_response_dynamics(
             gain, y = best_response_gain(game, current, player, pts)
             if gain > gain_tol:
                 improvers.append((player, y))
-        if not improvers:
-            converged = True
+        # The last state is checked like every other, so a run that ran out
+        # of steps on a stable state still counts as converged.
+        if not improvers or len(states) > max_steps:
             break
         player, y = improvers[rng.integers(len(improvers))]
         nxt = list(current)
         nxt[player] = y
         current = tuple(nxt)
         states.append(current)
-    else:
-        # Ran out of steps; check whether the final state is stable anyway.
-        converged = all(
-            best_response_gain(
-                game,
-                current,
-                p,
-                _opponent_candidates(game, current, p, include_offsets=False)
-                + static_pts,
-            )[0]
-            <= gain_tol
-            for p in range(game.n)
-        )
-    return DynamicsTrace(states=tuple(states), converged=converged, steps=len(states) - 1)
+    return DynamicsTrace(states=tuple(states), converged=not improvers, steps=len(states) - 1)
 
 
 def neutrality_check(game, trials, seed=0, tol=1e-9):

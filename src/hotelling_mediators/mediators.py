@@ -1,6 +1,12 @@
 """Direction rules and their compilation into exact piecewise policies.
 
-Five mediators are implemented.  Each one maps a strategy profile and a user
+Five mediators are implemented.  Their records in :mod:`hotelling_mediators.core`
+own everything particular to a kind (parameters, wire format, protected
+intervals, which a game works out once into ``game.piis``, bounds, fixtures
+and equilibria); this module holds the rules and the compilers.  The rules
+come in three families: nearest facility, dictated targets, and limited
+intervention, whose records differ only in their intervals, ``epsilon`` and
+the ``half_split`` flag.  Each rule maps a strategy profile and a user
 location to a distribution over player indices:
 
 * ``nime`` — send the user to the nearest facility, splitting ties uniformly.
@@ -44,30 +50,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    UNIFORM,
-    Clime,
-    Dictator,
-    Glime,
-    Lime,
-    Nime,
-    optimal_locations,
-    quantile_locations,
-    validate_location,
-    validate_profile,
-)
+from .core import UNIFORM, Dictator, Nime, _players, validate_location, validate_profile
 
 __all__ = [
-    "nime_direct",
-    "dict_direct",
-    "lime_direct",
-    "glime_direct",
-    "clime_direct",
     "direct",
     "pii_intervals",
     "PiecewisePolicy",
@@ -98,27 +86,6 @@ def _nearest_weights(locs, t, subset=None):
     for i in winners:
         out[i] = w
     return tuple(out)
-
-
-def nime_direct(profile, t):
-    """No-intervention rule: probability 1/#ties on each nearest facility."""
-    locs = validate_profile(profile)
-    t = validate_location(t)
-    return _nearest_weights(locs, t)
-
-
-def dict_direct(profile, t, targets, equality_tol=1e-9):
-    """Dictated-targets rule.
-
-    Obeying players (|s_i - target_i| <= equality_tol) share the user by the
-    nearest rule restricted to them; if no player obeys, the user is assigned
-    uniformly at random.
-    """
-    locs = validate_profile(profile)
-    t = validate_location(t)
-    targets = validate_profile(targets, len(locs))
-    rule, _ = _dictator_rule(locs, targets, equality_tol)
-    return rule(t)
 
 
 # A facility this close to a protected-interval endpoint is canonicalized
@@ -225,53 +192,6 @@ def _interval_branch(locs, left, right, epsilon, half_split):
     return lambda t: _nearest_weights(locs, t)
 
 
-def lime_direct(profile, t, epsilon):
-    locs = validate_profile(profile)
-    t = validate_location(t)
-    piis = _lime_piis(len(locs))
-    return _limited_rule(_snap_to_endpoints(locs, piis), piis, epsilon, half_split=False)(t)
-
-
-def glime_direct(profile, t, epsilon, dist=UNIFORM):
-    locs = validate_profile(profile)
-    t = validate_location(t)
-    piis = _glime_piis(len(locs), dist)
-    return _limited_rule(_snap_to_endpoints(locs, piis), piis, epsilon, half_split=True)(t)
-
-
-def clime_direct(profile, t, lam, epsilon):
-    locs = validate_profile(profile)
-    t = validate_location(t)
-    piis = _clime_piis(len(locs), lam)
-    return _limited_rule(_snap_to_endpoints(locs, piis), piis, epsilon, half_split=False)(t)
-
-
-def _lime_piis(n):
-    opt = optimal_locations(n)
-    return tuple((opt[i], opt[i + 1]) for i in range(n - 1))
-
-
-def _glime_piis(n, dist):
-    qs = quantile_locations(n, dist)
-    return tuple((qs[i], qs[i + 1]) for i in range(n - 1))
-
-
-def _clime_piis(n, lam):
-    # Endpoints are rounded from exact rational arithmetic so that a facility
-    # standing at a mathematically equal location (for example 3/10 against
-    # 1/5 + 1/10) compares equal instead of drifting one ulp inside.
-    width = Fraction(lam)
-
-    def interval(i):
-        center = Fraction(i, n)
-        return (float(center - width), float(center + width))
-
-    if n == 2:
-        # The index set {1, n-1} collapses to a single centered interval.
-        return (interval(1),)
-    return (interval(1), interval(n - 1))
-
-
 def pii_intervals(mediator, n, dist=UNIFORM):
     """Potentially intervened intervals of a mediator for an n-player game.
 
@@ -279,26 +199,11 @@ def pii_intervals(mediator, n, dist=UNIFORM):
     never override the nearest-facility assignment.  The quantile-based rule
     needs the user distribution to place its interval ends.
     """
-    if n < 2:
-        raise ValueError(f"need at least two players, got n={n}")
-    if isinstance(mediator, Lime):
-        return _lime_piis(n)
-    if isinstance(mediator, Glime):
-        return _glime_piis(n, dist)
-    if isinstance(mediator, Clime):
-        return _clime_piis(n, mediator.lam)
-    if isinstance(mediator, (Nime, Dictator)):
-        return ()
-    raise TypeError(f"not a mediator: {mediator!r}")
+    return mediator.intervals(_players(n), dist)
 
 
-@lru_cache(maxsize=512)
-def _game_piis(game):
-    return pii_intervals(game.mediator, game.n, game.distribution)
-
-
-def _pointwise_rule(game, piis, locs):
-    """Bind a game and a profile canonicalized against ``piis`` into
+def _pointwise_rule(game, locs):
+    """Bind a game and a profile canonicalized against ``game.piis`` into
     ``(rule, sites)``.
 
     ``rule`` is a plain ``t -> distribution`` callable that makes each
@@ -311,15 +216,14 @@ def _pointwise_rule(game, piis, locs):
         return (lambda t: _nearest_weights(locs, t)), locs
     if isinstance(m, Dictator):
         return _dictator_rule(locs, m.targets, m.equality_tol)
-    return _limited_rule(locs, piis, m.epsilon, isinstance(m, Glime)), locs
+    return _limited_rule(locs, game.piis, m.epsilon, m.half_split), locs
 
 
 def direct(game, profile, t):
     """Evaluate the game's mediator pointwise: user ``t`` -> distribution."""
     locs = validate_profile(profile, game.n)
     t = validate_location(t)
-    piis = _game_piis(game)
-    rule, _ = _pointwise_rule(game, piis, _snap_to_endpoints(locs, piis))
+    rule, _ = _pointwise_rule(game, _snap_to_endpoints(locs, game.piis))
     return rule(t)
 
 
@@ -406,9 +310,9 @@ def _compiled_pieces(game, locs):
     every candidate switch point, where the rule may deviate pointwise
     (ties, interval endpoints).
     """
-    piis = _game_piis(game)
+    piis = game.piis
     locs = _snap_to_endpoints(locs, piis)
-    rule, sites = _pointwise_rule(game, piis, locs)
+    rule, sites = _pointwise_rule(game, locs)
     bps = _policy_breakpoints(locs, sorted(set(sites)), piis)
     pieces = []
     for lo, hi in zip(bps, bps[1:]):
@@ -469,7 +373,7 @@ def _compiled_rows(game, locs):
     array overhead only pays off over many rows.
     """
     m = game.mediator
-    piis = _game_piis(game)
+    piis = game.piis
     rows, n = locs.shape
     if isinstance(m, Dictator):
         subset = np.abs(locs - np.asarray(m.targets)) <= m.equality_tol
@@ -497,7 +401,7 @@ def _compiled_rows(game, locs):
     if isinstance(m, Dictator):
         weights = _nearest_rows(dists, subset[:, None, :])
         return cands, np.where(subset.any(axis=1)[:, None, None], weights, 1.0 / n)
-    return cands, _limited_rows(locs, dists, t, piis, m.epsilon, isinstance(m, Glime))
+    return cands, _limited_rows(locs, dists, t, piis, m.epsilon, m.half_split)
 
 
 def _limited_rows(locs, dists, t, piis, epsilon, half_split):

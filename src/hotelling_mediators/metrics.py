@@ -28,22 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    Clime,
-    Dictator,
-    Glime,
-    Lime,
-    Nime,
-    validate_profile,
-)
-from .mediators import (
-    _compiled_pieces,
-    _compiled_rows,
-    _game_piis,
-    _snap_rows,
-    _snap_to_endpoints,
-    pii_intervals,
-)
+from .core import _MEDIATORS, Dictator, Nime, _players, validate_profile
+from .mediators import _compiled_pieces, _compiled_rows, _snap_rows, _snap_to_endpoints
 
 __all__ = [
     "payoff",
@@ -139,7 +125,7 @@ def _gap_rows(game, rows):
     The mediator and its no-intervention twin are each priced on their own
     candidate set, exactly as the scalar path prices them.
     """
-    locs = _snap_rows(rows, _game_piis(game))
+    locs = _snap_rows(rows, game.piis)
     return _rows_cost(game, locs) - _rows_cost(_nime_twin(game), locs)
 
 
@@ -172,32 +158,10 @@ def adversarial_profile(kind, n, delta=1e-3):
     """
     if not isinstance(kind, str):
         kind = kind.kind
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need at least two players, got n={n}")
-    if kind in ("dict", "lime"):
-        if n < 3:
-            raise ValueError(f"the {kind} fixture needs n >= 3")
-        if not 0.0 < delta < 1.0 / (2 * n):
-            raise ValueError(f"delta must lie in (0, 1/(2n)), got {delta!r}")
-    if kind == "dict":
-        # First player obeys her target; everyone else stands just off target.
-        return (1.0 / (2 * n),) + tuple(
-            (2 * i - 1) / (2 * n) + delta for i in range(2, n + 1)
-        )
-    if kind == "lime":
-        k = math.ceil(n / 2)
-        lo = 1.0 / (2 * n) + delta
-        hi = (2 * n - 1.0) / (2 * n) - delta
-        return (lo,) * k + (hi,) * (n - k)
-    if kind == "glime":
-        k = n // 2
-        return (1.0 / (2 * n),) * k + ((2 * n - 1.0) / (2 * n),) * (n - k)
-    if kind == "clime":
-        if n != 2:
-            raise ValueError("the clime fixture is defined for n=2 only")
-        return (0.0, 0.5)
-    raise ValueError(f"no adversarial fixture for mediator kind {kind!r}")
+    n = _players(n)
+    if kind not in _MEDIATORS:
+        raise ValueError(f"no adversarial fixture for mediator kind {kind!r}")
+    return _MEDIATORS[kind].fixture(n, delta)
 
 
 def analytic_ic_bounds(mediator, n):
@@ -207,30 +171,7 @@ def analytic_ic_bounds(mediator, n):
     intervention lower bound carries its epsilon dependence; the others are
     epsilon-free.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need at least two players, got n={n}")
-    if isinstance(mediator, Nime):
-        return (0.0, 0.0)
-    if isinstance(mediator, Dictator):
-        return (0.5 - 3.0 / (4 * n) + 1.0 / (4 * n * n), None)
-    if isinstance(mediator, Lime):
-        if n == 2:
-            return (None, None)
-        eps = mediator.epsilon
-        return ((1.0 - eps / 2) * (2 * n - 4.0) / (n * n), (2 * n - 3.5) / (n * n))
-    if isinstance(mediator, Glime):
-        return (
-            0.25 - 1.0 / (2 * n) + 1.0 / (4 * n * n),
-            0.5 - 3.0 / (4 * n) + 1.0 / (4 * n * n),
-        )
-    if isinstance(mediator, Clime):
-        lam = mediator.lam
-        if n == 2:
-            value = lam - lam * lam
-            return (value, value)
-        return (None, 4.0 * lam)
-    raise TypeError(f"not a mediator: {mediator!r}")
+    return mediator.ic_bounds(_players(n))
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +200,8 @@ class IcEstimate:
     argmax_profile: tuple
 
     def to_json(self):
-        from .core import mediator_to_json
-
         return {
-            "mediator": mediator_to_json(self.mediator),
+            "mediator": self.mediator.to_json(),
             "n": self.n,
             "seed": self.seed,
             "budget": self.budget,
@@ -293,7 +232,7 @@ def _gap_chunk(args):
     game, rows = args
     # Rows per block, so one block's (rows, pieces, n) weight arrays hold
     # about _BLOCK_ELEMENTS entries; a row has 2n + 3 * intervals pieces.
-    pieces = 2 * game.n + 3 * len(_game_piis(game))
+    pieces = 2 * game.n + 3 * len(game.piis)
     step = max(1, _BLOCK_ELEMENTS // (pieces * game.n))
     best_gap, best_locs = -math.inf, None
     for k in range(0, len(rows), step):
@@ -353,7 +292,7 @@ def ic_search(game, budget, seed=0, include_fixtures=True, threads=1, sweeps=50)
     if include_fixtures:
         for delta in _FIXTURE_DELTAS:
             try:
-                locs = adversarial_profile(game.mediator.kind, n, delta)
+                locs = game.mediator.fixture(n, delta)
             except ValueError:
                 break
             gap = _gap_locs(game, nime_game, locs)
@@ -396,7 +335,7 @@ def ic_search(game, budget, seed=0, include_fixtures=True, threads=1, sweeps=50)
     if _better(current_gap, tuple(current), best_gap, best_locs):
         best_gap, best_locs = current_gap, tuple(current)
 
-    lower, upper = analytic_ic_bounds(game.mediator, n)
+    lower, upper = game.mediator.ic_bounds(n)
     return IcEstimate(
         mediator=game.mediator,
         n=n,
@@ -433,7 +372,7 @@ def direction_weights(game, profile, ts):
     piecewise integration path.
     """
     locs = validate_profile(profile, game.n)
-    piis = pii_intervals(game.mediator, game.n, game.distribution)
+    piis = game.piis
     locs = np.asarray(_snap_to_endpoints(locs, piis))
     ts = np.asarray(ts, dtype=float)
     n = game.n
@@ -450,7 +389,7 @@ def direction_weights(game, profile, ts):
             return _nearest_w_rows(D, obeying)
         return np.full((len(ts), n), 1.0 / n)
 
-    half = isinstance(m, Glime)
+    half = m.half_split
     eps = m.epsilon
     W = np.empty((len(ts), n))
     covered = np.zeros(len(ts), dtype=bool)
@@ -493,9 +432,7 @@ def mc_payoff(game, profile, n_samples=10**6, seed=0):
 
 def mc_social_cost(game, profile, n_samples=10**6, seed=0):
     """Monte Carlo social-cost estimate: (mean, standard error)."""
-    locs = validate_profile(profile, game.n)
-    piis = pii_intervals(game.mediator, game.n, game.distribution)
-    locs = np.asarray(_snap_to_endpoints(locs, piis))
+    locs = np.asarray(_snap_to_endpoints(validate_profile(profile, game.n), game.piis))
     ts, W = _mc_samples(game, profile, n_samples, seed)
     per_user = (W * np.abs(ts[:, None] - locs[None, :])).sum(axis=1)
     return per_user.mean(), per_user.std(ddof=1) / math.sqrt(n_samples)

@@ -132,6 +132,30 @@ class TestUsageErrors:
         assert code == 2
 
 
+class TestUsageErrorsExitTwo:
+    """Bad values that only the library can judge still exit 2 with an
+    ``error:`` line, never a traceback or an empty answer."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ic", "--mediator", "lime", "--n", "3", "--budget", "0"],
+            ["table1", "--budget", "0"],
+            ["pne", "--mediator", "lime", "--n", "3", "--profile", "0.2,0.5,0.8", "--gain-tol", "0"],
+            ["pne", "--mediator", "nime", "--n", "2", "--enumerate", "--grid-step", "0.25", "--gain-tol", "-1"],
+            ["payoff", "--mediator", "dict", "--n", "2", "--equality-tol", "nan", "--profile", "0.25,0.9"],
+        ],
+        ids=["ic-budget-0", "table1-budget-0", "pne-gain-tol-0", "enumerate-gain-tol-negative", "dict-nan-tol"],
+    )
+    def test_exits_two_with_error_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 class TestMalformedDistribution:
     @pytest.mark.parametrize(
         "text",

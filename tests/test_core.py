@@ -1,5 +1,6 @@
 """Distribution primitives, reference locations, and parameter records."""
 
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,9 @@ from hotelling_mediators import (
     quantile_locations,
     validate_profile,
 )
+from hotelling_mediators.core import _MEDIATORS
+
+from test_mediators import SAMPLES
 
 TOL = 1e-12
 
@@ -232,18 +236,41 @@ class TestMediatorRecords:
         assert GameSpec(np.int64(3), Nime()).n == 3
 
     def test_mediator_json_roundtrip(self):
-        for m in (
-            Nime(),
-            Dictator(targets=(0.2, 0.8), equality_tol=1e-9),
-            Lime(epsilon=0.01),
-            Glime(epsilon=0.02),
-            Clime(lam=0.125, epsilon=0.001),
-        ):
-            assert mediator_from_json(mediator_to_json(m)) == m
+        for kind in _MEDIATORS:
+            for m in SAMPLES[kind]:
+                assert mediator_to_json(m)["kind"] == kind
+                assert mediator_from_json(json.loads(json.dumps(mediator_to_json(m)))) == m
 
     def test_mediator_json_unknown_kind(self):
         with pytest.raises(ValueError):
             mediator_from_json({"kind": "oracle"})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [],
+            "lime",
+            {"kind": ["lime"]},
+            {"kind": "lime", "epsilon": None},
+            {"kind": "glime", "epsilon": "0.01"},
+            {"kind": "clime", "lambda": None},
+            {"kind": "clime"},
+            {"kind": "dict", "targets": 5},
+            {"kind": "dict", "targets": [0.2, "x"]},
+            {"kind": "dict", "equalityTol": True},
+        ],
+    )
+    def test_malformed_mediator_json(self, obj):
+        with pytest.raises(ValueError):
+            mediator_from_json(obj)
+
+    def test_dictator_rejects_nan_equality_tol(self):
+        with pytest.raises(ValueError):
+            Dictator(equality_tol=float("nan"))
+
+    def test_game_rejects_non_mediator(self):
+        with pytest.raises(TypeError):
+            GameSpec(3, "lime")
 
     def test_distribution_json_roundtrip(self):
         assert distribution_from_json({"kind": "uniform"}) == UNIFORM

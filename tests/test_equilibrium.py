@@ -173,6 +173,19 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             pne_enumerate(GameSpec(2, Nime()), step)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_gain_tol_must_be_positive_and_finite(self, tol):
+        # A NaN tolerance used to pass all 15 grid profiles and to refute a
+        # profile without a witness.
+        game = GameSpec(2, Nime())
+        with pytest.raises(ValueError):
+            pne_enumerate(game, 0.25, gain_tol=tol)
+        for exhaustive in (True, False):
+            with pytest.raises(ValueError):
+                is_pne(game, (0.5, 0.5), gain_tol=tol, exhaustive=exhaustive)
+        with pytest.raises(ValueError):
+            better_response_dynamics(game, (0.1, 0.9), max_steps=5, gain_tol=tol)
+
     @pytest.mark.parametrize("shard", [(10, 5), (5, 5), (-1, 5), (0, 2146), (2146, 2147)])
     def test_invalid_shard_rejected(self, shard):
         # The 1/64 two-player grid holds comb(66, 2) = 2145 sorted profiles.
@@ -305,6 +318,15 @@ class TestDynamics:
         game = GameSpec(4, Lime(epsilon=1e-3))
         trace = better_response_dynamics(game, optimal_locations(4), max_steps=5, seed=2)
         assert trace.converged and trace.steps == 0
+
+    def test_stable_state_reached_on_the_last_step_converges(self):
+        game = GameSpec(3, Dictator())
+        full = better_response_dynamics(game, (0.2, 0.5, 0.9), max_steps=20, seed=0)
+        assert full.converged and full.steps >= 2
+        exact = better_response_dynamics(game, (0.2, 0.5, 0.9), max_steps=full.steps, seed=0)
+        assert exact == full
+        short = better_response_dynamics(game, (0.2, 0.5, 0.9), max_steps=full.steps - 1, seed=0)
+        assert not short.converged and short.states == full.states[:-1]
 
     def test_moves_change_one_coordinate_and_improve(self):
         game = GameSpec(3, Nime())

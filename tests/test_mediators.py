@@ -14,17 +14,14 @@ from hotelling_mediators import (
     Nime,
     PiecewiseLinearDensity,
     UNIFORM,
-    clime_direct,
     compile_policy,
-    dict_direct,
     direct,
-    glime_direct,
-    lime_direct,
-    nime_direct,
     optimal_locations,
     pii_intervals,
     quantile_locations,
+    validate_profile,
 )
+from hotelling_mediators.core import _MEDIATORS
 
 TOL = 1e-12
 
@@ -35,101 +32,88 @@ RAMP = PiecewiseLinearDensity((0.0, 1.0), (0.0, 2.0))
 WALK4 = (1 / 16, 4 / 16, 10 / 16, 12 / 16)
 
 
+# Records of every registered kind, default and non-default parameters; a
+# kind missing here fails the registry-driven tests below.
+SAMPLES = {
+    "nime": [Nime()],
+    "dict": [Dictator(), Dictator(targets=(0.2, 0.8), equality_tol=1e-9), Dictator(equality_tol=1e-6)],
+    "lime": [Lime(), Lime(epsilon=0.01)],
+    "glime": [Glime(), Glime(epsilon=0.02)],
+    "clime": [Clime(lam=0.05), Clime(lam=0.125, epsilon=0.001), Clime(lam=0.01, epsilon=0.1)],
+}
+
+
 def close(a, b, tol=TOL):
     return all(abs(x - y) <= tol for x, y in zip(a, b))
 
 
 class TestNime:
     def test_nearest(self):
-        assert nime_direct((0.25, 0.75), 0.1) == (1.0, 0.0)
+        assert direct(GameSpec(2, Nime()), (0.25, 0.75), 0.1) == (1.0, 0.0)
 
     def test_symmetric_tie(self):
-        assert nime_direct((0.25, 0.75), 0.5) == (0.5, 0.5)
+        assert direct(GameSpec(2, Nime()), (0.25, 0.75), 0.5) == (0.5, 0.5)
 
     def test_paired_tie_split(self):
-        assert nime_direct((0.3, 0.3, 0.9), 0.2) == (0.5, 0.5, 0.0)
+        assert direct(GameSpec(3, Nime()), (0.3, 0.3, 0.9), 0.2) == (0.5, 0.5, 0.0)
 
 
 class TestDict:
     def test_all_disobey_uniform(self):
         targets = optimal_locations(2)
         for t in (0.0, 0.3, 0.99):
-            assert dict_direct((0.0, 1.0), t, targets) == (0.5, 0.5)
+            assert direct(GameSpec(2, Dictator(targets)), (0.0, 1.0), t) == (0.5, 0.5)
 
     def test_single_obeyer_takes_all(self):
-        assert dict_direct((0.25, 0.9), 0.95, optimal_locations(2)) == (1.0, 0.0)
+        assert direct(GameSpec(2, Dictator(optimal_locations(2))), (0.25, 0.9), 0.95) == (1.0, 0.0)
 
     def test_both_obey_nearest(self):
-        assert dict_direct((0.25, 0.75), 0.6, optimal_locations(2)) == (0.0, 1.0)
+        assert direct(GameSpec(2, Dictator(optimal_locations(2))), (0.25, 0.75), 0.6) == (0.0, 1.0)
+
+
+LIME4 = GameSpec(4, Lime(epsilon=0.1))
 
 
 class TestLimeWalkthrough:
     def test_interval_with_both_sides(self):
-        assert lime_direct(WALK4, 3 / 16, 0.1) == (1.0, 0.0, 0.0, 0.0)
+        assert direct(LIME4, WALK4, 3 / 16) == (1.0, 0.0, 0.0, 0.0)
 
     def test_facility_at_interval_edge_serves(self):
-        assert lime_direct(WALK4, 8 / 16, 0.1) == (0.0, 0.0, 1.0, 0.0)
+        assert direct(LIME4, WALK4, 8 / 16) == (0.0, 0.0, 1.0, 0.0)
 
     def test_one_sided_interval_mixes_random(self):
-        got = lime_direct(WALK4, 13 / 16, 0.1)
+        got = direct(LIME4, WALK4, 13 / 16)
         assert close(got, (0.025, 0.025, 0.925, 0.025))
 
     def test_outside_intervals_nearest(self):
-        assert lime_direct(WALK4, 0.5 / 16, 0.1) == (1.0, 0.0, 0.0, 0.0)
+        assert direct(LIME4, WALK4, 0.5 / 16) == (1.0, 0.0, 0.0, 0.0)
 
 
 class TestGlime:
     def test_half_half_inside_interval(self):
-        got = glime_direct((1 / 6, 0.5, 5 / 6), 1 / 3, 1e-3)
+        got = direct(GameSpec(3, Glime(epsilon=1e-3)), (1 / 6, 0.5, 5 / 6), 1 / 3)
         assert close(got, (0.5, 0.5, 0.0))
 
     def test_outside_intervals_nearest(self):
-        assert glime_direct((1 / 6, 0.5, 5 / 6), 0.1, 1e-3) == (1.0, 0.0, 0.0)
+        assert direct(GameSpec(3, Glime(epsilon=1e-3)), (1 / 6, 0.5, 5 / 6), 0.1) == (1.0, 0.0, 0.0)
 
     def test_ramp_density_quantile_intervals(self):
         profile = quantile_locations(2, RAMP)
-        got = glime_direct(profile, 0.7, 1e-3, dist=RAMP)
+        got = direct(GameSpec(2, Glime(epsilon=1e-3), RAMP), profile, 0.7)
         assert close(got, (0.5, 0.5))
 
 
 class TestClime:
     def test_equidistant_over_edge_facilities(self):
-        assert clime_direct((0.25, 0.75), 0.5, 0.25, 1e-3) == (0.5, 0.5)
+        assert direct(GameSpec(2, Clime(lam=0.25, epsilon=1e-3)), (0.25, 0.75), 0.5) == (0.5, 0.5)
 
     def test_one_sided_interval_mixes_random(self):
-        got = clime_direct((0.0, 0.5), 0.4, 0.25, 0.1)
+        got = direct(GameSpec(2, Clime(lam=0.25, epsilon=0.1)), (0.0, 0.5), 0.4)
         assert close(got, (0.95, 0.05))
 
     def test_four_player_edge_tie(self):
-        got = clime_direct(optimal_locations(4), 0.25, 1 / 8, 1e-3)
+        got = direct(GameSpec(4, Clime(lam=1 / 8, epsilon=1e-3)), optimal_locations(4), 0.25)
         assert close(got, (0.5, 0.5, 0.0, 0.0))
-
-
-class TestDispatch:
-    @pytest.mark.parametrize(
-        "mediator",
-        [Nime(), Dictator(), Lime(epsilon=1e-2), Glime(epsilon=1e-2), Clime(lam=1 / 8, epsilon=1e-2)],
-        ids=["nime", "dict", "lime", "glime", "clime"],
-    )
-    def test_matches_rule(self, mediator):
-        rng = np.random.default_rng(7)
-        game = GameSpec(4, mediator)
-        for _ in range(100):
-            profile = tuple(rng.random(4))
-            t = float(rng.random())
-            got = direct(game, profile, t)
-            m = game.mediator
-            if isinstance(m, Nime):
-                want = nime_direct(profile, t)
-            elif isinstance(m, Dictator):
-                want = dict_direct(profile, t, m.targets, m.equality_tol)
-            elif isinstance(m, Lime):
-                want = lime_direct(profile, t, m.epsilon)
-            elif isinstance(m, Glime):
-                want = glime_direct(profile, t, m.epsilon, dist=game.distribution)
-            else:
-                want = clime_direct(profile, t, m.lam, m.epsilon)
-            assert got == want
 
 
 class TestPiiIntervals:
@@ -153,12 +137,33 @@ class TestPiiIntervals:
         assert abs(got[0][1] - math.sqrt(3) / 2) <= TOL
 
     def test_intervals_disjoint_inside_unit(self):
-        for mediator, n in [(Lime(), 6), (Glime(), 5), (Clime(lam=0.05), 4)]:
-            piis = pii_intervals(mediator, n)
-            for lo, hi in piis:
-                assert 0.0 < lo < hi < 1.0
-            for (a, b), (c, d) in zip(piis, piis[1:]):
-                assert b <= c
+        for kind in _MEDIATORS:
+            games = 0
+            for mediator in SAMPLES[kind]:
+                for n in range(2, 9):
+                    for dist in (UNIFORM, RAMP):
+                        try:
+                            game = GameSpec(n, mediator, dist)
+                        except ValueError:  # the record does not fit n players
+                            continue
+                        games += 1
+                        piis = game.piis
+                        assert piis == pii_intervals(game.mediator, n, dist)
+                        for lo, hi in piis:
+                            assert 0.0 < lo < hi < 1.0
+                        for (a, b), (c, d) in zip(piis, piis[1:]):
+                            assert b <= c
+            assert games >= 14, kind
+
+    def test_fixture_is_an_n_profile_or_value_error(self):
+        for kind, record in _MEDIATORS.items():
+            for n in range(2, 9):
+                for delta in (1e-3, 1e-2, 0.2):
+                    try:
+                        profile = record.fixture(n, delta)
+                    except ValueError:
+                        continue
+                    assert validate_profile(profile, n) == profile, (kind, n, delta)
 
 
 class TestCompiledPolicy:
@@ -284,4 +289,4 @@ class TestRuleSymmetries:
             game = GameSpec(n, Lime(epsilon=1e-3))
             profile = optimal_locations(n)
             for t in np.linspace(0.001, 0.999, 500):
-                assert direct(game, profile, float(t)) == nime_direct(profile, float(t))
+                assert direct(game, profile, float(t)) == direct(GameSpec(n, Nime()), profile, float(t))

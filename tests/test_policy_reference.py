@@ -30,7 +30,7 @@ from hotelling_mediators import (
     social_cost,
 )
 from hotelling_mediators import metrics
-from hotelling_mediators.mediators import _game_piis, _nearest_weights, _snap_to_endpoints
+from hotelling_mediators.mediators import _nearest_weights, _snap_to_endpoints
 
 AGREE_TOL = 1e-15
 
@@ -86,7 +86,7 @@ def _reference_rule(game, locs):
             return lambda t: _nearest_weights(locs, t, obeying)
         uniform = (1.0 / len(locs),) * len(locs)
         return lambda t: uniform
-    piis = _game_piis(game)
+    piis = game.piis
     half = isinstance(m, Glime)
     snapped = _snap_to_endpoints(locs, piis)
     return lambda t: _reference_limited(snapped, t, piis, m.epsilon, half)
@@ -109,7 +109,7 @@ def _policy_breakpoints(locs, piis):
 
 
 def _reference_compiled_pieces(game, locs):
-    piis = _game_piis(game)
+    piis = game.piis
     locs = _snap_to_endpoints(locs, piis)
     rule = _reference_rule(game, locs)
     bps = _policy_breakpoints(locs, piis)
