@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
-from .core import _MEDIATORS, UNIFORM, Dictator, GameSpec, Lime, distribution_from_json, mediator_from_json
+from .core import _MEDIATORS, UNIFORM, Dictator, GameSpec, Lime, Nime, distribution_from_json, mediator_from_json
 from .equilibrium import is_pne, pne_enumerate
 from .metrics import ic_search, payoff, social_cost
 
@@ -153,20 +152,11 @@ def _cmd_ic(args):
     return 0
 
 
-def _nime_pne_costs(n):
-    """Known equilibrium social costs of the unmediated game, per Table rows."""
-    if n == 2:
-        return 0.25, 0.25
-    if n == 3:
-        return None, None
-    return 1.0 / (4 * (n - 2)), 1.0 / (4 * math.ceil(n / 2))
-
-
 def _cmd_table1(args):
     rows = []
     for n in range(2, 9):
         optimal = 1.0 / (4 * n)
-        best, worst = _nime_pne_costs(n)
+        best, worst = Nime().pne_costs(n)
         dict_est = ic_search(GameSpec(n, Dictator()), budget=args.budget, seed=args.seed, threads=args.threads)
         dict_lower = dict_est.analytic_lower
         lime_game = GameSpec(n, Lime(epsilon=args.epsilon))

@@ -126,6 +126,10 @@ class Uniform:
         """User mass of the interval [a, b]."""
         return b - a
 
+    def mass_array(self, a, b):
+        """:meth:`mass` elementwise over broadcast arrays, bitwise equal."""
+        return b - a
+
     def first_moment(self, a, b):
         """Integral of t over [a, b] against the density."""
         return 0.5 * (b * b - a * a)
@@ -311,6 +315,10 @@ class PiecewiseLinearDensity:
         cdf = np.array(self._cum_mass)[k] + u * (gs[k] + 0.5 * m * u)
         fm = np.array(self._cum_fm)[k] + self._segment_fm(k, t, xs, gs)
         return cdf, fm
+
+    def mass_array(self, a, b):
+        """:meth:`mass` elementwise over broadcast arrays, bitwise equal."""
+        return self._prefixes_array(b)[0] - self._prefixes_array(a)[0]
 
     def abs_moment_array(self, c, a, b):
         """:meth:`abs_moment` elementwise over broadcast arrays, bitwise equal."""
@@ -501,6 +509,15 @@ class Nime(Mediator):
 
     def known_pne(self, n, dist):
         return [(0.5, 0.5)] if n == 2 and dist == UNIFORM else None
+
+    def pne_costs(self, n):
+        """Best and worst equilibrium social cost under the uniform density;
+        ``(None, None)`` for n = 3, which has no equilibrium."""
+        if n == 2:
+            return 0.25, 0.25
+        if n == 3:
+            return None, None
+        return 1.0 / (4 * (n - 2)), 1.0 / (4 * math.ceil(n / 2))
 
 
 @dataclass(frozen=True)
@@ -766,5 +783,7 @@ class GameSpec:
             raise ValueError(f"need at least two players, got n={self.n}")
         if not isinstance(self.mediator, Mediator):
             raise TypeError(f"not a mediator: {self.mediator!r}")
+        if not isinstance(self.distribution, (Uniform, PiecewiseLinearDensity)):
+            raise TypeError(f"not a user distribution: {self.distribution!r}")
         object.__setattr__(self, "mediator", self.mediator.bind(self.n))
         object.__setattr__(self, "piis", self.mediator.intervals(self.n, self.distribution))

@@ -7,18 +7,27 @@ locations (with one-sided offsets standing in for one-sided limits), at
 protected-interval endpoints and the reflections of opponents through them,
 at the distribution's reference locations, and on a uniform grid.  Every report
 carries the resolution it was certified at.
+
+An early-exit refutation probes the candidates in one fixed order, the probe
+plan.  :func:`_refute_fast` is the single-profile path: it walks the plan one
+scalar payoff at a time.  Grid enumeration refutes blocks of profiles in
+waves instead, pricing every wave's deviations as one block of rows; each
+row is priced bitwise as the scalar path prices it, so the verdicts agree.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .core import Dictator, quantile_locations, validate_profile
-from .metrics import _payoff_locs
+from .metrics import _block_rows, _payoff_locs, _payoff_rows
 
 __all__ = [
     "candidate_deviations",
@@ -42,6 +51,8 @@ _DEFAULT_GRID_POINTS = 101
 # Enumeration refuses grids with more sorted profiles than this.
 _MAX_GRID_PROFILES = 10**8
 
+_log = logging.getLogger("hotelling_mediators")
+
 
 def _static_candidates(game, grid_points, include_offsets=True):
     """Profile-independent part of the candidate set, in probe order."""
@@ -63,23 +74,52 @@ def _static_candidates(game, grid_points, include_offsets=True):
     return [min(max(p, 0.0), 1.0) for p in pts]
 
 
-def _opponent_candidates(game, locs, player, include_offsets=True):
-    """Candidates tied to the opponents of ``player``: the locations
-    themselves, one-sided offsets, and their reflections through the
-    protected-interval endpoints (where a moving basin boundary can change
-    slope)."""
-    pts = []
-    opponents = [locs[j] for j in range(len(locs)) if j != player]
-    for z in opponents:
+def _opponent_plan(game, player, include_offsets=True):
+    """Probe-plan entries for the candidates tied to the opponents of
+    ``player``: the locations themselves, one-sided offsets, and their
+    reflections through the protected-interval endpoints (where a moving
+    basin boundary can change slope).
+
+    An entry ``(player, col, scale, offset)`` stands for the deviation
+    ``clip(scale * locs[col] + offset, 0, 1)`` of ``player`` (see
+    :func:`_probe`).  Under IEEE rounding ``1.0 * z - d`` is ``z - d``,
+    ``1.0 * z + (-0.0)`` is ``z`` with its sign of zero, and ``-1.0 * z +
+    2e`` is ``2e - z``, so the deviations are bitwise those written out.
+    """
+    opponents = [j for j in range(game.n) if j != player]
+    plan = []
+    for j in opponents:
         if include_offsets:
-            pts.append(z - _SIDE_DELTA)
-            pts.append(z + _SIDE_DELTA)
-        pts.append(z)
+            plan.append((player, j, 1.0, -_SIDE_DELTA))
+            plan.append((player, j, 1.0, _SIDE_DELTA))
+        plan.append((player, j, 1.0, -0.0))
     for lo, hi in game.piis:
         for e in (lo, hi):
-            for z in opponents:
-                pts.append(2.0 * e - z)
-    return [min(max(p, 0.0), 1.0) for p in pts]
+            plan.extend((player, j, -1.0, 2.0 * e) for j in opponents)
+    return plan
+
+
+def _probe_plan(game, static_pts):
+    """The probe order of :func:`_refute_fast`, one entry per probe: every
+    player's opponent-derived candidates (the historically strongest
+    refutations), then every player's static candidates.  A static entry
+    reads no location: its scale is zero and its offset is the point."""
+    for player in range(game.n):
+        yield from _opponent_plan(game, player)
+    for player in range(game.n):
+        for p in static_pts:
+            yield player, 0, 0.0, p
+
+
+def _probe(locs, entry):
+    """The deviation a probe-plan entry stands for at profile ``locs``."""
+    _, col, scale, offset = entry
+    return min(max(scale * locs[col] + offset, 0.0), 1.0)
+
+
+def _opponent_candidates(game, locs, player, include_offsets=True):
+    """The deviations of :func:`_opponent_plan` at profile ``locs``."""
+    return [_probe(locs, entry) for entry in _opponent_plan(game, player, include_offsets)]
 
 
 def candidate_deviations(game, profile, player, grid_points=_DEFAULT_GRID_POINTS):
@@ -107,13 +147,13 @@ def _check_gain_tol(gain_tol):
         raise ValueError(f"gain_tol must be a positive finite number, got {gain_tol!r}")
 
 
-def _deviation_payoffs(game, locs, player, candidates):
-    """The candidate-scan loop: ``(y, payoff of player at y)`` for each
-    candidate deviation ``y``, opponents fixed, in probe order."""
-    trial = list(locs)
-    for y in candidates:
+def _deviation_payoffs(game, locs, deviations):
+    """The candidate-scan loop: ``(player, y, payoff of player at y)`` for
+    each deviation ``(player, y)``, opponents fixed, in probe order."""
+    for player, y in deviations:
+        trial = list(locs)
         trial[player] = y
-        yield y, _payoff_locs(game, tuple(trial))[player]
+        yield player, y, _payoff_locs(game, tuple(trial))[player]
 
 
 def best_response_gain(game, profile, player, candidates):
@@ -128,7 +168,7 @@ def best_response_gain(game, profile, player, candidates):
         raise ValueError("need at least one candidate deviation")
     base = _payoff_locs(game, locs)[player]
     best_gain, best_y = -math.inf, None
-    for y, value in _deviation_payoffs(game, locs, player, candidates):
+    for _, y, value in _deviation_payoffs(game, locs, ((player, y) for y in candidates)):
         if value - base > best_gain:
             best_gain, best_y = value - base, y
     return best_gain, best_y
@@ -207,25 +247,21 @@ def is_pne(
 
 
 def _refute_fast(game, locs, gain_tol, static_pts):
-    """Early-exit equilibrium check used by enumeration.
+    """Early-exit equilibrium check of one profile.
 
     Returns ``(probes, hit)``: the number of deviations priced, and None when
     no candidate beats the profile, otherwise the first witness found as
-    ``(player, deviation, gain)``.  Probes every player's opponent-derived
-    candidates (the historically strongest refutations) before anyone's grid
-    candidates, and skips deduplication: a duplicate only costs one
-    redundant evaluation.
+    ``(player, deviation, gain)``.  Walks :func:`_probe_plan` one scalar
+    payoff at a time, and skips deduplication: a duplicate only costs one
+    redundant evaluation.  Enumeration walks the same plan in waves of rows.
     """
     base = _payoff_locs(game, locs)
+    deviations = ((e[0], _probe(locs, e)) for e in _probe_plan(game, static_pts))
     probes = 0
-    for stage in range(2):
-        for player in range(len(locs)):
-            threshold = base[player] + gain_tol
-            pts = _opponent_candidates(game, locs, player) if stage == 0 else static_pts
-            for y, value in _deviation_payoffs(game, locs, player, pts):
-                probes += 1
-                if value > threshold:
-                    return probes, (player, y, value - base[player])
+    for player, y, value in _deviation_payoffs(game, locs, deviations):
+        probes += 1
+        if value > base[player] + gain_tol:
+            return probes, (player, y, value - base[player])
     return probes, None
 
 
@@ -258,15 +294,58 @@ def _combos(top, n, start, stop):
         idx[i:] = [idx[i] + 1] * (n - i)
 
 
+def _refute_rows(game, locs, gain_tol, plan):
+    """:func:`_refute_fast` over the rows of a ``(B, n)`` array at once.
+
+    ``plan`` is :func:`_probe_plan` as four arrays (player, col, scale,
+    offset).  The base payoffs are priced as one row block; then the live
+    profiles take their next probes in doubling waves (1, 2, 4, ... probes
+    each), and each profile drops out at its first hit.  A wave is capped at
+    ``_block_rows(game)`` rows, so with B at most that the arrays stay one
+    block in size.  Every row is priced bitwise as :func:`_refute_fast`
+    prices it, so the verdicts are the scalar scan's; survivors take every
+    probe.  Returns ``(survivors, waves, rows)``: the indices of the rows no
+    probe refuted, the probe waves and the rows priced.
+    """
+    player, col, scale, offset = plan
+    n = game.n
+    block = _block_rows(game)
+    threshold = _payoff_rows(game, locs) + gain_tol
+    live = np.arange(len(locs))
+    waves, rows = 0, len(locs)
+    k, want = 0, 1
+    while live.size and k < len(player):
+        width = min(want, len(player) - k, max(1, block // live.size))
+        j = np.arange(k, k + width)
+        at = np.arange(width)
+        trial = np.repeat(locs[live][:, None, :], width, axis=1)
+        trial[:, at, player[j]] = np.minimum(np.maximum(scale[j] * locs[live][:, col[j]] + offset[j], 0.0), 1.0)
+        value = _payoff_rows(game, trial.reshape(-1, n)).reshape(live.size, width, n)
+        hit = value[:, at, player[j]] > threshold[live][:, player[j]]
+        live = live[~hit.any(axis=1)]
+        waves += 1
+        rows += trial.shape[0] * width
+        k += width
+        want *= 2
+    return live, waves, rows
+
+
 def _enumerate_chunk(args):
+    """Grid profiles ``start`` to ``stop - 1`` that pass the candidate
+    certification, as ``(found, waves, rows, seconds)``: the profiles are
+    refuted by :func:`_refute_rows` one block of rows at a time."""
     game, grid_n, start, stop, gain_tol, grid_points = args
-    static_pts = _static_candidates(game, grid_points)
-    found = []
-    for combo in _combos(grid_n, game.n, start, stop):
-        locs = tuple(k / grid_n for k in combo)
-        if _refute_fast(game, locs, gain_tol, static_pts)[1] is None:
-            found.append(locs)
-    return found
+    began = time.perf_counter()
+    plan = [np.array(v) for v in zip(*_probe_plan(game, _static_candidates(game, grid_points)))]
+    combos = _combos(grid_n, game.n, start, stop)
+    found, waves, rows = [], 0, 0
+    while chunk := list(islice(combos, _block_rows(game))):
+        locs = np.array(chunk) / grid_n
+        survivors, block_waves, block_rows = _refute_rows(game, locs, gain_tol, plan)
+        found.extend(tuple(row) for row in locs[survivors].tolist())
+        waves += block_waves
+        rows += block_rows
+    return found, waves, rows, time.perf_counter() - began
 
 
 def pne_enumerate(
@@ -283,9 +362,12 @@ def pne_enumerate(
     renaming the players), so the grid of sorted profiles is searched.
     ``shard=(start, stop)`` restricts the scan to a range of grid indices so
     long runs can be split and resumed; results of disjoint shards union to
-    the full answer.  A non-positive or non-finite ``grid_step`` and a shard
-    outside ``0 <= start < stop <= total`` raise ValueError, as does a
-    ``gain_tol`` that is not a positive finite number.
+    the full answer.  Profiles are refuted in waves of rows (see
+    :func:`_refute_rows`), with verdicts identical to the single-profile
+    :func:`_refute_fast`; every chunk of the scan logs one DEBUG record to
+    the ``hotelling_mediators`` logger.  A non-positive or non-finite
+    ``grid_step`` and a shard outside ``0 <= start < stop <= total`` raise
+    ValueError, as does a ``gain_tol`` that is not a positive finite number.
     """
     _check_gain_tol(gain_tol)
     if not (math.isfinite(grid_step) and grid_step > 0.0):
@@ -301,18 +383,24 @@ def pne_enumerate(
     start, stop = (0, total) if shard is None else shard
     if not 0 <= start < stop <= total:
         raise ValueError(f"shard must satisfy 0 <= start < stop <= {total}, got {shard!r}")
+    chunk = stop - start if threads <= 1 else max(1, math.ceil((stop - start) / (threads * 8)))
+    jobs = [
+        (game, grid_n, a, min(a + chunk, stop), gain_tol, grid_points)
+        for a in range(start, stop, chunk)
+    ]
     if threads > 1:
-        span = stop - start
-        chunk = max(1, math.ceil(span / (threads * 8)))
-        jobs = [
-            (game, grid_n, a, min(a + chunk, stop), gain_tol, grid_points)
-            for a in range(start, stop, chunk)
-        ]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_enumerate_chunk, jobs))
-        found = [locs for part in parts for locs in part]
     else:
-        found = _enumerate_chunk((game, grid_n, start, stop, gain_tol, grid_points))
+        parts = [_enumerate_chunk(job) for job in jobs]
+    found = []
+    for job, (part, waves, rows, seconds) in zip(jobs, parts):
+        found.extend(part)
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug(
+                "pne_enumerate shard [%d, %d): %d profiles in %.3f s, %d waves, %d rows priced, %d survivors",
+                job[2], job[3], job[3] - job[2], seconds, waves, rows, len(part),
+            )
     return sorted(set(found))
 
 

@@ -15,9 +15,10 @@ coordinate ascent) next to the analytic bounds from
 :func:`analytic_ic_bounds`.
 
 Single profiles are priced by the scalar path (compile, then sum piece by
-piece).  The random phase of :func:`ic_search` prices its rows in blocks
-through the array compiler instead; every row's gap is bitwise equal to the
-scalar path's, so the search returns the same estimate either way.
+piece).  The random phase of :func:`ic_search` and equilibrium enumeration
+price their rows in blocks through the array compiler and one row
+integrator instead; every row's gap and payoffs are bitwise equal to the
+scalar path's, so both return the same answers either way.
 """
 
 from __future__ import annotations
@@ -89,17 +90,21 @@ def _gap_locs(game, nime_game, locs):
     return cost - _social_cost_locs(nime_game, locs)
 
 
-def _rows_cost(game, locs):
-    """Social cost of every canonicalized ``(B, n)`` row, bitwise equal to
-    :func:`_social_cost_locs` on each row.
+def _runs(game, locs):
+    """Compile canonicalized ``(B, n)`` rows into runs: ``(weights, lo, hi)``.
 
-    Runs of non-empty pieces with equal weights merge into one piece, looking
-    through the zero-width padding between them, as the scalar compiler
-    coalesces its pieces.  The terms are summed piece-major, player-minor
-    with ``np.cumsum``, which adds sequentially as the scalar loop does.
+    A run is a maximal stretch of non-empty pieces with equal weights,
+    looking through the zero-width padding between them, as the scalar
+    compiler coalesces its pieces.  ``weights`` has the row compiler's shape
+    ``(B, K - 1, n)`` and is zero except on the first piece of each run,
+    which carries the run's weights; ``lo`` and ``hi``, shape ``(B, K - 1)``,
+    are the ends of the run that starts at each piece.  This is the one row
+    integrator: callers price each run by a per-piece term and sum the
+    weighted terms with ``np.cumsum``, which adds sequentially as the scalar
+    loops do.
     """
     cands, weights = _compiled_rows(game, locs)
-    rows, pieces, n = weights.shape
+    rows, pieces, _ = weights.shape
     at = np.arange(rows)[:, None]
     index = np.arange(pieces)
     open_ = cands[:, :-1] < cands[:, 1:]
@@ -111,11 +116,27 @@ def _rows_cost(game, locs):
     # A run ends where the next one starts, or at 1.0.
     next_start = np.minimum.accumulate(np.where(start, index, pieces)[:, ::-1], axis=1)[:, ::-1]
     end = np.concatenate([next_start[:, 1:], np.full((rows, 1), pieces)], axis=1)
-    lo = cands[:, :-1][..., None]
-    hi = cands[at, end][..., None]
-    moments = game.distribution.abs_moment_array(locs[:, None, :], lo, hi)
-    terms = np.where(start[..., None] & (weights != 0.0), weights * moments, 0.0)
-    return np.cumsum(terms.reshape(rows, pieces * n), axis=1)[:, -1]
+    return np.where(start[..., None], weights, 0.0), cands[:, :-1], cands[at, end]
+
+
+def _rows_cost(game, locs):
+    """Social cost of every canonicalized ``(B, n)`` row, bitwise equal to
+    :func:`_social_cost_locs` on each row: the absolute moments of the runs,
+    summed piece-major, player-minor."""
+    weights, lo, hi = _runs(game, locs)
+    moments = game.distribution.abs_moment_array(locs[:, None, :], lo[..., None], hi[..., None])
+    terms = np.where(weights != 0.0, weights * moments, 0.0)
+    return np.cumsum(terms.reshape(len(locs), -1), axis=1)[:, -1]
+
+
+def _payoff_rows(game, locs):
+    """Payoffs of every row of a ``(B, n)`` array, bitwise equal to
+    :func:`_payoff_locs` on each row: the masses of the runs, summed piece by
+    piece for every player."""
+    weights, lo, hi = _runs(game, _snap_rows(locs, game.piis))
+    mass = game.distribution.mass_array(lo, hi)[..., None]
+    terms = np.where(weights != 0.0, weights * mass, 0.0)
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def _gap_rows(game, rows):
@@ -220,6 +241,14 @@ _BLOCK_ELEMENTS = 8192
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _block_rows(game):
+    """Rows per block, so one block's ``(rows, pieces, n)`` weight arrays
+    hold about ``_BLOCK_ELEMENTS`` entries; a row has 2n + 3 * intervals
+    pieces."""
+    pieces = 2 * game.n + 3 * len(game.piis)
+    return max(1, _BLOCK_ELEMENTS // (pieces * game.n))
+
+
 def _better(gap, locs, best_gap, best_locs):
     # Max by gap; ties resolved toward the lexicographically smallest profile
     # so parallel chunking cannot change the reported argmax.
@@ -230,10 +259,7 @@ def _better(gap, locs, best_gap, best_locs):
 
 def _gap_chunk(args):
     game, rows = args
-    # Rows per block, so one block's (rows, pieces, n) weight arrays hold
-    # about _BLOCK_ELEMENTS entries; a row has 2n + 3 * intervals pieces.
-    pieces = 2 * game.n + 3 * len(game.piis)
-    step = max(1, _BLOCK_ELEMENTS // (pieces * game.n))
+    step = _block_rows(game)
     best_gap, best_locs = -math.inf, None
     for k in range(0, len(rows), step):
         block = rows[k : k + step]

@@ -1,8 +1,10 @@
-"""The batched gap of ic_search's random phase against the scalar path.
+"""The row integrator against the scalar path.
 
-``_gap_rows`` prices a block of profiles with one array computation; the
-scalar ``_gap_locs`` stays the oracle.  Agreement is bitwise, sign of zero
-included, so ic_search returns exactly what pricing one row at a time does.
+``_gap_rows`` (ic_search's random phase) and ``_payoff_rows`` (equilibrium
+enumeration) price a block of profiles with one array computation; the
+scalar ``_gap_locs`` and ``_payoff_locs`` stay the oracles.  Agreement is
+bitwise, sign of zero included, so ic_search and pne_enumerate return
+exactly what pricing one row at a time does.
 """
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 from hotelling_mediators import GameSpec, Lime, ic_search
 from hotelling_mediators import metrics
-from hotelling_mediators.metrics import _gap_locs, _gap_rows, _nime_twin
+from hotelling_mediators.metrics import _gap_locs, _gap_rows, _nime_twin, _payoff_locs, _payoff_rows
 
 from test_policy_reference import DENSITIES, _mediators, _profiles
 
@@ -56,6 +58,45 @@ def test_abs_moment_array_equals_scalar(kind):
     got = dist.abs_moment_array(c, a, b)
     for k in range(len(pts)):
         assert _bitwise(got[k], dist.abs_moment(c[k], a[k], b[k])), (c[k], a[k], b[k])
+
+
+@pytest.mark.parametrize("density", sorted(DENSITIES))
+@pytest.mark.parametrize("n", NS)
+def test_payoff_rows_equal_scalar_payoff(n, density):
+    rng = np.random.default_rng([n, len(density), 5])
+    for name, mediator in _mediators(n).items():
+        game = GameSpec(n, mediator, DENSITIES[density])
+        rows = np.array(_profiles(rng, game, 48 if n <= 8 else 12))
+        got = _payoff_rows(game, rows)
+        assert got.shape == rows.shape
+        for k in range(len(rows)):
+            want = _payoff_locs(game, tuple(rows[k]))
+            for i in range(n):
+                assert _bitwise(got[k, i], want[i]), (name, tuple(rows[k]), i, got[k], want)
+
+
+@pytest.mark.parametrize("density", sorted(DENSITIES))
+def test_payoff_row_alone_equals_row_in_block(density):
+    rng = np.random.default_rng([len(density), 7])
+    for n in (3, 8):
+        for name, mediator in _mediators(n).items():
+            game = GameSpec(n, mediator, DENSITIES[density])
+            rows = np.array(_profiles(rng, game, 16))
+            block = _payoff_rows(game, rows)
+            for k in range(len(rows)):
+                alone = _payoff_rows(game, rows[k : k + 1])[0]
+                assert all(_bitwise(a, b) for a, b in zip(alone, block[k])), (name, k)
+
+
+@pytest.mark.parametrize("kind", sorted(DENSITIES))
+def test_mass_array_equals_scalar(kind):
+    dist = DENSITIES[kind]
+    rng = np.random.default_rng([len(kind), 11])
+    pts = np.concatenate([rng.random((2000, 2)), rng.integers(0, 9, (500, 2)) / 8])
+    a, b = pts.min(axis=1), pts.max(axis=1)
+    got = dist.mass_array(a, b)
+    for k in range(len(pts)):
+        assert _bitwise(got[k], dist.mass(a[k], b[k])), (a[k], b[k])
 
 
 def _scalar_gap_rows(game, rows):

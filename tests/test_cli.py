@@ -257,6 +257,12 @@ class TestJsonRoundTrips:
 
 
 class TestDeterminism:
+    def test_enumerate_stdout_identical_across_threads(self, capsys):
+        args = ("pne", "--mediator", "clime", "--lambda", "0.125", "--n", "2", "--enumerate", "--grid-step", "0.0125")
+        outs = [run_cli(capsys, *args, "--threads", threads) for threads in ("1", "2")]
+        assert outs[0] == outs[1]
+        assert outs[0] == (0, "0.375,0.375\n0.375,0.625\n0.625,0.625\n")
+
     def test_ic_byte_identical_runs(self):
         args = ("ic", "--mediator", "lime", "--n", "3", "--budget", "400", "--seed", "7", "--format", "json")
         code_a, out_a = run_subprocess(*args)

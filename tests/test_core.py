@@ -272,6 +272,17 @@ class TestMediatorRecords:
         with pytest.raises(TypeError):
             GameSpec(3, "lime")
 
+    def test_nime_equilibrium_costs(self):
+        # Table 1's no-intervention rows; n = 3 has no equilibrium.
+        costs = {n: Nime().pne_costs(n) for n in range(2, 7)}
+        assert costs == {2: (0.25, 0.25), 3: (None, None), 4: (1 / 8, 1 / 8), 5: (1 / 12, 1 / 12), 6: (1 / 16, 1 / 12)}
+
+    @pytest.mark.parametrize("dist", ["uniform", None, {"kind": "uniform"}])
+    def test_game_rejects_non_distribution(self, dist):
+        # A string used to construct and fail only at the first payoff.
+        with pytest.raises(TypeError):
+            GameSpec(2, Nime(), dist)
+
     def test_distribution_json_roundtrip(self):
         assert distribution_from_json({"kind": "uniform"}) == UNIFORM
         again = distribution_from_json(RAMP.to_json())

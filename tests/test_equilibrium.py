@@ -1,10 +1,13 @@
 """Equilibrium certification, enumeration, dynamics, and neutrality."""
 
+import logging
 import math
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hotelling_mediators import (
     Clime,
@@ -28,7 +31,18 @@ from hotelling_mediators import (
     social_cost,
 )
 from hotelling_mediators import equilibrium
-from hotelling_mediators.equilibrium import _combos
+from hotelling_mediators.equilibrium import (
+    _combos,
+    _enumerate_chunk,
+    _probe,
+    _probe_plan,
+    _refute_fast,
+    _refute_rows,
+    _static_candidates,
+)
+from hotelling_mediators.metrics import _payoff_rows
+
+from test_policy_reference import DENSITIES, ZIGZAG, _mediators, _profiles
 
 RAMP = PiecewiseLinearDensity((0.0, 1.0), (0.0, 2.0))
 DELTA = 1e-6
@@ -228,6 +242,132 @@ class TestEnumeration:
                 key=lambda p: social_cost(game, p),
             )
             assert best == optimal_locations(n)
+
+
+def _reference_probes(game, locs, static_pts):
+    """The ``(player, deviation)`` list ``_refute_fast`` probed before the
+    probe plan, written out as it was."""
+    out = []
+    for player in range(game.n):
+        opponents = [locs[j] for j in range(game.n) if j != player]
+        pts = []
+        for z in opponents:
+            pts += [z - DELTA, z + DELTA, z]
+        for lo, hi in game.piis:
+            for e in (lo, hi):
+                pts += [2.0 * e - z for z in opponents]
+        out += [(player, min(max(p, 0.0), 1.0)) for p in pts]
+    for player in range(game.n):
+        out += [(player, p) for p in static_pts]
+    return out
+
+
+def _scalar_scan(game, grid_n, start, stop, gain_tol=1e-9):
+    """Grid profiles of a shard that ``_refute_fast`` does not refute."""
+    static_pts = _static_candidates(game, 101)
+    found = []
+    for combo in _combos(grid_n, game.n, start, stop):
+        locs = tuple(k / grid_n for k in combo)
+        if _refute_fast(game, locs, gain_tol, static_pts)[1] is None:
+            found.append(locs)
+    return found
+
+
+def _plan_arrays(game):
+    return [np.array(v) for v in zip(*_probe_plan(game, _static_candidates(game, 101)))]
+
+
+class TestProbeWaves:
+    @pytest.mark.parametrize("density", sorted(DENSITIES))
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_plan_reproduces_candidate_list(self, n, density):
+        rng = np.random.default_rng([n, len(density), 13])
+        for name, mediator in _mediators(n).items():
+            game = GameSpec(n, mediator, DENSITIES[density])
+            static_pts = _static_candidates(game, 101)
+            for locs in _profiles(rng, game, 12):
+                got = [(e[0], _probe(locs, e)) for e in _probe_plan(game, static_pts)]
+                want = _reference_probes(game, locs, static_pts)
+                assert len(got) == len(want), (name, locs)
+                for (pa, ya), (pb, yb) in zip(got, want):
+                    assert pa == pb and ya == yb and np.signbit(ya) == np.signbit(yb), (name, locs, ya, yb)
+
+    @pytest.mark.parametrize(
+        "game, grid_n, shards",
+        [
+            (GameSpec(3, Clime(lam=1 / 12, epsilon=1e-3)), 120, 12),
+            (GameSpec(3, Clime(lam=1 / 10, epsilon=1e-3)), 120, 12),
+            (GameSpec(3, Glime(epsilon=1e-3), ZIGZAG), 24, 4),
+            (GameSpec(2, Lime(epsilon=1e-3)), 64, 3),
+        ],
+        ids=["clime3-1/12", "clime3-1/10", "glime3-zigzag", "lime2"],
+    )
+    def test_wave_chunks_match_scalar_scan(self, game, grid_n, shards):
+        total = math.comb(grid_n + game.n, game.n)
+        rng = np.random.default_rng(grid_n)
+        for _ in range(shards):
+            start = int(rng.integers(total - 400))
+            stop = start + int(rng.integers(1, 401))
+            got, waves, rows, _ = _enumerate_chunk((game, grid_n, start, stop, 1e-9, 101))
+            assert got == _scalar_scan(game, grid_n, start, stop), (start, stop)
+            assert rows >= 2 * (stop - start) and waves >= 1
+
+    def test_survivors_take_every_probe(self):
+        # The center pair survives and walks the rest of the plan in
+        # doubling waves; the other profile falls to its first probe.
+        game = GameSpec(2, Nime())
+        plan = _plan_arrays(game)
+        locs = np.array([(0.5, 0.5), (0.25, 0.75)])
+        survivors, waves, rows = _refute_rows(game, locs, 1e-9, plan)
+        assert survivors.tolist() == [0]
+        assert rows == 2 + 2 + (len(plan[0]) - 1)
+        assert waves > 2
+
+    def test_pwl_survivor_matches_scalar_scan(self):
+        # Under the zigzag the dictated targets still certify, and the 1/12
+        # grid holds them.
+        game = GameSpec(3, Dictator(), ZIGZAG)
+        total = math.comb(12 + 3, 3)
+        got = _enumerate_chunk((game, 12, 0, total, 1e-9, 101))[0]
+        assert got == _scalar_scan(game, 12, 0, total) == [optimal_locations(3)]
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_wave_verdicts_equal_scalar_verdicts(self, data):
+        n = data.draw(st.integers(2, 5))
+        mediator = data.draw(st.sampled_from(sorted(_mediators(n).items())))[1]
+        dist = DENSITIES[data.draw(st.sampled_from(sorted(DENSITIES)))]
+        game = GameSpec(n, mediator, dist)
+        anchors = [*optimal_locations(n), *quantile_locations(n, dist), *(e for pii in game.piis for e in pii), 0.0, 1.0]
+        coord = st.one_of(st.floats(0.0, 1.0), st.sampled_from(anchors))
+        profiles = data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=6))
+        profiles += known_pne(game) or []
+        gain_tol = data.draw(st.sampled_from([1e-9, 1e-3, 0.05]))
+        static_pts = _static_candidates(game, 101)
+        locs = np.array(profiles, dtype=float)
+        survivors, _, _ = _refute_rows(game, locs, gain_tol, _plan_arrays(game))
+        want = [k for k, p in enumerate(profiles) if _refute_fast(game, tuple(p), gain_tol, static_pts)[1] is None]
+        assert survivors.tolist() == want
+        assert np.all(np.abs(_payoff_rows(game, locs).sum(axis=1) - 1.0) <= 1e-12)
+
+    def test_enumeration_logs_one_record_per_chunk(self, caplog):
+        game = GameSpec(2, Lime(epsilon=1e-3))
+        with caplog.at_level(logging.INFO, logger="hotelling_mediators"):
+            pne_enumerate(game, 1 / 64, shard=(100, 1100))
+        assert not caplog.records
+        for threads in (1, 2):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="hotelling_mediators"):
+                found = pne_enumerate(game, 1 / 64, shard=(100, 1100), threads=threads)
+            records = [r for r in caplog.records if r.name == "hotelling_mediators"]
+            assert all(r.levelno == logging.DEBUG for r in records)
+            assert len(records) == (1 if threads == 1 else math.ceil(1000 / math.ceil(1000 / 16)))
+            shards = [r.args[:2] for r in records]
+            assert shards[0][0] == 100 and shards[-1][1] == 1100
+            assert all(a[1] == b[0] for a, b in zip(shards, shards[1:]))
+            assert sum(r.args[2] for r in records) == 1000
+            assert sum(r.args[-1] for r in records) == len(found)
+            assert all(r.args[5] >= 2 * r.args[2] for r in records)
 
 
 class TestKnownPne:
