@@ -304,21 +304,26 @@ class PiecewiseLinearDensity:
         right = self.first_moment(c, b) - c * self.mass(c, b)
         return left + right
 
-    def _prefixes_array(self, t):
-        # Arrays of cdf(t) and of the first-moment prefix at t, by the
-        # scalar formulas of cdf and _fm_prefix.
+    def _cdf_array(self, t):
+        # Arrays of cdf(t), by the scalar formula of cdf, and of the segment
+        # index of t.
         xs = np.array(self.breakpoints)
         gs = np.array(self.values)
         k = np.clip(np.searchsorted(xs, t, side="right") - 1, 0, len(xs) - 2)
         u = t - xs[k]
         m = (gs[k + 1] - gs[k]) / (xs[k + 1] - xs[k])
-        cdf = np.array(self._cum_mass)[k] + u * (gs[k] + 0.5 * m * u)
-        fm = np.array(self._cum_fm)[k] + self._segment_fm(k, t, xs, gs)
+        return np.array(self._cum_mass)[k] + u * (gs[k] + 0.5 * m * u), k
+
+    def _prefixes_array(self, t):
+        # Arrays of cdf(t) and of the first-moment prefix at t, by the
+        # scalar formulas of cdf and _fm_prefix.
+        cdf, k = self._cdf_array(t)
+        fm = np.array(self._cum_fm)[k] + self._segment_fm(k, t, np.array(self.breakpoints), np.array(self.values))
         return cdf, fm
 
     def mass_array(self, a, b):
         """:meth:`mass` elementwise over broadcast arrays, bitwise equal."""
-        return self._prefixes_array(b)[0] - self._prefixes_array(a)[0]
+        return self._cdf_array(b)[0] - self._cdf_array(a)[0]
 
     def abs_moment_array(self, c, a, b):
         """:meth:`abs_moment` elementwise over broadcast arrays, bitwise equal."""

@@ -5,8 +5,8 @@ relative to a finite candidate set rather than proofs.  The candidate set is
 chosen where a single player's payoff can change shape: at opponent
 locations (with one-sided offsets standing in for one-sided limits), at
 protected-interval endpoints and the reflections of opponents through them,
-at the distribution's reference locations, and on a uniform grid.  Every report
-carries the resolution it was certified at.
+at the distribution's reference locations, and on the uniform grid of step
+1/100.  Every report carries the resolution it was certified at.
 
 An early-exit refutation probes the candidates in one fixed order, the probe
 plan.  :func:`_refute_fast` is the single-profile path: it walks the plan one
@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
-from .core import Dictator, quantile_locations, validate_profile
-from .metrics import _block_rows, _payoff_locs, _payoff_rows
+from .core import Dictator, quantile_locations, validate_location, validate_profile
+from .metrics import _block_rows, _payoff_locs, _payoff_rows, _pool_map
 
 __all__ = [
     "candidate_deviations",
@@ -46,7 +46,8 @@ __all__ = [
 _SIDE_DELTA = 1e-6
 
 _DEFAULT_GAIN_TOL = 1e-9
-_DEFAULT_GRID_POINTS = 101
+# The uniform grid of every candidate set: steps of 1/100 over [0, 1].
+_GRID_POINTS = 101
 
 # Enumeration refuses grids with more sorted profiles than this.
 _MAX_GRID_PROFILES = 10**8
@@ -54,7 +55,7 @@ _MAX_GRID_PROFILES = 10**8
 _log = logging.getLogger("hotelling_mediators")
 
 
-def _static_candidates(game, grid_points, include_offsets=True):
+def _static_candidates(game, include_offsets=True):
     """Profile-independent part of the candidate set, in probe order."""
     pts = []
     for lo, hi in game.piis:
@@ -68,9 +69,8 @@ def _static_candidates(game, grid_points, include_offsets=True):
         pts.extend(game.mediator.targets)
     pts.append(0.0)
     pts.append(1.0)
-    if grid_points >= 2:
-        step = 1.0 / (grid_points - 1)
-        pts.extend(k * step for k in range(grid_points))
+    step = 1.0 / (_GRID_POINTS - 1)
+    pts.extend(k * step for k in range(_GRID_POINTS))
     return [min(max(p, 0.0), 1.0) for p in pts]
 
 
@@ -122,24 +122,26 @@ def _opponent_candidates(game, locs, player, include_offsets=True):
     return [_probe(locs, entry) for entry in _opponent_plan(game, player, include_offsets)]
 
 
-def candidate_deviations(game, profile, player, grid_points=_DEFAULT_GRID_POINTS):
+def candidate_deviations(game, profile, player):
     """Finite certificate set of deviation locations for one player.
 
     Union of opponent locations and one-sided offsets, protected-interval
     endpoints and offsets, reflections of opponents through those endpoints,
     the distribution's reference locations (plus dictated targets), the
-    segment ends, and a uniform grid of ``grid_points``; clipped to [0, 1]
-    and deduplicated, ordered so that the historically strongest probes come
+    segment ends, and the uniform grid of step 1/100; clipped to [0, 1] and
+    deduplicated, ordered so that the historically strongest probes come
     first.
     """
     locs = validate_profile(profile, game.n)
-    if not 0 <= player < game.n:
-        raise ValueError(f"player index {player} out of range")
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
+    _check_player(game, player)
     pts = _opponent_candidates(game, locs, player)
-    pts.extend(_static_candidates(game, grid_points))
+    pts.extend(_static_candidates(game))
     return list(dict.fromkeys(pts))
+
+
+def _check_player(game, player):
+    if not (isinstance(player, numbers.Integral) and 0 <= player < game.n):
+        raise ValueError(f"player index {player!r} is not an integer in range({game.n})")
 
 
 def _check_gain_tol(gain_tol):
@@ -160,10 +162,12 @@ def best_response_gain(game, profile, player, candidates):
     """Best payoff improvement of ``player`` over the candidate deviations.
 
     Returns ``(gain, argmax)``; the gain may be negative when no candidate
-    beats the current location.
+    beats the current location.  A player that is no integer in ``range(n)``
+    or a candidate outside [0, 1] raises ValueError.
     """
     locs = validate_profile(profile, game.n)
-    candidates = list(candidates)
+    _check_player(game, player)
+    candidates = [validate_location(y, "candidate deviation") for y in candidates]
     if not candidates:
         raise ValueError("need at least one candidate deviation")
     base = _payoff_locs(game, locs)[player]
@@ -204,13 +208,7 @@ class PneReport:
         }
 
 
-def is_pne(
-    game,
-    profile,
-    gain_tol=_DEFAULT_GAIN_TOL,
-    grid_points=_DEFAULT_GRID_POINTS,
-    exhaustive=True,
-):
+def is_pne(game, profile, gain_tol=_DEFAULT_GAIN_TOL, exhaustive=True):
     """Certify a profile against the candidate deviations of every player.
 
     With ``exhaustive=False`` the scan stops at the first beneficial
@@ -222,13 +220,13 @@ def is_pne(
     locs = validate_profile(profile, game.n)
     worst_gain, witness, count = -math.inf, None, 0
     if not exhaustive:
-        count, hit = _refute_fast(game, locs, gain_tol, _static_candidates(game, grid_points))
+        count, hit = _refute_fast(game, locs, gain_tol, _static_candidates(game))
         if hit is not None:
             player, y, worst_gain = hit
             witness = (player, y)
     else:
         for player in range(game.n):
-            candidates = candidate_deviations(game, locs, player, grid_points)
+            candidates = candidate_deviations(game, locs, player)
             count += len(candidates)
             gain, y = best_response_gain(game, locs, player, candidates)
             if gain > worst_gain:
@@ -242,7 +240,7 @@ def is_pne(
         witness=None if ok else witness,
         candidate_count=count,
         gain_tol=gain_tol,
-        grid_step=1.0 / (grid_points - 1),
+        grid_step=1.0 / (_GRID_POINTS - 1),
     )
 
 
@@ -334,9 +332,9 @@ def _enumerate_chunk(args):
     """Grid profiles ``start`` to ``stop - 1`` that pass the candidate
     certification, as ``(found, waves, rows, seconds)``: the profiles are
     refuted by :func:`_refute_rows` one block of rows at a time."""
-    game, grid_n, start, stop, gain_tol, grid_points = args
+    game, grid_n, start, stop, gain_tol = args
     began = time.perf_counter()
-    plan = [np.array(v) for v in zip(*_probe_plan(game, _static_candidates(game, grid_points)))]
+    plan = [np.array(v) for v in zip(*_probe_plan(game, _static_candidates(game)))]
     combos = _combos(grid_n, game.n, start, stop)
     found, waves, rows = [], 0, 0
     while chunk := list(islice(combos, _block_rows(game))):
@@ -348,14 +346,7 @@ def _enumerate_chunk(args):
     return found, waves, rows, time.perf_counter() - began
 
 
-def pne_enumerate(
-    game,
-    grid_step,
-    gain_tol=_DEFAULT_GAIN_TOL,
-    grid_points=_DEFAULT_GRID_POINTS,
-    shard=None,
-    threads=1,
-):
+def pne_enumerate(game, grid_step, gain_tol=_DEFAULT_GAIN_TOL, shard=None, threads=1):
     """All sorted grid profiles that pass the candidate certification.
 
     Profiles are canonicalized by sorting (equilibria are reported up to
@@ -384,17 +375,9 @@ def pne_enumerate(
     if not 0 <= start < stop <= total:
         raise ValueError(f"shard must satisfy 0 <= start < stop <= {total}, got {shard!r}")
     chunk = stop - start if threads <= 1 else max(1, math.ceil((stop - start) / (threads * 8)))
-    jobs = [
-        (game, grid_n, a, min(a + chunk, stop), gain_tol, grid_points)
-        for a in range(start, stop, chunk)
-    ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_enumerate_chunk, jobs))
-    else:
-        parts = [_enumerate_chunk(job) for job in jobs]
+    jobs = [(game, grid_n, a, min(a + chunk, stop), gain_tol) for a in range(start, stop, chunk)]
     found = []
-    for job, (part, waves, rows, seconds) in zip(jobs, parts):
+    for job, (part, waves, rows, seconds) in zip(jobs, _pool_map(_enumerate_chunk, jobs, threads)):
         found.extend(part)
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug(
@@ -429,14 +412,7 @@ class DynamicsTrace:
     steps: int
 
 
-def better_response_dynamics(
-    game,
-    start,
-    max_steps,
-    seed=0,
-    gain_tol=_DEFAULT_GAIN_TOL,
-    grid_points=_DEFAULT_GRID_POINTS,
-):
+def better_response_dynamics(game, start, max_steps, seed=0, gain_tol=_DEFAULT_GAIN_TOL):
     """Iterate single-player best-candidate moves from ``start``.
 
     Each step picks one player uniformly at random among those with an
@@ -451,7 +427,7 @@ def better_response_dynamics(
     rng = np.random.default_rng(seed)
     current = validate_profile(start, game.n)
     states = [current]
-    static_pts = _static_candidates(game, grid_points, include_offsets=False)
+    static_pts = _static_candidates(game, include_offsets=False)
     while True:
         improvers = []
         for player in range(game.n):

@@ -34,11 +34,11 @@ run over these pieces in closed form.
 Compilation is linear-size.  The rule is bound to the profile first: the
 facilities it chooses among, and per protected interval the outside
 facilities and the branch they select, are resolved once per profile rather
-than once per user.  The candidate breakpoints are O(n): 0 and 1, the
-facilities, the midpoints of adjacent distinct sites, the interval endpoints,
-and per interval one midpoint across it (see :func:`_policy_breakpoints`).
-The bound rule scans O(n) facilities once per piece, so a profile compiles
-in O(n^2) time.
+than once per user.  The candidate breakpoints are the rule's possible
+switch points, at most n + 1 + 3 per interval: 0 and 1, the midpoints of
+adjacent distinct sites, the interval endpoints, and per interval one
+midpoint across it (see :func:`_policy_breakpoints`).  The bound rule scans
+O(n) facilities once per piece, so a profile compiles in O(n^2) time.
 
 :func:`_compiled_rows` is the same compiler over a ``(B, n)`` array of
 profiles, used to price many random profiles at once.  Its candidates are
@@ -262,14 +262,14 @@ class PiecewisePolicy:
         )
 
 
-def _policy_breakpoints(locs, sites, piis):
+def _policy_breakpoints(sites, piis):
     """Candidate locations where the bound rule may change: O(n) of them.
 
     ``sites`` are the sorted distinct locations the rule chooses among.  The
-    candidates are 0 and 1, every facility, the midpoint of every pair of
-    adjacent sites, every protected-interval endpoint, and per interval the
-    midpoint between the last site <= lo and the first site >= hi when it
-    falls inside the interval.
+    candidates are 0 and 1, the midpoint of every pair of adjacent sites,
+    every protected-interval endpoint, and per interval the midpoint between
+    the last site <= lo and the first site >= hi when it falls inside the
+    interval.
 
     The set is complete.  Inside an interval the branch is fixed for the
     profile, so the rule can only change where the nearest facility of the
@@ -280,14 +280,11 @@ def _policy_breakpoints(locs, sites, piis):
     <= lo or the first site >= hi, so it changes only at their midpoint.  The
     one-sided and half-split branches pick the nearest facility of one side,
     which cannot change while the user stays strictly inside.  The interval
-    endpoints bound those branches.  A facility is no switch point unless it
-    is also one of the candidates above; the facilities are listed so a
-    compiled policy records its value at each of them explicitly.  In floats
-    a nearest-facility switch can land one ulp past its midpoint, which moves
-    a piece boundary, and so an integral, by at most that ulp.
+    endpoints bound those branches.  In floats a nearest-facility switch can
+    land one ulp past its midpoint, which moves a piece boundary, and so an
+    integral, by at most that ulp.
     """
     points = {0.0, 1.0}
-    points.update(locs)
     points.update(0.5 * (a + b) for a, b in zip(sites, sites[1:]))
     for lo, hi in piis:
         points.add(lo)
@@ -313,7 +310,7 @@ def _compiled_pieces(game, locs):
     piis = game.piis
     locs = _snap_to_endpoints(locs, piis)
     rule, sites = _pointwise_rule(game, locs)
-    bps = _policy_breakpoints(locs, sorted(set(sites)), piis)
+    bps = _policy_breakpoints(sorted(set(sites)), piis)
     pieces = []
     for lo, hi in zip(bps, bps[1:]):
         d = rule(0.5 * (lo + hi))
@@ -383,7 +380,7 @@ def _compiled_rows(game, locs):
         sites = np.sort(np.where(subset, locs, fill), axis=1)
     else:
         sites = np.sort(locs, axis=1)
-    parts = [np.zeros((rows, 1)), np.ones((rows, 1)), locs, 0.5 * (sites[:, :-1] + sites[:, 1:])]
+    parts = [np.zeros((rows, 1)), np.ones((rows, 1)), 0.5 * (sites[:, :-1] + sites[:, 1:])]
     for lo, hi in piis:
         below = sites <= lo
         above = sites >= hi

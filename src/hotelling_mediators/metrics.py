@@ -24,7 +24,6 @@ scalar path's, so both return the same answers either way.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -235,6 +234,9 @@ class IcEstimate:
 
 
 _FIXTURE_DELTAS = (1e-2, 1e-3, 1e-4)
+# Coordinate-ascent sweeps after the random phase; the ascent stops early at
+# the first sweep that improves no coordinate.
+_SWEEPS = 50
 # Weight entries per block of random rows priced at once: large enough to
 # amortize numpy's per-call overhead, small enough to keep peak memory flat.
 _BLOCK_ELEMENTS = 8192
@@ -243,10 +245,22 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _block_rows(game):
     """Rows per block, so one block's ``(rows, pieces, n)`` weight arrays
-    hold about ``_BLOCK_ELEMENTS`` entries; a row has 2n + 3 * intervals
+    hold about ``_BLOCK_ELEMENTS`` entries; a row has n + 3 * intervals
     pieces."""
-    pieces = 2 * game.n + 3 * len(game.piis)
+    pieces = game.n + 3 * len(game.piis)
     return max(1, _BLOCK_ELEMENTS // (pieces * game.n))
+
+
+def _pool_map(fn, jobs, threads):
+    """``[fn(job) for job in jobs]``, over ``threads`` worker processes when
+    there is more than one of each.  The pool module is imported only then:
+    loading it costs about 1.7 MB of resident memory."""
+    if threads <= 1 or len(jobs) <= 1:
+        return [fn(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def _better(gap, locs, best_gap, best_locs):
@@ -298,7 +312,7 @@ def _golden_max(f, lo=0.0, hi=1.0, tol=1e-6):
     return best_x, best_f
 
 
-def ic_search(game, budget, seed=0, include_fixtures=True, threads=1, sweeps=50):
+def ic_search(game, budget, seed=0, threads=1):
     """Search for profiles with a large intervention gap.
 
     Evaluates the known adversarial fixtures (a few offsets each), ``budget``
@@ -315,35 +329,29 @@ def ic_search(game, budget, seed=0, include_fixtures=True, threads=1, sweeps=50)
 
     best_gap, best_locs = -math.inf, None
     fixture_lower = None
-    if include_fixtures:
-        for delta in _FIXTURE_DELTAS:
-            try:
-                locs = game.mediator.fixture(n, delta)
-            except ValueError:
-                break
-            gap = _gap_locs(game, nime_game, locs)
-            if fixture_lower is None or gap > fixture_lower:
-                fixture_lower = gap
-            if _better(gap, locs, best_gap, best_locs):
-                best_gap, best_locs = gap, locs
+    for delta in _FIXTURE_DELTAS:
+        try:
+            locs = game.mediator.fixture(n, delta)
+        except ValueError:
+            break
+        gap = _gap_locs(game, nime_game, locs)
+        if fixture_lower is None or gap > fixture_lower:
+            fixture_lower = gap
+        if _better(gap, locs, best_gap, best_locs):
+            best_gap, best_locs = gap, locs
 
     rng = np.random.default_rng(seed)
     samples = rng.random((budget, n))
     chunk = 2048
     jobs = [(game, samples[k : k + chunk]) for k in range(0, budget, chunk)]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_gap_chunk, jobs))
-    else:
-        results = [_gap_chunk(job) for job in jobs]
-    for gap, locs in results:
+    for gap, locs in _pool_map(_gap_chunk, jobs, threads):
         if locs is not None and _better(gap, locs, best_gap, best_locs):
             best_gap, best_locs = gap, locs
 
     # Coordinate ascent from the incumbent.
     current = list(best_locs)
     current_gap = best_gap
-    for _ in range(sweeps):
+    for _ in range(_SWEEPS):
         improved = False
         for i in range(n):
             def line(y, i=i):

@@ -108,15 +108,15 @@ def _scalar_gap_rows(game, rows):
 def test_ic_search_equals_row_by_row_pricing(n, monkeypatch):
     for mediator in _mediators(n).values():
         game = GameSpec(n, mediator)
-        got = ic_search(game, budget=300, seed=n, sweeps=2)
+        got = ic_search(game, budget=300, seed=n)
         with monkeypatch.context() as patch:
             patch.setattr(metrics, "_gap_rows", _scalar_gap_rows)
-            want = ic_search(game, budget=300, seed=n, sweeps=2)
+            want = ic_search(game, budget=300, seed=n)
         assert got == want
 
 
 def test_ic_search_threads_agree_above_one_chunk():
     game = GameSpec(3, Lime(epsilon=1e-2))
-    one = ic_search(game, budget=4500, seed=5, threads=1, sweeps=2)
-    two = ic_search(game, budget=4500, seed=5, threads=2, sweeps=2)
+    one = ic_search(game, budget=4500, seed=5, threads=1)
+    two = ic_search(game, budget=4500, seed=5, threads=2)
     assert one == two

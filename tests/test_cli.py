@@ -3,10 +3,39 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hotelling_mediators.cli import main
+
+ZIGZAG_DENSITY = {"kind": "pwl", "breakpoints": [0.0, 0.25, 0.5, 0.75, 1.0], "values": [0.5, 1.5, 0.5, 1.5, 0.5]}
+
+
+def _golden_commands():
+    """Commands whose stdout ``cli_golden.json`` pins byte for byte;
+    ``{zigzag}`` stands for a file holding ``ZIGZAG_DENSITY``."""
+    kinds = {"nime": [], "dict": [], "lime": [], "glime": [], "clime": ["--lambda", "0.0625"]}
+    cmds = {"table1": ["table1", "--budget", "300", "--format", "json"]}
+    for kind in ("dict", "lime", "glime", "clime"):
+        for n in ("3", "8"):
+            cmds[f"ic-{kind}-{n}"] = ["ic", "--mediator", kind, *kinds[kind], "--n", n, "--budget", "700", "--format", "json"]
+    cmds["pne-lime-4"] = ["pne", "--mediator", "lime", "--n", "4", "--profile", "0.125,0.375,0.625,0.875"]
+    cmds["pne-nime-3"] = ["pne", "--mediator", "nime", "--n", "3", "--profile", "0.25,0.5,0.75"]
+    cmds["enumerate-clime-3"] = [
+        "pne", "--mediator", "clime", "--lambda", "0.1", "--n", "3", "--enumerate", "--grid-step", "0.05",
+    ]
+    for kind, flags in kinds.items():
+        for n, profile in (("3", "0.2,0.3,0.9"), ("5", "0.05,0.3,0.3,0.62,0.95")):
+            for command in ("payoff", "social-cost"):
+                cmds[f"{command}-{kind}-{n}"] = [
+                    command, "--mediator", kind, *flags, "--n", n, "--profile", profile,
+                    "--distribution", "{zigzag}", "--format", "json",
+                ]
+    return cmds
+
+
+GOLDEN_COMMANDS = _golden_commands()
 
 
 def run_cli(capsys, *argv):
@@ -262,6 +291,14 @@ class TestDeterminism:
         outs = [run_cli(capsys, *args, "--threads", threads) for threads in ("1", "2")]
         assert outs[0] == outs[1]
         assert outs[0] == (0, "0.375,0.375\n0.375,0.625\n0.625,0.625\n")
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+    def test_stdout_matches_golden(self, name, tmp_path, capsys):
+        golden = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+        zigzag = tmp_path / "zigzag.json"
+        zigzag.write_text(json.dumps(ZIGZAG_DENSITY))
+        argv = [str(zigzag) if a == "{zigzag}" else a for a in GOLDEN_COMMANDS[name]]
+        assert run_cli(capsys, *argv) == (0, golden[name])
 
     def test_ic_byte_identical_runs(self):
         args = ("ic", "--mediator", "lime", "--n", "3", "--budget", "400", "--seed", "7", "--format", "json")

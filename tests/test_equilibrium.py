@@ -55,7 +55,7 @@ def contains_all(candidates, points, tol=0.0):
 class TestCandidates:
     def test_nime_pair_candidates(self):
         game = GameSpec(2, Nime())
-        got = candidate_deviations(game, (0.5, 0.5), 0, grid_points=5)
+        got = candidate_deviations(game, (0.5, 0.5), 0)
         expected = [0.0, 0.5 - DELTA, 0.5, 0.5 + DELTA, 0.25, 0.75, 1.0, 0.25, 0.5, 0.75]
         assert contains_all(got, expected)
 
@@ -79,6 +79,15 @@ class TestCandidates:
 
 
 class TestBestResponse:
+    @pytest.mark.parametrize(
+        "player, candidates",
+        [(-1, [0.5]), (3, [0.5]), (1.0, [0.5]), (0, [0.5, math.nan]), (0, [0.5, 1.5])],
+        ids=["player-negative", "player-past-end", "player-not-integer", "candidate-nan", "candidate-outside-segment"],
+    )
+    def test_bad_input_raises(self, player, candidates):
+        with pytest.raises(ValueError):
+            best_response_gain(GameSpec(3, Lime()), (0.2, 0.5, 0.8), player, candidates)
+
     def test_undercutting_gain(self):
         game = GameSpec(2, Nime())
         gain, where = best_response_gain(
@@ -264,7 +273,7 @@ def _reference_probes(game, locs, static_pts):
 
 def _scalar_scan(game, grid_n, start, stop, gain_tol=1e-9):
     """Grid profiles of a shard that ``_refute_fast`` does not refute."""
-    static_pts = _static_candidates(game, 101)
+    static_pts = _static_candidates(game)
     found = []
     for combo in _combos(grid_n, game.n, start, stop):
         locs = tuple(k / grid_n for k in combo)
@@ -274,7 +283,7 @@ def _scalar_scan(game, grid_n, start, stop, gain_tol=1e-9):
 
 
 def _plan_arrays(game):
-    return [np.array(v) for v in zip(*_probe_plan(game, _static_candidates(game, 101)))]
+    return [np.array(v) for v in zip(*_probe_plan(game, _static_candidates(game)))]
 
 
 class TestProbeWaves:
@@ -284,7 +293,7 @@ class TestProbeWaves:
         rng = np.random.default_rng([n, len(density), 13])
         for name, mediator in _mediators(n).items():
             game = GameSpec(n, mediator, DENSITIES[density])
-            static_pts = _static_candidates(game, 101)
+            static_pts = _static_candidates(game)
             for locs in _profiles(rng, game, 12):
                 got = [(e[0], _probe(locs, e)) for e in _probe_plan(game, static_pts)]
                 want = _reference_probes(game, locs, static_pts)
@@ -308,7 +317,7 @@ class TestProbeWaves:
         for _ in range(shards):
             start = int(rng.integers(total - 400))
             stop = start + int(rng.integers(1, 401))
-            got, waves, rows, _ = _enumerate_chunk((game, grid_n, start, stop, 1e-9, 101))
+            got, waves, rows, _ = _enumerate_chunk((game, grid_n, start, stop, 1e-9))
             assert got == _scalar_scan(game, grid_n, start, stop), (start, stop)
             assert rows >= 2 * (stop - start) and waves >= 1
 
@@ -328,7 +337,7 @@ class TestProbeWaves:
         # grid holds them.
         game = GameSpec(3, Dictator(), ZIGZAG)
         total = math.comb(12 + 3, 3)
-        got = _enumerate_chunk((game, 12, 0, total, 1e-9, 101))[0]
+        got = _enumerate_chunk((game, 12, 0, total, 1e-9))[0]
         assert got == _scalar_scan(game, 12, 0, total) == [optimal_locations(3)]
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -343,7 +352,7 @@ class TestProbeWaves:
         profiles = data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=6))
         profiles += known_pne(game) or []
         gain_tol = data.draw(st.sampled_from([1e-9, 1e-3, 0.05]))
-        static_pts = _static_candidates(game, 101)
+        static_pts = _static_candidates(game)
         locs = np.array(profiles, dtype=float)
         survivors, _, _ = _refute_rows(game, locs, gain_tol, _plan_arrays(game))
         want = [k for k, p in enumerate(profiles) if _refute_fast(game, tuple(p), gain_tol, static_pts)[1] is None]

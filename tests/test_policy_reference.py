@@ -173,7 +173,7 @@ def test_agrees_with_all_pairs_reference(n, density, monkeypatch):
         game = GameSpec(n, mediator, DENSITIES[density])
         for profile in _profiles(rng, game, _count(n)):
             policy = compile_policy(game, profile)
-            assert len(policy.point_dists) <= 5 * n, (name, profile)
+            assert len(policy.point_dists) <= n + 1 + 3 * len(game.piis), (name, profile)
 
             got = (payoff(game, profile), social_cost(game, profile), intervention_gap(game, profile))
             with monkeypatch.context() as patch:
@@ -188,3 +188,17 @@ def test_agrees_with_all_pairs_reference(n, density, monkeypatch):
             _, ref_bps, _, ref_rule = _reference_compiled_pieces(game, profile)
             for t in ref_bps + [float(t) for t in rng.random(8)]:
                 assert direct(game, profile, t) == ref_rule(t), (name, profile, t)
+
+
+@pytest.mark.parametrize("density", sorted(DENSITIES))
+@pytest.mark.parametrize("n", NS)
+def test_policy_is_the_rule_at_facilities_and_breakpoints(n, density):
+    # Facilities are no candidate breakpoints, so a compiled policy answers
+    # at a facility from the piece around it; that must still be the rule.
+    rng = np.random.default_rng([n, len(density), 17])
+    for name, mediator in _mediators(n).items():
+        game = GameSpec(n, mediator, DENSITIES[density])
+        for profile in _profiles(rng, game, _count(n)):
+            policy = compile_policy(game, profile)
+            for t in (*profile, *policy.point_dists):
+                assert policy.evaluate(t) == direct(game, profile, t), (name, profile, t)
