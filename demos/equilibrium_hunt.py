@@ -1,7 +1,10 @@
 """Finding and certifying pure Nash equilibria.
 
-Equilibrium checks certify a profile against a finite set of candidate
-deviations (opponent undercuts, interval edges, reference locations, a grid).
+The exhaustive check is exact over the continuum of deviations: between the
+kinks of a player's payoff line (opponents, interval edges, their
+reflections) the payoff is a polynomial, so a few priced points per piece
+give its supremum.  Grid enumeration certifies against a finite candidate
+set (opponent undercuts, interval edges, reference locations, a grid).
 This script certifies the known equilibria, enumerates whole grids, lets
 better-response dynamics walk to a rest point, and shows the neutrality test
 telling the dictator apart from the symmetric rules.
@@ -27,7 +30,7 @@ def main():
     game = GameSpec(4, Lime(epsilon=1e-3))
     report = is_pne(game, optimal_locations(4))
     print(f"  optimal locations under limited intervention: is_pne={report.is_pne}"
-          f" (checked {report.candidate_count} candidates)")
+          f" (priced {report.candidate_count} deviations)")
     report = is_pne(game, (0.3, 0.4, 0.6, 0.9))
     print(f"  a perturbed profile: is_pne={report.is_pne}, witness={report.witness}")
 

@@ -1,15 +1,20 @@
 """Pure Nash equilibrium verification, enumeration, and related diagnostics.
 
-Deviations live in a continuum, so equilibrium checks here are certificates
-relative to a finite candidate set rather than proofs.  The candidate set is
-chosen where a single player's payoff can change shape: at opponent
-locations (with one-sided offsets standing in for one-sided limits), at
-protected-interval endpoints and the reflections of opponents through them,
-at the distribution's reference locations, and on the uniform grid of step
-1/100.  Every report carries the resolution it was certified at.
+Deviations live in a continuum.  The exhaustive check is exact over it: fix
+the opponents and move one player's location y.  Between consecutive
+*kinks* (see :func:`_line_kinks`) the player's payoff is a polynomial in y,
+of degree at most 1 under the uniform density and at most 2 under a
+piecewise-linear one, so a few priced points per piece give the exact
+supremum of the payoff along the whole line (see :func:`_line_max`).
 
-An early-exit refutation probes the candidates in one fixed order, the probe
-plan.  :func:`_refute_fast` is the single-profile path: it walks the plan one
+The early-exit refutation and grid enumeration still probe a finite
+candidate set, in one fixed order, the probe plan: opponent locations (with
+one-sided offsets standing in for one-sided limits), protected-interval
+endpoints and the reflections of opponents through them, the
+distribution's reference locations, and the uniform grid of step 1/100.  A
+refutation needs only one improving deviation, which the set supplies; a
+profile the set does not refute is certified against that set only.
+:func:`_refute_fast` is the single-profile path: it walks the plan one
 scalar payoff at a time.  Grid enumeration refutes blocks of profiles in
 waves instead, pricing every wave's deviations as one block of rows; each
 row is priced bitwise as the scalar path prices it, so the verdicts agree.
@@ -26,8 +31,9 @@ from itertools import islice
 
 import numpy as np
 
-from .core import Dictator, quantile_locations, validate_location, validate_profile
-from .metrics import _block_rows, _payoff_locs, _payoff_rows, _pool_map
+from .core import Dictator, PiecewiseLinearDensity, quantile_locations, validate_location, validate_profile
+from .mediators import _PII_FACILITY_SNAP, _snap_to_endpoints
+from .metrics import _block_rows, _check_count, _payoff_locs, _payoff_rows, _pool_map
 
 __all__ = [
     "candidate_deviations",
@@ -178,14 +184,141 @@ def best_response_gain(game, profile, player, candidates):
     return best_gain, best_y
 
 
+def _line_shape(dist):
+    """``(breaks, degree)``: the density's interior breakpoints, and the
+    degree of a payoff along a deviation line between kinks (a piece's user
+    mass, with one end moving at half the deviation's speed)."""
+    if isinstance(dist, PiecewiseLinearDensity):
+        return dist.breakpoints[1:-1], 2
+    return (), 1
+
+
+def _line_kinks(game, locs, i):
+    """The sorted kinks of player ``i``'s payoff along its deviation line.
+
+    With the opponents fixed, the compiled policy changes shape only where
+    the deviation y crosses an opponent, an interval endpoint, the edge of an
+    endpoint's snap band or of a dictated target's obedience band, and where
+    a moving piece end (y + z) / 2 crosses an interval endpoint or a density
+    breakpoint c, at y = 2c - z.  The set also holds 0, 1 and the density
+    breakpoints, and is clipped to [0, 1].  Between consecutive kinks the
+    payoff is a polynomial in y.
+    """
+    locs = _snap_to_endpoints(locs, game.piis)
+    opponents = [z for j, z in enumerate(locs) if j != i]
+    breaks, _ = _line_shape(game.distribution)
+    ends = [e for pii in game.piis for e in pii]
+    kinks = {0.0, 1.0, *opponents, *breaks}
+    for e in ends:
+        kinks.update((e - _PII_FACILITY_SNAP, e, e + _PII_FACILITY_SNAP))
+    m = game.mediator
+    if isinstance(m, Dictator):
+        t = m.targets[i]
+        kinks.update((t - m.equality_tol, t, t + m.equality_tol))
+    kinks.update(2.0 * c - z for c in (*ends, *breaks) for z in opponents)
+    return sorted(k for k in kinks if 0.0 <= k <= 1.0)
+
+
+def _newton(xs, fs):
+    """Divided-difference coefficients of the polynomial through (xs, fs)."""
+    coef = list(fs)
+    for k in range(1, len(xs)):
+        for j in range(len(xs) - 1, k - 1, -1):
+            coef[j] = (coef[j] - coef[j - 1]) / (xs[j] - xs[j - k])
+    return coef
+
+
+def _horner(xs, coef, x):
+    """The Newton-form polynomial of :func:`_newton` at ``x``."""
+    value = coef[-1]
+    for k in range(len(coef) - 2, -1, -1):
+        value = value * (x - xs[k]) + coef[k]
+    return value
+
+
+def _line_max(game, locs, i):
+    """Exact supremum of player ``i``'s payoff along its deviation line.
+
+    Prices every kink of :func:`_line_kinks`, then deg + 1 interior points of
+    every piece between consecutive kinks, whose payoffs fix the piece's
+    polynomial; then the stationary point of each concave quadratic piece,
+    where the polynomial rises above the piece's priced points.  The
+    supremum is the largest of the priced payoffs and of both one-sided
+    limits of every fitted piece, the polynomial at its ends.  A piece inside
+    an endpoint's snap band needs no points: every deviation there snaps onto
+    the endpoint, a kink.  A piece too narrow for deg + 1 distinct interior
+    points prices the ones it has and is not fitted.  Everything is priced
+    through :func:`_payoff_locs`, in plain floats.
+
+    Returns ``(sup, best, limit, priced)``: the supremum; the best priced
+    ``(y, payoff)``; ``(kink, y)`` when the supremum is a one-sided limit at
+    ``kink`` above every priced payoff, with ``y`` the best priced point of
+    its piece, else None; and the number of payoffs priced.
+    """
+    kinks = _line_kinks(game, locs, i)
+    _, deg = _line_shape(game.distribution)
+    bands = [(e - _PII_FACILITY_SNAP, e + _PII_FACILITY_SNAP) for pii in game.piis for e in pii]
+    pieces = []
+    for a, b in zip(kinks, kinks[1:]):
+        if any(lo <= a and b <= hi for lo, hi in bands):
+            continue
+        inner = []
+        for k in range(1, deg + 2):
+            y = a + (b - a) * (k / (deg + 2))
+            if a < y < b and (not inner or y > inner[-1]):
+                inner.append(y)
+        pieces.append((a, b, inner))
+
+    def price(points):
+        return {y: value for _, y, value in _deviation_payoffs(game, locs, ((i, y) for y in points))}
+
+    values = price(kinks + [y for _, _, inner in pieces for y in inner])
+    fits, stationary = [], []
+    for a, b, inner in pieces:
+        if len(inner) < deg + 1:
+            continue
+        fs = [values[y] for y in inner]
+        coef = _newton(inner, fs)
+        fits.append((a, b, inner, coef))
+        if deg == 2 and coef[2] < 0.0:
+            y = 0.5 * (inner[0] + inner[1]) - coef[1] / (2.0 * coef[2])
+            if a < y < b and y not in values and _horner(inner, coef, y) > max(fs):
+                stationary.append(y)
+    values.update(price(stationary))
+
+    best = max(values.items(), key=lambda item: item[1])
+    sup, limit = best[1], None
+    for a, b, inner, coef in fits:
+        for kink in (a, b):
+            value = _horner(inner, coef, kink)
+            if value > sup:
+                piece_points = [y for y in stationary if a < y < b] + inner
+                sup, limit = value, (kink, max(piece_points, key=values.__getitem__))
+    return sup, best, limit, len(values)
+
+
+def _toward(kink, y):
+    """Points halving the distance from ``y`` towards ``kink``, until the
+    floats between them run out."""
+    while (nxt := 0.5 * (y + kink)) != y and nxt != kink:
+        y = nxt
+        yield y
+
+
 @dataclass(frozen=True)
 class PneReport:
-    """Equilibrium verdict at a stated certification level.
+    """Equilibrium verdict.
 
-    ``is_pne`` means no candidate deviation improved any player's payoff by
-    more than ``gain_tol``; it is not a proof over the continuum.  When the
-    verdict is negative, ``witness`` holds one beneficial deviation.
-    ``candidate_count`` is the number of deviations priced.
+    An exhaustive report is exact over the continuum: ``is_pne`` means no
+    deviation of any player, anywhere on [0, 1], improves its payoff by more
+    than ``gain_tol``, and ``worst_gain`` is the supremum of the gains (it
+    may be a one-sided limit no single deviation attains).  An early-exit
+    report (``is_pne(..., exhaustive=False)``) certifies against the finite
+    candidate set of the probe plan, whose grid has step ``grid_step``;
+    ``grid_step`` is None for exhaustive reports.  When the verdict is
+    negative, ``witness`` holds one priced deviation ``(player, y)`` whose own
+    gain exceeds ``gain_tol``.  ``candidate_count`` is the number of
+    deviation payoffs priced.
     """
 
     is_pne: bool
@@ -193,7 +326,7 @@ class PneReport:
     witness: tuple | None
     candidate_count: int
     gain_tol: float
-    grid_step: float
+    grid_step: float | None
 
     def to_json(self):
         return {
@@ -209,12 +342,18 @@ class PneReport:
 
 
 def is_pne(game, profile, gain_tol=_DEFAULT_GAIN_TOL, exhaustive=True):
-    """Certify a profile against the candidate deviations of every player.
+    """Check a profile against the deviations of every player.
 
-    With ``exhaustive=False`` the scan stops at the first beneficial
-    deviation; ``worst_gain`` is then the gain found rather than the maximum,
-    which is all a refutation needs, and ``candidate_count`` counts the
-    probes made up to it.
+    The exhaustive check is exact: it takes every player's supremum payoff
+    along its deviation line (:func:`_line_max`), and ``worst_gain`` is the
+    largest supremum gain.  When that gain is a one-sided limit and no priced
+    point beats ``gain_tol``, points halving the distance from the limit's
+    piece towards its kink are priced until one does; they count in
+    ``candidate_count``.  With ``exhaustive=False`` the probe plan's
+    candidates are scanned up to the first beneficial deviation;
+    ``worst_gain`` is then the gain found rather than the supremum, which is
+    all a refutation needs, and ``candidate_count`` counts the probes made up
+    to it.
     """
     _check_gain_tol(gain_tol)
     locs = validate_profile(profile, game.n)
@@ -225,14 +364,22 @@ def is_pne(game, profile, gain_tol=_DEFAULT_GAIN_TOL, exhaustive=True):
             player, y, worst_gain = hit
             witness = (player, y)
     else:
+        base = _payoff_locs(game, locs)
         for player in range(game.n):
-            candidates = candidate_deviations(game, locs, player)
-            count += len(candidates)
-            gain, y = best_response_gain(game, locs, player, candidates)
-            if gain > worst_gain:
-                worst_gain = gain
-                if gain > gain_tol:
-                    witness = (player, y)
+            sup, best, limit, priced = _line_max(game, locs, player)
+            count += priced
+            if sup - base[player] > worst_gain:
+                worst_gain = sup - base[player]
+                worst = player, best, limit
+        player, (y, value), limit = worst
+        if worst_gain > gain_tol and value - base[player] <= gain_tol and limit is not None:
+            approach = ((player, t) for t in _toward(*limit))
+            for _, t, value in _deviation_payoffs(game, locs, approach):
+                count += 1
+                if value - base[player] > gain_tol:
+                    y = t
+                    break
+        witness = (player, y)
     ok = worst_gain <= gain_tol
     return PneReport(
         is_pne=ok,
@@ -240,7 +387,7 @@ def is_pne(game, profile, gain_tol=_DEFAULT_GAIN_TOL, exhaustive=True):
         witness=None if ok else witness,
         candidate_count=count,
         gain_tol=gain_tol,
-        grid_step=1.0 / (_GRID_POINTS - 1),
+        grid_step=1.0 / (_GRID_POINTS - 1) if not exhaustive else None,
     )
 
 
@@ -358,9 +505,11 @@ def pne_enumerate(game, grid_step, gain_tol=_DEFAULT_GAIN_TOL, shard=None, threa
     :func:`_refute_fast`; every chunk of the scan logs one DEBUG record to
     the ``hotelling_mediators`` logger.  A non-positive or non-finite
     ``grid_step`` and a shard outside ``0 <= start < stop <= total`` raise
-    ValueError, as does a ``gain_tol`` that is not a positive finite number.
+    ValueError, as do a ``gain_tol`` that is not a positive finite number and
+    ``threads`` that is no integer >= 1.
     """
     _check_gain_tol(gain_tol)
+    _check_count("threads", threads)
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise ValueError(f"grid_step must be a positive finite number, got {grid_step!r}")
     grid_n = round(1.0 / grid_step)
@@ -374,7 +523,7 @@ def pne_enumerate(game, grid_step, gain_tol=_DEFAULT_GAIN_TOL, shard=None, threa
     start, stop = (0, total) if shard is None else shard
     if not 0 <= start < stop <= total:
         raise ValueError(f"shard must satisfy 0 <= start < stop <= {total}, got {shard!r}")
-    chunk = stop - start if threads <= 1 else max(1, math.ceil((stop - start) / (threads * 8)))
+    chunk = stop - start if threads == 1 else max(1, math.ceil((stop - start) / (threads * 8)))
     jobs = [(game, grid_n, a, min(a + chunk, stop), gain_tol) for a in range(start, stop, chunk)]
     found = []
     for job, (part, waves, rows, seconds) in zip(jobs, _pool_map(_enumerate_chunk, jobs, threads)):

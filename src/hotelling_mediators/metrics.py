@@ -24,6 +24,7 @@ scalar path's, so both return the same answers either way.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -251,6 +252,12 @@ def _block_rows(game):
     return max(1, _BLOCK_ELEMENTS // (pieces * game.n))
 
 
+def _check_count(name, value):
+    """Reject a ``budget`` or ``threads`` that is no integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _pool_map(fn, jobs, threads):
     """``[fn(job) for job in jobs]``, over ``threads`` worker processes when
     there is more than one of each.  The pool module is imported only then:
@@ -319,11 +326,15 @@ def ic_search(game, budget, seed=0, threads=1):
     uniformly random profiles drawn from ``seed``, and then refines the best
     profile found by coordinate ascent with a golden-section line search per
     coordinate.  The random profiles are priced in blocks of rows at once,
-    each gap bitwise equal to pricing its profile alone.  Deterministic for
-    fixed ``seed`` regardless of ``threads``.
+    each gap bitwise equal to pricing its profile alone.  A coordinate's line
+    depends only on the other coordinates, so its search is skipped while
+    none of them has moved since the last one: it would return what it
+    returned then.  Deterministic for fixed ``seed`` regardless of
+    ``threads``.  A ``budget`` or ``threads`` that is no integer >= 1 raises
+    ValueError.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    _check_count("budget", budget)
+    _check_count("threads", threads)
     nime_game = _nime_twin(game)
     n = game.n
 
@@ -348,12 +359,18 @@ def ic_search(game, budget, seed=0, threads=1):
         if locs is not None and _better(gap, locs, best_gap, best_locs):
             best_gap, best_locs = gap, locs
 
-    # Coordinate ascent from the incumbent.
+    # Coordinate ascent from the incumbent.  ``searched[i]`` is the number of
+    # moves made when coordinate i's line was last searched.
     current = list(best_locs)
     current_gap = best_gap
+    moves = 0
+    searched = [-1] * n
     for _ in range(_SWEEPS):
         improved = False
         for i in range(n):
+            if searched[i] == moves:
+                continue
+
             def line(y, i=i):
                 trial = current.copy()
                 trial[i] = y
@@ -364,6 +381,8 @@ def ic_search(game, budget, seed=0, threads=1):
                 current[i] = y
                 current_gap = fy
                 improved = True
+                moves += 1
+            searched[i] = moves
         if not improved:
             break
     if _better(current_gap, tuple(current), best_gap, best_locs):

@@ -173,8 +173,18 @@ class TestUsageErrorsExitTwo:
             ["pne", "--mediator", "lime", "--n", "3", "--profile", "0.2,0.5,0.8", "--gain-tol", "0"],
             ["pne", "--mediator", "nime", "--n", "2", "--enumerate", "--grid-step", "0.25", "--gain-tol", "-1"],
             ["payoff", "--mediator", "dict", "--n", "2", "--equality-tol", "nan", "--profile", "0.25,0.9"],
+            ["ic", "--mediator", "lime", "--n", "3", "--budget", "50", "--threads", "0"],
+            ["pne", "--mediator", "nime", "--n", "2", "--enumerate", "--grid-step", "0.25", "--threads", "-2"],
         ],
-        ids=["ic-budget-0", "table1-budget-0", "pne-gain-tol-0", "enumerate-gain-tol-negative", "dict-nan-tol"],
+        ids=[
+            "ic-budget-0",
+            "table1-budget-0",
+            "pne-gain-tol-0",
+            "enumerate-gain-tol-negative",
+            "dict-nan-tol",
+            "ic-threads-0",
+            "enumerate-threads-negative",
+        ],
     )
     def test_exits_two_with_error_line(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -34,6 +34,8 @@ from hotelling_mediators import equilibrium
 from hotelling_mediators.equilibrium import (
     _combos,
     _enumerate_chunk,
+    _line_kinks,
+    _line_max,
     _probe,
     _probe_plan,
     _refute_fast,
@@ -46,6 +48,8 @@ from test_policy_reference import DENSITIES, ZIGZAG, _mediators, _profiles
 
 RAMP = PiecewiseLinearDensity((0.0, 1.0), (0.0, 2.0))
 DELTA = 1e-6
+# A zigzag under which the old finite candidate set missed deviations.
+NIME_ZIGZAG = PiecewiseLinearDensity((0.0, 0.3, 0.6, 1.0), tuple(v / 0.935 for v in (0.5, 1.6, 0.4, 1.2)))
 
 
 def contains_all(candidates, points, tol=0.0):
@@ -144,11 +148,137 @@ class TestIsPne:
         # One call prices the profile itself; every other one is a probe.
         assert report.candidate_count == len(calls) - 1
 
+    @pytest.mark.parametrize(
+        "game, profile, gain_tol",
+        [
+            (GameSpec(5, Lime(epsilon=1e-3)), optimal_locations(5), 1e-9),
+            (GameSpec(5, Lime(epsilon=1e-3)), (0.1, 0.3, 0.5, 0.7, 0.95), 1e-9),
+            (GameSpec(3, Glime(epsilon=1e-3), ZIGZAG), (0.2, 0.45, 0.8), 1e-9),
+            (GameSpec(3, Nime(), NIME_ZIGZAG), (0.81522, 0.72999, 0.11320), 1e-9),
+            (GameSpec(3, Nime()), (0.25, 0.5, 0.75), 0.12),
+        ],
+        ids=["lime5-optimum", "lime5-off", "glime3-zigzag", "nime3-zigzag", "nime3-limit-witness"],
+    )
+    def test_exhaustive_check_counts_its_payoffs(self, game, profile, gain_tol, monkeypatch):
+        calls = []
+        payoff_locs = equilibrium._payoff_locs
+
+        def counting(game, locs):
+            calls.append(locs)
+            return payoff_locs(game, locs)
+
+        monkeypatch.setattr(equilibrium, "_payoff_locs", counting)
+        report = is_pne(game, profile, gain_tol=gain_tol)
+        # One call prices the profile itself; every other one is a deviation.
+        assert report.candidate_count == len(calls) - 1
+        assert all(sum(a != b for a, b in zip(locs, profile)) <= 1 for locs in calls)
+
     def test_report_json(self):
         report = is_pne(GameSpec(2, Nime()), (0.4, 0.9))
         blob = report.to_json()
         assert blob["isPne"] is False
         assert set(blob["witness"]) == {"player", "deviation"}
+        assert blob["gridStep"] is None
+        assert is_pne(GameSpec(2, Nime()), (0.4, 0.9), exhaustive=False).grid_step == 0.01
+
+
+def _payoff_at(game, profile, player, y):
+    trial = list(profile)
+    trial[player] = y
+    return payoff(game, trial)[player]
+
+
+def _gain(game, profile, player, y):
+    return _payoff_at(game, profile, player, y) - payoff(game, profile)[player]
+
+
+class TestExactLine:
+    def test_nime_zigzag_interior_maximum(self):
+        # Player 0's best deviation, y ~ 0.165, is the interior maximum of a
+        # concave quadratic piece; no candidate of the finite set lands there.
+        game = GameSpec(3, Nime(), NIME_ZIGZAG)
+        profile = (0.81522, 0.72999, 0.11320)
+        candidate_gain, _ = best_response_gain(game, profile, 0, candidate_deviations(game, profile, 0))
+        sup, (y, value), limit, _ = _line_max(game, profile, 0)
+        assert sup - payoff(game, profile)[0] >= candidate_gain + 2.5e-5
+        assert limit is None and value == sup and abs(y - 0.165) <= 1e-3
+
+    @pytest.mark.parametrize("density", sorted(DENSITIES))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_exact_gain_bounds_the_candidate_gain(self, n, density):
+        rng = np.random.default_rng([n, len(density), 17])
+        for name, mediator in _mediators(n).items():
+            game = GameSpec(n, mediator, DENSITIES[density])
+            for profile in _profiles(rng, game, 3):
+                base = payoff(game, profile)
+                for player in range(n):
+                    gain, _ = best_response_gain(game, profile, player, candidate_deviations(game, profile, player))
+                    assert _line_max(game, profile, player)[0] - base[player] >= gain - 1e-12, (name, profile, player)
+
+    @pytest.mark.parametrize("density", sorted(DENSITIES))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_payoff_is_a_polynomial_between_kinks(self, n, density):
+        # Through deg + 1 points of a piece between consecutive kinks, the
+        # interpolating polynomial predicts two more points of the piece.
+        dist = DENSITIES[density]
+        deg = 1 if density == "uniform" else 2
+        fit_at = (0.15, 0.85) if deg == 1 else (0.15, 0.5, 0.85)
+        rng = np.random.default_rng([n, len(density), 23])
+        for name, mediator in _mediators(n).items():
+            game = GameSpec(n, mediator, dist)
+            for profile in _profiles(rng, game, 3):
+                for player in range(n):
+                    kinks = _line_kinks(game, profile, player)
+                    for a, b in zip(kinks, kinks[1:]):
+                        if b - a < 1e-6:
+                            continue
+                        f = {s: _payoff_at(game, profile, player, a + (b - a) * s) for s in (*fit_at, 0.3, 0.7)}
+                        for s in (0.3, 0.7):
+                            want = sum(
+                                f[x] * math.prod((s - z) / (x - z) for z in fit_at if z != x) for x in fit_at
+                            )
+                            assert abs(f[s] - want) <= 1e-12, (name, profile, player, a, b, s)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_no_dense_deviation_beats_the_exact_gain(self, data):
+        n = data.draw(st.integers(2, 4))
+        mediator = data.draw(st.sampled_from(sorted(_mediators(n).items())))[1]
+        dist = DENSITIES[data.draw(st.sampled_from(sorted(DENSITIES)))]
+        game = GameSpec(n, mediator, dist)
+        anchors = [*optimal_locations(n), *quantile_locations(n, dist), *(e for pii in game.piis for e in pii)]
+        coord = st.one_of(st.floats(0.0, 1.0), st.sampled_from(anchors))
+        profile = data.draw(st.tuples(*[coord] * n))
+        player = data.draw(st.integers(0, n - 1))
+        sup = _line_max(game, profile, player)[0]
+        rows = np.repeat([profile], 2001, axis=0)
+        rows[:, player] = np.linspace(0.0, 1.0, 2001)
+        assert _payoff_rows(game, rows)[:, player].max() <= sup + 1e-12
+
+    def test_refuted_profiles_have_priced_witnesses(self):
+        # Non-equilibria drawn as criterion 5 draws them, checked exhaustively.
+        rng = np.random.default_rng(555)
+        for n in range(3, 7):
+            game = GameSpec(n, Lime(epsilon=1e-3))
+            opt = optimal_locations(n)
+            checked = 0
+            while checked < 25:
+                profile = tuple(rng.random(n))
+                if max(abs(a - b) for a, b in zip(sorted(profile), opt)) < 0.02:
+                    continue
+                report = is_pne(game, profile)
+                assert not report.is_pne
+                assert _gain(game, profile, *report.witness) > report.gain_tol, profile
+                checked += 1
+
+    def test_limit_witness_is_approached(self):
+        # Only the one-sided limit at an opponent (gain 1/8) beats a 0.12
+        # tolerance; points halving the way towards it find a witness.
+        game = GameSpec(3, Nime())
+        profile = (0.25, 0.5, 0.75)
+        report = is_pne(game, profile, gain_tol=0.12)
+        assert not report.is_pne and abs(report.worst_gain - 0.125) <= 1e-12
+        assert 0.12 < _gain(game, profile, *report.witness) < 0.125
 
 
 class TestEnumeration:
@@ -208,6 +338,10 @@ class TestEnumeration:
                 is_pne(game, (0.5, 0.5), gain_tol=tol, exhaustive=exhaustive)
         with pytest.raises(ValueError):
             better_response_dynamics(game, (0.1, 0.9), max_steps=5, gain_tol=tol)
+
+    def test_threads_must_be_a_positive_integer(self):
+        with pytest.raises(ValueError):
+            pne_enumerate(GameSpec(2, Nime()), 0.25, threads=-4)
 
     @pytest.mark.parametrize("shard", [(10, 5), (5, 5), (-1, 5), (0, 2146), (2146, 2147)])
     def test_invalid_shard_rejected(self, shard):

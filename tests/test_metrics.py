@@ -23,6 +23,8 @@ from hotelling_mediators import (
     payoff,
     social_cost,
 )
+from hotelling_mediators import metrics
+from hotelling_mediators.core import _MEDIATORS
 
 EXACT = 1e-12
 SUM_TOL = 1e-9
@@ -245,6 +247,34 @@ class TestIcSearch:
     def test_budget_validated(self):
         with pytest.raises(ValueError):
             ic_search(GameSpec(2, Nime()), budget=0)
+
+    @pytest.mark.parametrize(
+        "budget, threads",
+        [(300, 0), (300, -3), (300, 2.5), (2.5, 1), (True, 1)],
+        ids=["threads-0", "threads-negative", "threads-fraction", "budget-fraction", "budget-bool"],
+    )
+    def test_budget_and_threads_must_be_positive_integers(self, budget, threads):
+        with pytest.raises(ValueError):
+            ic_search(GameSpec(3, Lime(epsilon=1e-3)), budget, threads=threads)
+
+    @pytest.mark.parametrize("kind", ["dict", "lime", "glime"])
+    def test_ascent_searches_each_line_once(self, kind, monkeypatch):
+        # A coordinate's line depends on the other coordinates only, so
+        # searching it again before one of them moves would repeat a search.
+        # A line is told apart by its coordinate (the line function's default
+        # argument) and its gaps at three fixed points.
+        lines = []
+        golden_max = metrics._golden_max
+
+        def recording(f, *args, **kwargs):
+            lines.append((f.__defaults__, f(0.21), f(0.52), f(0.83)))
+            return golden_max(f, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "_golden_max", recording)
+        est = ic_search(GameSpec(4, _MEDIATORS[kind]()), budget=300, seed=11)
+        assert len(lines) >= 4 and len(set(lines)) == len(lines)
+        monkeypatch.setattr(metrics, "_golden_max", golden_max)
+        assert ic_search(GameSpec(4, _MEDIATORS[kind]()), budget=300, seed=11) == est
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_clime_search_below_width_bound(self, n):
