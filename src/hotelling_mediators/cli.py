@@ -25,27 +25,32 @@ import sys
 
 from .core import _MEDIATORS, UNIFORM, Dictator, GameSpec, Lime, Nime, distribution_from_json, mediator_from_json
 from .equilibrium import is_pne, pne_enumerate
-from .metrics import ic_search, payoff, social_cost
+from .metrics import _check_count, ic_search, payoff, social_cost
 
 __all__ = ["main"]
 
 
-def _fmt(x):
-    if x is None:
+def _cell(v):
+    """One CSV field: None empty, a bool ``true``/``false``, an int as is, a
+    float to 12 significant digits, a string as is, a sequence ``;``-joined."""
+    if v is None:
         return ""
-    return f"{x:.12g}"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, str)):
+        return str(v)
+    if isinstance(v, (list, tuple)):
+        return ";".join(_cell(x) for x in v)
+    return f"{v:.12g}"
 
 
-def _parse_profile(text, n):
+def _parse_profile(text):
+    """The floats of a comma-separated profile; ``validate_profile`` judges
+    their count and range."""
     try:
-        values = tuple(float(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ValueError(f"malformed profile {text!r}") from None
-    if len(values) != n:
-        raise ValueError(f"profile has {len(values)} entries, expected n={n}")
-    if any(not 0.0 <= v <= 1.0 for v in values):
-        raise ValueError("profile locations must lie in [0, 1]")
-    return values
 
 
 def _build_game(args):
@@ -63,31 +68,27 @@ def _build_game(args):
     return GameSpec(n=args.n, mediator=mediator_from_json(wire), distribution=dist)
 
 
-def _emit(args, json_obj, csv_lines):
+def _emit(args, json_obj, rows, header=None):
+    """Print ``json_obj``, or the ``header`` line and ``rows`` as CSV lines
+    of :func:`_cell` fields."""
     if args.format == "json":
         print(json.dumps(json_obj))
-    else:
-        for line in csv_lines:
-            print(line)
+        return
+    if header:
+        print(header)
+    for row in rows:
+        print(",".join(_cell(v) for v in row))
 
 
 def _cmd_payoff(args):
-    game = _build_game(args)
-    profile = _parse_profile(args.profile, game.n)
-    values = payoff(game, profile)
-    _emit(
-        args,
-        {"payoffs": list(values)},
-        [",".join(_fmt(v) for v in values)],
-    )
+    values = payoff(_build_game(args), _parse_profile(args.profile))
+    _emit(args, {"payoffs": list(values)}, [values])
     return 0
 
 
 def _cmd_social_cost(args):
-    game = _build_game(args)
-    profile = _parse_profile(args.profile, game.n)
-    value = social_cost(game, profile)
-    _emit(args, {"socialCost": value}, [_fmt(value)])
+    value = social_cost(_build_game(args), _parse_profile(args.profile))
+    _emit(args, {"socialCost": value}, [[value]])
     return 0
 
 
@@ -98,57 +99,33 @@ def _check_expect(expect, verdict_name):
 
 
 def _cmd_pne(args):
+    _check_count("threads", args.threads)
     game = _build_game(args)
     if args.enumerate:
         if args.grid_step is None:
             raise ValueError("--enumerate requires --grid-step")
         profiles = pne_enumerate(game, args.grid_step, gain_tol=args.gain_tol, threads=args.threads)
-        _emit(
-            args,
-            {"profiles": [list(p) for p in profiles]},
-            [",".join(_fmt(v) for v in p) for p in profiles] or ["<empty>"],
-        )
+        _emit(args, {"profiles": [list(p) for p in profiles]}, profiles or [["<empty>"]])
         return _check_expect(args.expect, "empty" if not profiles else "nonempty")
     if not args.profile:
         raise ValueError("pne needs --profile or --enumerate")
-    profile = _parse_profile(args.profile, game.n)
-    report = is_pne(game, profile, gain_tol=args.gain_tol)
+    report = is_pne(game, _parse_profile(args.profile), gain_tol=args.gain_tol)
+    player, deviation = report.witness or (None, None)
+    row = [report.is_pne, report.worst_gain, player, deviation, report.candidate_count, report.gain_tol, report.grid_step]
     header = "isPne,worstGain,witnessPlayer,witnessDeviation,candidateCount,gainTol,gridStep"
-    witness_player = "" if report.witness is None else str(report.witness[0])
-    witness_dev = "" if report.witness is None else _fmt(report.witness[1])
-    row = ",".join(
-        [
-            "true" if report.is_pne else "false",
-            _fmt(report.worst_gain),
-            witness_player,
-            witness_dev,
-            str(report.candidate_count),
-            _fmt(report.gain_tol),
-            _fmt(report.grid_step),
-        ]
-    )
-    _emit(args, report.to_json(), [header, row])
+    _emit(args, report.to_json(), [row], header)
     return _check_expect(args.expect, "pne" if report.is_pne else "no-pne")
 
 
 def _cmd_ic(args):
     game = _build_game(args)
     est = ic_search(game, budget=args.budget, seed=args.seed, threads=args.threads)
+    row = [
+        game.mediator.kind, game.n, args.seed, args.budget, est.search_lower, est.fixture_lower,
+        est.analytic_lower, est.analytic_upper, est.argmax_profile,
+    ]
     header = "mediator,n,seed,budget,searchLower,fixtureLower,analyticLower,analyticUpper,argmaxProfile"
-    row = ",".join(
-        [
-            game.mediator.kind,
-            str(game.n),
-            str(args.seed),
-            str(args.budget),
-            _fmt(est.search_lower),
-            _fmt(est.fixture_lower),
-            _fmt(est.analytic_lower),
-            _fmt(est.analytic_upper),
-            ";".join(_fmt(v) for v in est.argmax_profile),
-        ]
-    )
-    _emit(args, est.to_json(), [header, row])
+    _emit(args, est.to_json(), [row], header)
     return 0
 
 
@@ -183,29 +160,9 @@ def _cmd_table1(args):
                 "flags": ";".join(flags),
             }
         )
-    header = (
-        "n,optimalSc,nimeBestPneSc,nimeWorstPneSc,dictIcLower,dictIcSearch,"
-        "limeIcLower,limeIcUpper,limeIcSearch,flags"
-    )
-    lines = [header]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r["n"]),
-                    _fmt(r["optimalSc"]),
-                    "no PNE" if r["nimeBestPneSc"] is None else _fmt(r["nimeBestPneSc"]),
-                    "no PNE" if r["nimeWorstPneSc"] is None else _fmt(r["nimeWorstPneSc"]),
-                    _fmt(r["dictIcLower"]),
-                    _fmt(r["dictIcSearch"]),
-                    _fmt(r["limeIcLower"]),
-                    _fmt(r["limeIcUpper"]),
-                    _fmt(r["limeIcSearch"]),
-                    r["flags"],
-                ]
-            )
-        )
-    _emit(args, {"rows": rows}, lines)
+    # A missing no-intervention equilibrium cost reads "no PNE", not empty.
+    csv_rows = [["no PNE" if v is None and k.startswith("nime") else v for k, v in r.items()] for r in rows]
+    _emit(args, {"rows": rows}, csv_rows, ",".join(rows[0]))
     return 0
 
 
@@ -219,10 +176,14 @@ def _add_game_flags(p):
     p.add_argument("--distribution", default=None, help="JSON file with the user distribution")
 
 
-def _add_common_flags(p):
+def _add_common_flags(p, seed=False, threads=False):
+    """``--format``, plus ``--seed`` and ``--threads`` on the subcommands
+    that read them."""
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if threads:
+        p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser():
@@ -246,7 +207,7 @@ def build_parser():
 
     p = sub.add_parser("pne", help="equilibrium check or enumeration")
     _add_game_flags(p)
-    _add_common_flags(p)
+    _add_common_flags(p, threads=True)
     p.add_argument("--profile", default=None)
     p.add_argument("--enumerate", action="store_true")
     p.add_argument("--grid-step", type=float, default=None)
@@ -256,12 +217,12 @@ def build_parser():
 
     p = sub.add_parser("ic", help="intervention-cost search")
     _add_game_flags(p)
-    _add_common_flags(p)
+    _add_common_flags(p, seed=True, threads=True)
     p.add_argument("--budget", type=int, default=10000)
     p.set_defaults(func=_cmd_ic)
 
     p = sub.add_parser("table1", help="summary table over n = 2..8")
-    _add_common_flags(p)
+    _add_common_flags(p, seed=True, threads=True)
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--budget", type=int, default=2000)
     p.set_defaults(func=_cmd_table1)

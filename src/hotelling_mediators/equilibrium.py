@@ -8,16 +8,19 @@ piecewise-linear one, so a few priced points per piece give the exact
 supremum of the payoff along the whole line (see :func:`_line_max`).
 
 The early-exit refutation and grid enumeration still probe a finite
-candidate set, in one fixed order, the probe plan: opponent locations (with
-one-sided offsets standing in for one-sided limits), protected-interval
-endpoints and the reflections of opponents through them, the
-distribution's reference locations, and the uniform grid of step 1/100.  A
-refutation needs only one improving deviation, which the set supplies; a
-profile the set does not refute is certified against that set only.
-:func:`_refute_fast` is the single-profile path: it walks the plan one
-scalar payoff at a time.  Grid enumeration refutes blocks of profiles in
-waves instead, pricing every wave's deviations as one block of rows; each
-row is priced bitwise as the scalar path prices it, so the verdicts agree.
+candidate set, in one fixed order, the probe plan (:func:`_probe_plan`, its
+only builder): opponent locations (with one-sided offsets standing in for
+one-sided limits), the reflections of opponents through protected-interval
+endpoints, the endpoints themselves, the distribution's reference
+locations, and the uniform grid of step 1/100.  A refutation needs only one
+improving deviation, which the set supplies; a profile the set does not
+refute is certified against that set only.  :func:`_refute_fast` is the
+single-profile path: it walks the plan one scalar payoff at a time.  Grid
+enumeration refutes blocks of profiles in waves instead, pricing every
+wave's deviations as one block of rows; each row is priced bitwise as the
+scalar path prices it, so the verdicts agree.  :func:`candidate_deviations`
+lists one player's entries, and better-response dynamics reads the same plan
+without the one-sided offsets.
 """
 
 from __future__ import annotations
@@ -61,59 +64,41 @@ _MAX_GRID_PROFILES = 10**8
 _log = logging.getLogger("hotelling_mediators")
 
 
-def _static_candidates(game, include_offsets=True):
-    """Profile-independent part of the candidate set, in probe order."""
-    pts = []
-    for lo, hi in game.piis:
-        for e in (lo, hi):
-            pts.append(e)
-            if include_offsets:
-                pts.append(e - _SIDE_DELTA)
-                pts.append(e + _SIDE_DELTA)
-    pts.extend(quantile_locations(game.n, game.distribution))
-    if isinstance(game.mediator, Dictator):
-        pts.extend(game.mediator.targets)
-    pts.append(0.0)
-    pts.append(1.0)
-    step = 1.0 / (_GRID_POINTS - 1)
-    pts.extend(k * step for k in range(_GRID_POINTS))
-    return [min(max(p, 0.0), 1.0) for p in pts]
-
-
-def _opponent_plan(game, player, include_offsets=True):
-    """Probe-plan entries for the candidates tied to the opponents of
-    ``player``: the locations themselves, one-sided offsets, and their
-    reflections through the protected-interval endpoints (where a moving
-    basin boundary can change slope).
+def _probe_plan(game, side=_SIDE_DELTA):
+    """The finite candidate set, one entry per probe, in probe order: every
+    player's opponent entries (the historically strongest refutations), then
+    every player's static entries.
 
     An entry ``(player, col, scale, offset)`` stands for the deviation
     ``clip(scale * locs[col] + offset, 0, 1)`` of ``player`` (see
-    :func:`_probe`).  Under IEEE rounding ``1.0 * z - d`` is ``z - d``,
-    ``1.0 * z + (-0.0)`` is ``z`` with its sign of zero, and ``-1.0 * z +
-    2e`` is ``2e - z``, so the deviations are bitwise those written out.
+    :func:`_probe`).  Each opponent z gives z - side, z + side and z, then
+    each interval endpoint e gives the reflections 2e - z (where a moving
+    basin boundary can change slope); under IEEE rounding ``1.0 * z - d`` is
+    ``z - d``, ``1.0 * z + (-0.0)`` is ``z`` with its sign of zero, and
+    ``-1.0 * z + 2e`` is ``2e - z``.  A static entry has scale zero and the
+    point as offset: each endpoint e, e - side and e + side, the reference
+    locations, the dictated targets, 0, 1 and the grid of step 1/100.  With
+    ``side=0.0`` each one-sided entry repeats its anchor.  The plan is lazy,
+    so an early exit builds only what it probes.
     """
-    opponents = [j for j in range(game.n) if j != player]
-    plan = []
-    for j in opponents:
-        if include_offsets:
-            plan.append((player, j, 1.0, -_SIDE_DELTA))
-            plan.append((player, j, 1.0, _SIDE_DELTA))
-        plan.append((player, j, 1.0, -0.0))
-    for lo, hi in game.piis:
-        for e in (lo, hi):
-            plan.extend((player, j, -1.0, 2.0 * e) for j in opponents)
-    return plan
-
-
-def _probe_plan(game, static_pts):
-    """The probe order of :func:`_refute_fast`, one entry per probe: every
-    player's opponent-derived candidates (the historically strongest
-    refutations), then every player's static candidates.  A static entry
-    reads no location: its scale is zero and its offset is the point."""
     for player in range(game.n):
-        yield from _opponent_plan(game, player)
+        opponents = [j for j in range(game.n) if j != player]
+        for j in opponents:
+            yield player, j, 1.0, -side
+            yield player, j, 1.0, side
+            yield player, j, 1.0, -0.0
+        for lo, hi in game.piis:
+            for e in (lo, hi):
+                for j in opponents:
+                    yield player, j, -1.0, 2.0 * e
+    static = [p for pii in game.piis for e in pii for p in (e, e - side, e + side)]
+    static += quantile_locations(game.n, game.distribution)
+    if isinstance(game.mediator, Dictator):
+        static += game.mediator.targets
+    static += [0.0, 1.0]
+    static += [k * (1.0 / (_GRID_POINTS - 1)) for k in range(_GRID_POINTS)]
     for player in range(game.n):
-        for p in static_pts:
+        for p in static:
             yield player, 0, 0.0, p
 
 
@@ -123,26 +108,26 @@ def _probe(locs, entry):
     return min(max(scale * locs[col] + offset, 0.0), 1.0)
 
 
-def _opponent_candidates(game, locs, player, include_offsets=True):
-    """The deviations of :func:`_opponent_plan` at profile ``locs``."""
-    return [_probe(locs, entry) for entry in _opponent_plan(game, player, include_offsets)]
+def _player_candidates(plan, locs, player):
+    """The deviations of ``player``'s entries of ``plan`` at profile
+    ``locs``, deduplicated in plan order."""
+    return list(dict.fromkeys(_probe(locs, e) for e in plan if e[0] == player))
 
 
 def candidate_deviations(game, profile, player):
     """Finite certificate set of deviation locations for one player.
 
-    Union of opponent locations and one-sided offsets, protected-interval
-    endpoints and offsets, reflections of opponents through those endpoints,
-    the distribution's reference locations (plus dictated targets), the
-    segment ends, and the uniform grid of step 1/100; clipped to [0, 1] and
-    deduplicated, ordered so that the historically strongest probes come
-    first.
+    The player's entries of the probe plan (:func:`_probe_plan`): opponent
+    locations and one-sided offsets, reflections of opponents through the
+    protected-interval endpoints, the endpoints and their offsets, the
+    distribution's reference locations (plus dictated targets), the segment
+    ends, and the uniform grid of step 1/100; clipped to [0, 1] and
+    deduplicated in probe order, so that the historically strongest probes
+    come first.
     """
     locs = validate_profile(profile, game.n)
     _check_player(game, player)
-    pts = _opponent_candidates(game, locs, player)
-    pts.extend(_static_candidates(game))
-    return list(dict.fromkeys(pts))
+    return _player_candidates(_probe_plan(game), locs, player)
 
 
 def _check_player(game, player):
@@ -359,7 +344,7 @@ def is_pne(game, profile, gain_tol=_DEFAULT_GAIN_TOL, exhaustive=True):
     locs = validate_profile(profile, game.n)
     worst_gain, witness, count = -math.inf, None, 0
     if not exhaustive:
-        count, hit = _refute_fast(game, locs, gain_tol, _static_candidates(game))
+        count, hit = _refute_fast(game, locs, gain_tol)
         if hit is not None:
             player, y, worst_gain = hit
             witness = (player, y)
@@ -391,7 +376,7 @@ def is_pne(game, profile, gain_tol=_DEFAULT_GAIN_TOL, exhaustive=True):
     )
 
 
-def _refute_fast(game, locs, gain_tol, static_pts):
+def _refute_fast(game, locs, gain_tol):
     """Early-exit equilibrium check of one profile.
 
     Returns ``(probes, hit)``: the number of deviations priced, and None when
@@ -401,7 +386,7 @@ def _refute_fast(game, locs, gain_tol, static_pts):
     redundant evaluation.  Enumeration walks the same plan in waves of rows.
     """
     base = _payoff_locs(game, locs)
-    deviations = ((e[0], _probe(locs, e)) for e in _probe_plan(game, static_pts))
+    deviations = ((e[0], _probe(locs, e)) for e in _probe_plan(game))
     probes = 0
     for player, y, value in _deviation_payoffs(game, locs, deviations):
         probes += 1
@@ -481,7 +466,7 @@ def _enumerate_chunk(args):
     refuted by :func:`_refute_rows` one block of rows at a time."""
     game, grid_n, start, stop, gain_tol = args
     began = time.perf_counter()
-    plan = [np.array(v) for v in zip(*_probe_plan(game, _static_candidates(game)))]
+    plan = [np.array(v) for v in zip(*_probe_plan(game))]
     combos = _combos(grid_n, game.n, start, stop)
     found, waves, rows = [], 0, 0
     while chunk := list(islice(combos, _block_rows(game))):
@@ -565,9 +550,11 @@ def better_response_dynamics(game, start, max_steps, seed=0, gain_tol=_DEFAULT_G
     """Iterate single-player best-candidate moves from ``start``.
 
     Each step picks one player uniformly at random among those with an
-    improving candidate and applies her best candidate.  Moves are restricted
-    to macroscopic candidates (grid, opponents, reference locations, interval
-    endpoints): the one-sided offset probes used for certification would
+    improving candidate and applies its best candidate.  The candidates are
+    the player's entries of the probe plan read with ``side=0.0``,
+    deduplicated in plan order, so moves are restricted to macroscopic
+    candidates (grid, opponents, reference locations, interval endpoints and
+    reflections): the one-sided offset probes used for certification would
     produce microscopic undercutting steps and no observable convergence.
     """
     if max_steps < 1:
@@ -576,13 +563,11 @@ def better_response_dynamics(game, start, max_steps, seed=0, gain_tol=_DEFAULT_G
     rng = np.random.default_rng(seed)
     current = validate_profile(start, game.n)
     states = [current]
-    static_pts = _static_candidates(game, include_offsets=False)
+    plan = list(_probe_plan(game, side=0.0))
     while True:
         improvers = []
         for player in range(game.n):
-            pts = _opponent_candidates(game, current, player, include_offsets=False)
-            pts.extend(static_pts)
-            gain, y = best_response_gain(game, current, player, pts)
+            gain, y = best_response_gain(game, current, player, _player_candidates(plan, current, player))
             if gain > gain_tol:
                 improvers.append((player, y))
         # The last state is checked like every other, so a run that ran out

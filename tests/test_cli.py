@@ -16,7 +16,11 @@ def _golden_commands():
     """Commands whose stdout ``cli_golden.json`` pins byte for byte;
     ``{zigzag}`` stands for a file holding ``ZIGZAG_DENSITY``."""
     kinds = {"nime": [], "dict": [], "lime": [], "glime": [], "clime": ["--lambda", "0.0625"]}
-    cmds = {"table1": ["table1", "--budget", "300", "--format", "json"]}
+    cmds = {
+        "table1": ["table1", "--budget", "300", "--format", "json"],
+        "table1-csv": ["table1", "--budget", "300"],
+        "ic-dict-3-csv": ["ic", "--mediator", "dict", "--targets", "0.1,0.5,0.9", "--n", "3", "--budget", "700"],
+    }
     for kind in ("dict", "lime", "glime", "clime"):
         for n in ("3", "8"):
             cmds[f"ic-{kind}-{n}"] = ["ic", "--mediator", kind, *kinds[kind], "--n", n, "--budget", "700", "--format", "json"]
@@ -175,6 +179,7 @@ class TestUsageErrorsExitTwo:
             ["payoff", "--mediator", "dict", "--n", "2", "--equality-tol", "nan", "--profile", "0.25,0.9"],
             ["ic", "--mediator", "lime", "--n", "3", "--budget", "50", "--threads", "0"],
             ["pne", "--mediator", "nime", "--n", "2", "--enumerate", "--grid-step", "0.25", "--threads", "-2"],
+            ["pne", "--mediator", "nime", "--n", "2", "--profile", "0.5,0.5", "--threads", "-5"],
         ],
         ids=[
             "ic-budget-0",
@@ -184,6 +189,7 @@ class TestUsageErrorsExitTwo:
             "dict-nan-tol",
             "ic-threads-0",
             "enumerate-threads-negative",
+            "pne-profile-threads-negative",
         ],
     )
     def test_exits_two_with_error_line(self, argv, capsys):
@@ -193,6 +199,23 @@ class TestUsageErrorsExitTwo:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["payoff", "--mediator", "nime", "--n", "2", "--profile", "0.2,0.8", "--threads", "0"],
+            ["social-cost", "--mediator", "nime", "--n", "2", "--profile", "0.2,0.8", "--seed", "1"],
+            ["pne", "--mediator", "nime", "--n", "2", "--profile", "0.5,0.5", "--seed", "-3"],
+        ],
+        ids=["payoff-threads", "social-cost-seed", "pne-seed"],
+    )
+    def test_flags_a_command_does_not_read_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments" in err
 
 
 class TestMalformedDistribution:

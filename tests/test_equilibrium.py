@@ -36,11 +36,11 @@ from hotelling_mediators.equilibrium import (
     _enumerate_chunk,
     _line_kinks,
     _line_max,
+    _player_candidates,
     _probe,
     _probe_plan,
     _refute_fast,
     _refute_rows,
-    _static_candidates,
 )
 from hotelling_mediators.metrics import _payoff_rows
 
@@ -387,37 +387,53 @@ class TestEnumeration:
             assert best == optimal_locations(n)
 
 
-def _reference_probes(game, locs, static_pts):
+def _reference_probes(game, locs, offsets=True):
     """The ``(player, deviation)`` list ``_refute_fast`` probed before the
-    probe plan, written out as it was."""
+    probe plan, written out as it was; without ``offsets``, the macroscopic
+    candidates better-response dynamics moves to."""
     out = []
     for player in range(game.n):
         opponents = [locs[j] for j in range(game.n) if j != player]
         pts = []
         for z in opponents:
-            pts += [z - DELTA, z + DELTA, z]
+            pts += [z - DELTA, z + DELTA, z] if offsets else [z]
         for lo, hi in game.piis:
             for e in (lo, hi):
                 pts += [2.0 * e - z for z in opponents]
         out += [(player, min(max(p, 0.0), 1.0)) for p in pts]
+    static = []
+    for lo, hi in game.piis:
+        for e in (lo, hi):
+            static += [e, e - DELTA, e + DELTA] if offsets else [e]
+    static += quantile_locations(game.n, game.distribution)
+    if isinstance(game.mediator, Dictator):
+        static += game.mediator.targets
+    static += [0.0, 1.0]
+    static += [k * (1 / 100) for k in range(101)]
     for player in range(game.n):
-        out += [(player, p) for p in static_pts]
+        out += [(player, min(max(p, 0.0), 1.0)) for p in static]
     return out
 
 
 def _scalar_scan(game, grid_n, start, stop, gain_tol=1e-9):
     """Grid profiles of a shard that ``_refute_fast`` does not refute."""
-    static_pts = _static_candidates(game)
     found = []
     for combo in _combos(grid_n, game.n, start, stop):
         locs = tuple(k / grid_n for k in combo)
-        if _refute_fast(game, locs, gain_tol, static_pts)[1] is None:
+        if _refute_fast(game, locs, gain_tol)[1] is None:
             found.append(locs)
     return found
 
 
 def _plan_arrays(game):
-    return [np.array(v) for v in zip(*_probe_plan(game, _static_candidates(game)))]
+    return [np.array(v) for v in zip(*_probe_plan(game))]
+
+
+def _same_floats(got, want):
+    """Equal lists of ``(player, deviation)``, sign of zero included."""
+    assert len(got) == len(want)
+    for (pa, ya), (pb, yb) in zip(got, want):
+        assert pa == pb and ya == yb and np.signbit(ya) == np.signbit(yb), (ya, yb)
 
 
 class TestProbeWaves:
@@ -427,13 +443,24 @@ class TestProbeWaves:
         rng = np.random.default_rng([n, len(density), 13])
         for name, mediator in _mediators(n).items():
             game = GameSpec(n, mediator, DENSITIES[density])
-            static_pts = _static_candidates(game)
             for locs in _profiles(rng, game, 12):
-                got = [(e[0], _probe(locs, e)) for e in _probe_plan(game, static_pts)]
-                want = _reference_probes(game, locs, static_pts)
-                assert len(got) == len(want), (name, locs)
-                for (pa, ya), (pb, yb) in zip(got, want):
-                    assert pa == pb and ya == yb and np.signbit(ya) == np.signbit(yb), (name, locs, ya, yb)
+                got = [(e[0], _probe(locs, e)) for e in _probe_plan(game)]
+                _same_floats(got, _reference_probes(game, locs))
+
+    @pytest.mark.parametrize("density", sorted(DENSITIES))
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_one_sided_plan_reproduces_macroscopic_candidates(self, n, density):
+        # Read with side=0.0, each one-sided entry repeats its anchor, and
+        # deduplication leaves the candidates dynamics moves to.
+        rng = np.random.default_rng([n, len(density), 17])
+        for mediator in _mediators(n).values():
+            game = GameSpec(n, mediator, DENSITIES[density])
+            plan = list(_probe_plan(game, side=0.0))
+            for locs in _profiles(rng, game, 6):
+                want = _reference_probes(game, locs, offsets=False)
+                for player in range(n):
+                    got = [(player, y) for y in _player_candidates(plan, locs, player)]
+                    _same_floats(got, list(dict.fromkeys(w for w in want if w[0] == player)))
 
     @pytest.mark.parametrize(
         "game, grid_n, shards",
@@ -486,10 +513,9 @@ class TestProbeWaves:
         profiles = data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=6))
         profiles += known_pne(game) or []
         gain_tol = data.draw(st.sampled_from([1e-9, 1e-3, 0.05]))
-        static_pts = _static_candidates(game)
         locs = np.array(profiles, dtype=float)
         survivors, _, _ = _refute_rows(game, locs, gain_tol, _plan_arrays(game))
-        want = [k for k, p in enumerate(profiles) if _refute_fast(game, tuple(p), gain_tol, static_pts)[1] is None]
+        want = [k for k, p in enumerate(profiles) if _refute_fast(game, tuple(p), gain_tol)[1] is None]
         assert survivors.tolist() == want
         assert np.all(np.abs(_payoff_rows(game, locs).sum(axis=1) - 1.0) <= 1e-12)
 
@@ -610,6 +636,36 @@ class TestDynamics:
         assert exact == full
         short = better_response_dynamics(game, (0.2, 0.5, 0.9), max_steps=full.steps - 1, seed=0)
         assert not short.converged and short.states == full.states[:-1]
+
+    # Traces captured from the candidate builders the probe plan replaced.
+    @pytest.mark.parametrize(
+        "game, start, seed, max_steps, converged, states",
+        [
+            (
+                GameSpec(4, Lime(epsilon=1e-3)), (0.05, 0.3, 0.6, 0.95), 4, 30, True,
+                ((0.05, 0.3, 0.6, 0.95), (0.05, 0.3, 0.375, 0.95), (0.05, 0.3, 0.375, 0.625),
+                 (0.05, 0.875, 0.375, 0.625), (0.125, 0.875, 0.375, 0.625)),
+            ),
+            (
+                GameSpec(3, Glime(epsilon=1e-3), ZIGZAG), (0.1, 0.45, 0.9), 5, 14, False,
+                ((0.1, 0.45, 0.9), (0.1, 0.45, 0.5), (0.1, 0.9, 0.5), (0.1, 0.9, 0.11), (0.89, 0.9, 0.11),
+                 (0.89, 0.9, 0.88), (0.87, 0.9, 0.88), (0.87, 0.9, 0.86), (0.87, 0.85, 0.86), (0.84, 0.85, 0.86),
+                 (0.84, 0.85, 0.8300000000000001), (0.8200000000000001, 0.85, 0.8300000000000001),
+                 (0.8200000000000001, 0.8104235651970522, 0.8300000000000001),
+                 (0.5, 0.8104235651970522, 0.8300000000000001), (0.5, 0.8104235651970522, 0.0)),
+            ),
+            (
+                GameSpec(3, Clime(lam=1 / 10, epsilon=1e-3)), (0.2, 0.5, 0.9), 6, 8, False,
+                ((0.2, 0.5, 0.9), (0.49, 0.5, 0.9), (0.49, 0.5, 0.51), (0.49, 0.48, 0.51), (0.49, 0.48, 0.5),
+                 (0.51, 0.48, 0.5), (0.51, 0.48, 0.52), (0.47000000000000003, 0.48, 0.52),
+                 (0.47000000000000003, 0.48, 0.49)),
+            ),
+        ],
+        ids=["lime4", "glime3-zigzag", "clime3-1/10"],
+    )
+    def test_pinned_trace(self, game, start, seed, max_steps, converged, states):
+        trace = better_response_dynamics(game, start, max_steps=max_steps, seed=seed)
+        assert trace == equilibrium.DynamicsTrace(states=states, converged=converged, steps=len(states) - 1)
 
     def test_moves_change_one_coordinate_and_improve(self):
         game = GameSpec(3, Nime())
