@@ -123,12 +123,10 @@ class Uniform:
         return float(p)
 
     def mass(self, a, b):
-        """User mass of the interval [a, b]."""
+        """User mass of the interval [a, b]; elementwise over arrays too."""
         return b - a
 
-    def mass_array(self, a, b):
-        """:meth:`mass` elementwise over broadcast arrays, bitwise equal."""
-        return b - a
+    mass_array = mass
 
     def first_moment(self, a, b):
         """Integral of t over [a, b] against the density."""
@@ -467,10 +465,19 @@ class Mediator:
 
     The defaults describe a rule that never overrides the nearest-facility
     assignment and about which nothing is proven; each record overrides what
-    differs for its kind.
+    differs for its kind.  Every kind runs the one direction rule of
+    :mod:`hotelling_mediators.mediators`, which reads here who may serve
+    (:meth:`eligible`) and where it intervenes (:meth:`intervals`).
     """
 
     kind: ClassVar[str]
+    # Dictated target locations, one per player.
+    targets: ClassVar[tuple] = ()
+    # The share of users redirected at random inside an interval occupied on
+    # one side only, and whether users inside one occupied on both sides go
+    # 50/50 to the nearest on each side rather than to the nearest of both.
+    epsilon: ClassVar[float] = 0.0
+    half_split: ClassVar[bool] = False
 
     def bind(self, n):
         """This record as used in an n-player game; ValueError if it cannot be."""
@@ -479,6 +486,16 @@ class Mediator:
     def intervals(self, n, dist):
         """Protected intervals: open, disjoint, increasing, inside (0, 1)."""
         return ()
+
+    def eligible(self, locs):
+        """Indices of the players that may serve users at profile ``locs``:
+        every player by default."""
+        return range(len(locs))
+
+    def eligible_rows(self, locs):
+        """:meth:`eligible` as a boolean mask over a ``(B, n)`` array of
+        profiles, or None when every player is eligible in every row."""
+        return None
 
     def to_json(self):
         return {"kind": self.kind}
@@ -568,6 +585,12 @@ class Dictator(Mediator):
             equality_tol=_json_number(obj, "equalityTol", 1e-9),
         )
 
+    def eligible(self, locs):
+        return [i for i, s in enumerate(locs) if abs(s - self.targets[i]) <= self.equality_tol]
+
+    def eligible_rows(self, locs):
+        return np.abs(locs - np.asarray(self.targets)) <= self.equality_tol
+
     def ic_bounds(self, n):
         return (0.5 - 3.0 / (4 * n) + 1.0 / (4 * n * n), None)
 
@@ -583,11 +606,6 @@ class Dictator(Mediator):
 
 class _Limited(Mediator):
     """Base of the limited-intervention records, which all carry ``epsilon``."""
-
-    # Users inside an interval with outside facilities on both sides go 50/50
-    # to the nearest on the left and on the right, instead of to the nearest
-    # of both.
-    half_split: ClassVar[bool] = False
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)

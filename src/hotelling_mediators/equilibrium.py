@@ -34,7 +34,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import Dictator, PiecewiseLinearDensity, quantile_locations, validate_location, validate_profile
+from .core import PiecewiseLinearDensity, quantile_locations, validate_location, validate_profile
 from .mediators import _PII_FACILITY_SNAP, _snap_to_endpoints
 from .metrics import _block_rows, _check_count, _payoff_locs, _payoff_rows, _pool_map
 
@@ -93,8 +93,7 @@ def _probe_plan(game, side=_SIDE_DELTA):
                     yield player, j, -1.0, 2.0 * e
     static = [p for pii in game.piis for e in pii for p in (e, e - side, e + side)]
     static += quantile_locations(game.n, game.distribution)
-    if isinstance(game.mediator, Dictator):
-        static += game.mediator.targets
+    static += game.mediator.targets
     static += [0.0, 1.0]
     static += [k * (1.0 / (_GRID_POINTS - 1)) for k in range(_GRID_POINTS)]
     for player in range(game.n):
@@ -197,7 +196,7 @@ def _line_kinks(game, locs, i):
     for e in ends:
         kinks.update((e - _PII_FACILITY_SNAP, e, e + _PII_FACILITY_SNAP))
     m = game.mediator
-    if isinstance(m, Dictator):
+    if m.targets:
         t = m.targets[i]
         kinks.update((t - m.equality_tol, t, t + m.equality_tol))
     kinks.update(2.0 * c - z for c in (*ends, *breaks) for z in opponents)
@@ -556,9 +555,9 @@ def better_response_dynamics(game, start, max_steps, seed=0, gain_tol=_DEFAULT_G
     candidates (grid, opponents, reference locations, interval endpoints and
     reflections): the one-sided offset probes used for certification would
     produce microscopic undercutting steps and no observable convergence.
+    A ``max_steps`` that is no integer >= 1 raises ValueError.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+    _check_count("max_steps", max_steps)
     _check_gain_tol(gain_tol)
     rng = np.random.default_rng(seed)
     current = validate_profile(start, game.n)
@@ -590,16 +589,13 @@ def neutrality_check(game, trials, seed=0, tol=1e-9):
     dictator rule treats players identically except on the measure-zero set
     of obedient locations, so purely uniform sampling would never exercise
     the asymmetry.  Returns ``(neutral_on_sample, witness)`` where the
-    witness is ``(profile, i, j, payoff_i, swapped_payoff_j)``.
+    witness is ``(profile, i, j, payoff_i, swapped_payoff_j)``.  ``trials``
+    that is no integer >= 1 raises ValueError.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     n = game.n
-    if isinstance(game.mediator, Dictator):
-        anchors = game.mediator.targets
-    else:
-        anchors = quantile_locations(n, game.distribution)
+    anchors = game.mediator.targets or quantile_locations(n, game.distribution)
     for _ in range(trials):
         coords = rng.random(n)
         snap = rng.random(n) < 0.5

@@ -2,22 +2,24 @@
 
 Five mediators are implemented.  Their records in :mod:`hotelling_mediators.core`
 own everything particular to a kind (parameters, wire format, protected
-intervals, which a game works out once into ``game.piis``, bounds, fixtures
-and equilibria); this module holds the rules and the compilers.  The rules
-come in three families: nearest facility, dictated targets, and limited
-intervention, whose records differ only in their intervals, ``epsilon`` and
-the ``half_split`` flag.  Each rule maps a strategy profile and a user
-location to a distribution over player indices:
+intervals, which a game works out once into ``game.piis``, eligible players,
+bounds, fixtures and equilibria); this module holds the one direction rule
+and its two compilers, which never ask for a record's kind.  The rule maps a
+strategy profile and a user location to a distribution over player indices:
+the user goes to the nearest *eligible* player, splitting ties uniformly,
+and to a uniformly random player when nobody is eligible; inside a protected
+interval she is served by the nearest eligible facility *outside* it.  The
+kinds differ only in their eligible players, their intervals, ``epsilon``
+and the ``half_split`` flag:
 
-* ``nime`` — send the user to the nearest facility, splitting ties uniformly.
-* ``dict`` — nearest facility among the players standing at their dictated
-  target; disobeying players get nothing, and if nobody obeys the user goes
+* ``nime`` — every player is eligible and no interval is protected: the
+  nearest facility.
+* ``dict`` — only the players standing at their dictated target are
+  eligible; disobeying players get nothing, and if nobody obeys the user goes
   to a uniformly random player.
-* ``lime`` — like ``nime`` outside the protected intervals that sit between
-  consecutive socially optimal locations; inside such an interval the user is
-  served by the nearest facility *outside* it, except that with probability
-  ``epsilon`` she is sent to a random player when only one side of the
-  interval is occupied.
+* ``lime`` — protected intervals sit between consecutive socially optimal
+  locations; with probability ``epsilon`` a user inside one is sent to a
+  random player when only one side of the interval is occupied.
 * ``glime`` — same scheme with interval ends at the odd quantiles of the user
   distribution, and a 50/50 split between the nearest-left and nearest-right
   outside facility when both sides are occupied.
@@ -25,20 +27,20 @@ location to a distribution over player indices:
   of half-width ``lam`` centered at 1/n and (n-1)/n (a single interval when
   n = 2).
 
-For fixed profile and mediator every rule is piecewise constant in the user
+For fixed profile and mediator the rule is piecewise constant in the user
 location, so each (mediator, profile) pair compiles into a
 :class:`PiecewisePolicy`: an exact list of breakpoints with one direction
 distribution per open piece.  All payoff and social-cost integrals downstream
 run over these pieces in closed form.
 
-Compilation is linear-size.  The rule is bound to the profile first: the
-facilities it chooses among, and per protected interval the outside
-facilities and the branch they select, are resolved once per profile rather
-than once per user.  The candidate breakpoints are the rule's possible
+Compilation is linear-size.  The rule is bound to the profile first (see
+:func:`_bind_rule`): the eligible players are resolved and sorted by
+location once per profile, so a user inside an interval finds its outside
+facilities by bisection.  The candidate breakpoints are the rule's possible
 switch points, at most n + 1 + 3 per interval: 0 and 1, the midpoints of
-adjacent distinct sites, the interval endpoints, and per interval one
-midpoint across it (see :func:`_policy_breakpoints`).  The bound rule scans
-O(n) facilities once per piece, so a profile compiles in O(n^2) time.
+adjacent distinct eligible sites, the interval endpoints, and per interval
+one midpoint across it (see :func:`_policy_breakpoints`).  The bound rule
+scans O(n) facilities once per piece, so a profile compiles in O(n^2) time.
 
 :func:`_compiled_rows` is the same compiler over a ``(B, n)`` array of
 profiles, used to price many random profiles at once.  Its candidates are
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNIFORM, Dictator, Nime, _players, validate_location, validate_profile
+from .core import UNIFORM, _players, validate_location, validate_profile
 
 __all__ = [
     "direct",
@@ -63,15 +65,13 @@ __all__ = [
 ]
 
 
-def _nearest_weights(locs, t, subset=None):
-    """Nearest-facility weights over ``subset`` (all players by default).
+def _nearest_weights(locs, t, subset):
+    """Nearest-facility weights over the players in ``subset``.
 
     Ties are split uniformly; distances compare exactly, so only players at
     bit-identical distance share a tie.
     """
     n = len(locs)
-    if subset is None:
-        subset = range(n)
     dmin = None
     winners = None
     for i in subset:
@@ -117,81 +117,6 @@ def _snap_to_endpoints(locs, piis):
     return locs if out is None else tuple(out)
 
 
-def _dictator_rule(locs, targets, equality_tol):
-    """Bind the dictated-targets rule to one profile: ``(rule, sites)``.
-
-    Obeying players (|s_i - target_i| <= equality_tol) share the user by the
-    nearest rule restricted to them, and their locations are the ``sites``.
-    If nobody obeys, every user is assigned uniformly at random.
-    """
-    n = len(locs)
-    obeying = [i for i in range(n) if abs(locs[i] - targets[i]) <= equality_tol]
-    if not obeying:
-        uniform = (1.0 / n,) * n
-        return (lambda t: uniform), ()
-    return (lambda t: _nearest_weights(locs, t, obeying)), [locs[i] for i in obeying]
-
-
-def _limited_rule(locs, piis, epsilon, half_split):
-    """Bind the limited-intervention rules to one canonicalized profile.
-
-    ``piis`` are disjoint open intervals in increasing order and ``locs`` are
-    canonicalized (facilities sit exactly on any endpoint they are meant to
-    occupy).  Inside an interval, facilities strictly inside are skipped:
-    users go to the nearest facility outside (``half_split=False``) or 50/50
-    to the nearest-left / nearest-right outside facility
-    (``half_split=True``).  With one occupied side only, an ``epsilon`` share
-    is redirected uniformly at random; with no outside facility at all the
-    rule degrades to plain nearest.  At interval endpoints and outside every
-    interval the rule is plain nearest.
-
-    The outside facilities of an interval, and the branch they select, are
-    resolved once per bound profile, for the first user inside it; after
-    that a user costs one bisection for her interval and a scan of the
-    facilities bound to it.
-    """
-    order = sorted(range(len(locs)), key=locs.__getitem__)
-    ranked = [locs[i] for i in order]
-    los = [lo for lo, _ in piis]
-    branches = [None] * len(piis)
-
-    def rule(t):
-        k = bisect_left(los, t) - 1  # the last interval with lo < t
-        if k < 0 or t >= piis[k][1]:
-            return _nearest_weights(locs, t)
-        branch = branches[k]
-        if branch is None:
-            lo, hi = piis[k]
-            left = order[: bisect_right(ranked, lo)]
-            right = order[bisect_left(ranked, hi) :]
-            branch = branches[k] = _interval_branch(locs, left, right, epsilon, half_split)
-        return branch(t)
-
-    return rule
-
-
-def _interval_branch(locs, left, right, epsilon, half_split):
-    """Rule for users strictly inside one interval, given the facilities at
-    or left of it (``left``) and at or right of it (``right``)."""
-    if left and right:
-        if half_split:
-
-            def split(t):
-                wl = _nearest_weights(locs, t, left)
-                wr = _nearest_weights(locs, t, right)
-                return tuple(0.5 * a + 0.5 * b for a, b in zip(wl, wr))
-
-            return split
-        both = left + right
-        return lambda t: _nearest_weights(locs, t, both)
-    if left or right:
-        side = left or right
-        keep = 1.0 - epsilon
-        u = epsilon / len(locs)
-        return lambda t: tuple(keep * x + u for x in _nearest_weights(locs, t, side))
-    return lambda t: _nearest_weights(locs, t)
-
-
 def pii_intervals(mediator, n, dist=UNIFORM):
     """Potentially intervened intervals of a mediator for an n-player game.
 
@@ -202,28 +127,60 @@ def pii_intervals(mediator, n, dist=UNIFORM):
     return mediator.intervals(_players(n), dist)
 
 
-def _pointwise_rule(game, locs):
-    """Bind a game and a profile canonicalized against ``game.piis`` into
-    ``(rule, sites)``.
+def _bind_rule(game, locs):
+    """Bind the game's rule to a profile canonicalized against ``game.piis``:
+    ``(rule, sites)``, with ``sites`` the eligible players' locations.
 
-    ``rule`` is a plain ``t -> distribution`` callable that makes each
-    per-profile decision once.  ``sites`` are the locations of the
-    facilities it chooses among by distance: the obeying ones under the
-    dictator rule, all of them otherwise.
+    ``rule`` maps a user location to a distribution over players.  Users go
+    to the nearest eligible player, ties split, or uniformly at random when
+    nobody is eligible.  Strictly inside a protected interval they go to the
+    nearest eligible facility outside it (with ``half_split``, 50/50 to the
+    nearest on the left and on the right); with one side occupied an
+    ``epsilon`` share is redirected uniformly at random, and with neither
+    the rule stays the plain nearest.  The eligible players are sorted once
+    per profile, so a user inside an interval finds its outside facilities
+    with two bisections.
     """
     m = game.mediator
-    if isinstance(m, Nime):
-        return (lambda t: _nearest_weights(locs, t)), locs
-    if isinstance(m, Dictator):
-        return _dictator_rule(locs, m.targets, m.equality_tol)
-    return _limited_rule(locs, game.piis, m.epsilon, m.half_split), locs
+    players = m.eligible(locs)
+    sites = [locs[i] for i in players]
+    if not sites:
+        uniform = (1.0 / len(locs),) * len(locs)
+        return (lambda t: uniform), sites
+    piis = game.piis
+    if not piis:
+        return (lambda t: _nearest_weights(locs, t, players)), sites
+    order = sorted(players, key=locs.__getitem__)
+    ranked = [locs[i] for i in order]
+    los = [lo for lo, _ in piis]
+    keep = 1.0 - m.epsilon
+    u = m.epsilon / len(locs)
+
+    def rule(t):
+        k = bisect_left(los, t) - 1  # the last interval with lo < t
+        if k < 0 or t >= piis[k][1]:
+            return _nearest_weights(locs, t, players)
+        lo, hi = piis[k]
+        left = order[: bisect_right(ranked, lo)]
+        right = order[bisect_left(ranked, hi) :]
+        if left and right:
+            if m.half_split:
+                wl = _nearest_weights(locs, t, left)
+                wr = _nearest_weights(locs, t, right)
+                return tuple(0.5 * a + 0.5 * b for a, b in zip(wl, wr))
+            return _nearest_weights(locs, t, left + right)
+        if left or right:
+            return tuple(keep * x + u for x in _nearest_weights(locs, t, left or right))
+        return _nearest_weights(locs, t, players)
+
+    return rule, sites
 
 
 def direct(game, profile, t):
     """Evaluate the game's mediator pointwise: user ``t`` -> distribution."""
     locs = validate_profile(profile, game.n)
     t = validate_location(t)
-    rule, _ = _pointwise_rule(game, _snap_to_endpoints(locs, game.piis))
+    rule, _ = _bind_rule(game, _snap_to_endpoints(locs, game.piis))
     return rule(t)
 
 
@@ -309,7 +266,7 @@ def _compiled_pieces(game, locs):
     """
     piis = game.piis
     locs = _snap_to_endpoints(locs, piis)
-    rule, sites = _pointwise_rule(game, locs)
+    rule, sites = _bind_rule(game, locs)
     bps = _policy_breakpoints(sorted(set(sites)), piis)
     pieces = []
     for lo, hi in zip(bps, bps[1:]):
@@ -369,19 +326,17 @@ def _compiled_rows(game, locs):
     the scalar compiler, which stays the path for single profiles: the
     array overhead only pays off over many rows.
     """
-    m = game.mediator
-    piis = game.piis
-    rows, n = locs.shape
-    if isinstance(m, Dictator):
-        subset = np.abs(locs - np.asarray(m.targets)) <= m.equality_tol
-        # Disobeying players stand in as copies of an obeying site (or of 0.0
-        # when nobody obeys), so their midpoints are candidates already.
-        fill = np.where(subset, locs, 0.0).max(axis=1, keepdims=True)
-        sites = np.sort(np.where(subset, locs, fill), axis=1)
-    else:
+    eligible = game.mediator.eligible_rows(locs)
+    if eligible is None:
         sites = np.sort(locs, axis=1)
+    else:
+        # Skipped players stand in as copies of an eligible site (or of 0.0
+        # when nobody is eligible), so their midpoints are candidates already.
+        fill = np.where(eligible, locs, 0.0).max(axis=1, keepdims=True)
+        sites = np.sort(np.where(eligible, locs, fill), axis=1)
+    rows = len(locs)
     parts = [np.zeros((rows, 1)), np.ones((rows, 1)), 0.5 * (sites[:, :-1] + sites[:, 1:])]
-    for lo, hi in piis:
+    for lo, hi in game.piis:
         below = sites <= lo
         above = sites >= hi
         # The last site <= lo and the first site >= hi (0.0 and 1.0 when absent).
@@ -390,39 +345,42 @@ def _compiled_rows(game, locs):
         parts.append(np.repeat([[lo, hi]], rows, axis=0))
         parts.append(np.where(ok, mid, lo)[:, None])
     cands = np.sort(np.concatenate(parts, axis=1), axis=1)
+    return cands, _rule_rows(game, locs, eligible, 0.5 * (cands[:, :-1] + cands[:, 1:]))
 
-    t = 0.5 * (cands[:, :-1] + cands[:, 1:])
+
+def _rule_rows(game, locs, eligible, t):
+    """:func:`_bind_rule` at user locations ``t`` of shape ``(B, P)``, given
+    the record's row mask ``eligible`` (None when every player is)."""
+    m = game.mediator
+    piis = game.piis
     dists = np.abs(locs[:, None, :] - t[:, :, None])
-    if isinstance(m, Nime):
-        return cands, _nearest_rows(dists, True)
-    if isinstance(m, Dictator):
-        weights = _nearest_rows(dists, subset[:, None, :])
-        return cands, np.where(subset.any(axis=1)[:, None, None], weights, 1.0 / n)
-    return cands, _limited_rows(locs, dists, t, piis, m.epsilon, m.half_split)
-
-
-def _limited_rows(locs, dists, t, piis, epsilon, half_split):
-    """:func:`_limited_rule` at user locations ``t`` of shape ``(B, P)``."""
-    los = np.array([lo for lo, _ in piis])
-    his = np.array([hi for _, hi in piis])
-    k = np.searchsorted(los, t, side="left") - 1  # the last interval with lo < t
-    k0 = np.maximum(k, 0)
-    inside = ((k >= 0) & (t < his[k0]))[..., None]
-    left = locs[:, None, :] <= los[k0][..., None]
-    right = locs[:, None, :] >= his[k0][..., None]
-    has_left = left.any(axis=-1, keepdims=True)
-    has_right = right.any(axis=-1, keepdims=True)
-    both = inside & has_left & has_right
-    one = inside & (has_left ^ has_right)
-    # One nearest scan serves every branch but the half split's right side.
-    if half_split:
-        subset = np.where(both, left, np.where(one, left | right, True))
+    every = True if eligible is None else eligible[:, None, :]
+    if not piis:
+        weights = _nearest_rows(dists, every)
     else:
-        subset = np.where(inside & (has_left | has_right), left | right, True)
-    weights = _nearest_rows(dists, subset)
-    keep = 1.0 - epsilon
-    u = epsilon / locs.shape[1]
-    weights = np.where(one, keep * weights + u, weights)
-    if half_split:
-        weights = np.where(both, 0.5 * weights + 0.5 * _nearest_rows(dists, right), weights)
+        los = np.array([lo for lo, _ in piis])
+        his = np.array([hi for _, hi in piis])
+        k = np.searchsorted(los, t, side="left") - 1  # the last interval with lo < t
+        k0 = np.maximum(k, 0)
+        inside = ((k >= 0) & (t < his[k0]))[..., None]
+        left = locs[:, None, :] <= los[k0][..., None]
+        right = locs[:, None, :] >= his[k0][..., None]
+        if eligible is not None:
+            left &= every
+            right &= every
+        has_left = left.any(axis=-1, keepdims=True)
+        has_right = right.any(axis=-1, keepdims=True)
+        both = inside & has_left & has_right
+        one = inside & (has_left ^ has_right)
+        # One nearest scan serves every branch but the half split's right side.
+        if m.half_split:
+            subset = np.where(both, left, np.where(one, left | right, every))
+        else:
+            subset = np.where(inside & (has_left | has_right), left | right, every)
+        weights = _nearest_rows(dists, subset)
+        weights = np.where(one, (1.0 - m.epsilon) * weights + m.epsilon / locs.shape[1], weights)
+        if m.half_split:
+            weights = np.where(both, 0.5 * weights + 0.5 * _nearest_rows(dists, right), weights)
+    if eligible is not None:
+        weights = np.where(eligible.any(axis=1)[:, None, None], weights, 1.0 / locs.shape[1])
     return weights

@@ -253,7 +253,7 @@ def _block_rows(game):
 
 
 def _check_count(name, value):
-    """Reject a ``budget`` or ``threads`` that is no integer >= 1."""
+    """Reject a count (``budget``, ``threads``, ...) that is no integer >= 1."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
@@ -293,17 +293,17 @@ def _gap_chunk(args):
     return best_gap, best_locs
 
 
-def _golden_max(f, lo=0.0, hi=1.0, tol=1e-6):
-    """Golden-section maximization on [lo, hi]; returns the best point seen."""
-    best_x, best_f = lo, f(lo)
-    f_hi = f(hi)
+def _golden_max(f):
+    """Golden-section maximization on [0, 1] to a 1e-6 bracket; returns the best point seen."""
+    best_x, best_f = 0.0, f(0.0)
+    f_hi = f(1.0)
     if f_hi > best_f:
-        best_x, best_f = hi, f_hi
-    a, b = lo, hi
+        best_x, best_f = 1.0, f_hi
+    a, b = 0.0, 1.0
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-6:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -471,6 +471,9 @@ def direction_weights(game, profile, ts):
 
 
 def _mc_samples(game, profile, n_samples, seed):
+    _check_count("n_samples", n_samples)
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2 for a standard error, got {n_samples!r}")
     rng = np.random.default_rng(seed)
     ts = game.distribution.quantile_array(rng.random(n_samples))
     W = direction_weights(game, profile, ts)
@@ -478,13 +481,15 @@ def _mc_samples(game, profile, n_samples, seed):
 
 
 def mc_payoff(game, profile, n_samples=10**6, seed=0):
-    """Monte Carlo payoff estimate: (means, standard errors) per player."""
+    """Monte Carlo payoff estimate: (means, standard errors) per player;
+    an ``n_samples`` that is no integer >= 2 raises ValueError."""
     _, W = _mc_samples(game, profile, n_samples, seed)
     return W.mean(axis=0), W.std(axis=0, ddof=1) / math.sqrt(n_samples)
 
 
 def mc_social_cost(game, profile, n_samples=10**6, seed=0):
-    """Monte Carlo social-cost estimate: (mean, standard error)."""
+    """Monte Carlo social-cost estimate: (mean, standard error); an
+    ``n_samples`` that is no integer >= 2 raises ValueError."""
     locs = np.asarray(_snap_to_endpoints(validate_profile(profile, game.n), game.piis))
     ts, W = _mc_samples(game, profile, n_samples, seed)
     per_user = (W * np.abs(ts[:, None] - locs[None, :])).sum(axis=1)

@@ -14,7 +14,7 @@ from hotelling_mediators import GameSpec, Lime, ic_search
 from hotelling_mediators import metrics
 from hotelling_mediators.metrics import _gap_locs, _gap_rows, _nime_twin, _payoff_locs, _payoff_rows
 
-from test_policy_reference import DENSITIES, _mediators, _profiles
+from test_policy_reference import DENSITIES, _custom_dictator, _mediators, _profiles
 
 NS = (2, 3, 4, 5, 6, 7, 8, 12, 16, 32)
 
@@ -27,7 +27,7 @@ def _bitwise(a, b):
 @pytest.mark.parametrize("n", NS)
 def test_rows_equal_scalar_gap(n, density):
     rng = np.random.default_rng([n, len(density), 3])
-    for name, mediator in _mediators(n).items():
+    for name, mediator in {**_mediators(n), "dict-custom": _custom_dictator(n)}.items():
         game = GameSpec(n, mediator, DENSITIES[density])
         rows = np.array(_profiles(rng, game, 48 if n <= 8 else 12))
         got = _gap_rows(game, rows)

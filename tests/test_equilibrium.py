@@ -667,6 +667,13 @@ class TestDynamics:
         trace = better_response_dynamics(game, start, max_steps=max_steps, seed=seed)
         assert trace == equilibrium.DynamicsTrace(states=states, converged=converged, steps=len(states) - 1)
 
+    @pytest.mark.parametrize("max_steps", [0, -2, math.nan, 2.5, True, "3"])
+    def test_max_steps_must_be_a_positive_integer(self, max_steps):
+        # NaN passed the old ``< 1`` check and never stopped a run; 2.5 and
+        # True were accepted.
+        with pytest.raises(ValueError):
+            better_response_dynamics(GameSpec(3, Nime()), (0.05, 0.5, 0.9), max_steps=max_steps)
+
     def test_moves_change_one_coordinate_and_improve(self):
         game = GameSpec(3, Nime())
         trace = better_response_dynamics(game, (0.05, 0.5, 0.9), max_steps=40, seed=3)
@@ -687,6 +694,12 @@ class TestNeutrality:
         ):
             neutral, witness = neutrality_check(game, trials=300, seed=0)
             assert neutral and witness is None
+
+    @pytest.mark.parametrize("trials", [0, -1, 2.5, True, math.nan])
+    def test_trials_must_be_a_positive_integer(self, trials):
+        # 2.5 raised a bare TypeError from range; True ran one trial.
+        with pytest.raises(ValueError):
+            neutrality_check(GameSpec(2, Dictator()), trials)
 
     def test_dictated_targets_break_neutrality(self):
         neutral, witness = neutrality_check(GameSpec(2, Dictator()), trials=1000, seed=0)

@@ -1,6 +1,8 @@
 """Pointwise direction rules and compiled piecewise policies."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,3 +292,38 @@ class TestRuleSymmetries:
             profile = optimal_locations(n)
             for t in np.linspace(0.001, 0.999, 500):
                 assert direct(game, profile, float(t)) == direct(GameSpec(n, Nime()), profile, float(t))
+
+
+# The mediator record classes.  Outside their own module and the Monte Carlo
+# oracle, which re-implements the rules on purpose, code reads a record's
+# fields and methods and never tests which class it is.
+_RECORD_CLASSES = {"Mediator", "Nime", "Dictator", "_Limited", "Lime", "Glime", "Clime"}
+_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hotelling_mediators"
+
+
+def _record_class_tests(path):
+    """``file:line`` of every ``isinstance`` call in ``path`` that names a
+    record class, outside ``core.py`` and ``metrics.direction_weights``."""
+    if path.name == "core.py":
+        return []
+    tree = ast.parse(path.read_text(), str(path))
+    exempt = set()
+    if path.name == "metrics.py":
+        (oracle,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "direction_weights"]
+        exempt = {id(node) for node in ast.walk(oracle)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt or not isinstance(node, ast.Call) or len(node.args) != 2:
+            continue
+        if not (isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+            continue
+        names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+        if names & _RECORD_CLASSES:
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_module_dispatches_on_the_record_class():
+    paths = sorted(_PACKAGE.glob("*.py"))
+    assert {p.name for p in paths} >= {"core.py", "mediators.py", "metrics.py", "equilibrium.py"}
+    assert [hit for p in paths for hit in _record_class_tests(p)] == []

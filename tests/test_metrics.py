@@ -300,6 +300,14 @@ class TestMonteCarloOracle:
         est, se = mc_social_cost(game, profile, n_samples=100_000, seed=77)
         assert abs(exact - est) <= 3.0 * se
 
+    @pytest.mark.parametrize("n_samples", [0, 1, 2.5, True, -3])
+    def test_sample_count_must_be_an_integer_of_at_least_two(self, n_samples):
+        # 0 and 1 returned NaN with RuntimeWarnings; 2.5 raised numpy's TypeError.
+        game = GameSpec(3, Lime(epsilon=1e-3))
+        for estimate in (mc_payoff, mc_social_cost):
+            with pytest.raises(ValueError):
+                estimate(game, (0.2, 0.5, 0.9), n_samples=n_samples)
+
     def test_payoff_estimates_sum_to_one(self):
         game = GameSpec(3, Glime(epsilon=1e-3))
         est, _ = mc_payoff(game, (0.2, 0.5, 0.9), n_samples=50_000, seed=5)

@@ -50,6 +50,13 @@ def _mediators(n):
     }
 
 
+def _custom_dictator(n):
+    """A dictator with unsorted, unevenly spaced targets and a wide obedience
+    band; :func:`_profiles` snaps coordinates onto the targets, so profiles
+    with none, some and all players obeying occur."""
+    return Dictator(targets=tuple(0.95 - 0.9 * (k / (n - 1)) ** 2 for k in range(n)), equality_tol=0.2)
+
+
 # ---------------------------------------------------------------------------
 # Reference compiler
 # ---------------------------------------------------------------------------
@@ -72,14 +79,14 @@ def _reference_limited(locs, t, piis, epsilon, half_split):
                 keep = 1.0 - epsilon
                 u = epsilon / n
                 return tuple(keep * x + u for x in w)
-            return _nearest_weights(locs, t)
-    return _nearest_weights(locs, t)
+            return _nearest_weights(locs, t, range(len(locs)))
+    return _nearest_weights(locs, t, range(len(locs)))
 
 
 def _reference_rule(game, locs):
     m = game.mediator
     if isinstance(m, Nime):
-        return lambda t: _nearest_weights(locs, t)
+        return lambda t: _nearest_weights(locs, t, range(len(locs)))
     if isinstance(m, Dictator):
         obeying = [i for i in range(len(locs)) if abs(locs[i] - m.targets[i]) <= m.equality_tol]
         if obeying:
@@ -169,7 +176,7 @@ def _count(n):
 @pytest.mark.parametrize("n", NS)
 def test_agrees_with_all_pairs_reference(n, density, monkeypatch):
     rng = np.random.default_rng([n, len(density)])
-    for name, mediator in _mediators(n).items():
+    for name, mediator in {**_mediators(n), "dict-custom": _custom_dictator(n)}.items():
         game = GameSpec(n, mediator, DENSITIES[density])
         for profile in _profiles(rng, game, _count(n)):
             policy = compile_policy(game, profile)
