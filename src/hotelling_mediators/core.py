@@ -402,9 +402,7 @@ def optimal_locations(n):
     Under nearest-facility assignment and the uniform distribution these
     minimize the users' total travel distance.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"need at least one player, got n={n}")
+    n = _players(n, least=1)
     return tuple((2 * i - 1) / (2 * n) for i in range(1, n + 1))
 
 
@@ -414,9 +412,7 @@ def quantile_locations(n, dist=UNIFORM):
     Returns the quantiles of ``dist`` at levels (2i-1)/(2n); for the uniform
     distribution this coincides with ``optimal_locations(n)`` exactly.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"need at least one player, got n={n}")
+    n = _players(n, least=1)
     return tuple(dist.quantile((2 * i - 1) / (2 * n)) for i in range(1, n + 1))
 
 
@@ -449,11 +445,14 @@ def _check_offset_fixture(kind, n, delta):
         raise ValueError(f"delta must lie in (0, 1/(2n)), got {delta!r}")
 
 
-def _players(n):
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need at least two players, got n={n}")
-    return n
+def _players(n, least=2):
+    """``n`` as an int, unless it is no integer (bools included) or below
+    ``least``: then ValueError.  Every player count is checked here."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"the number of players must be an integer, got n={n!r}")
+    if n < least:
+        raise ValueError(f"need at least {'one player' if least == 1 else 'two players'}, got n={n}")
+    return int(n)
 
 
 def _corners(a, b):
@@ -800,10 +799,7 @@ class GameSpec:
     piis: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"the number of players must be an integer, got n={self.n!r}")
-        if self.n < 2:
-            raise ValueError(f"need at least two players, got n={self.n}")
+        _players(self.n)
         if not isinstance(self.mediator, Mediator):
             raise TypeError(f"not a mediator: {self.mediator!r}")
         if not isinstance(self.distribution, (Uniform, PiecewiseLinearDensity)):

@@ -5,7 +5,8 @@ the opponents and move one player's location y.  Between consecutive
 *kinks* (see :func:`_line_kinks`) the player's payoff is a polynomial in y,
 of degree at most 1 under the uniform density and at most 2 under a
 piecewise-linear one, so a few priced points per piece give the exact
-supremum of the payoff along the whole line (see :func:`_line_max`).
+supremum of the payoff along the whole line (see :func:`_line_max`); a
+line's points are priced as blocks of rows, bitwise as one at a time.
 
 The early-exit refutation and grid enumeration still probe a finite
 candidate set, in one fixed order, the probe plan (:func:`_probe_plan`, its
@@ -36,7 +37,7 @@ import numpy as np
 
 from .core import PiecewiseLinearDensity, quantile_locations, validate_location, validate_profile
 from .mediators import _PII_FACILITY_SNAP, _snap_to_endpoints
-from .metrics import _block_rows, _check_count, _payoff_locs, _payoff_rows, _pool_map
+from .metrics import _block_rows, _check_count, _check_seed, _payoff_locs, _payoff_rows, _pool_map
 
 __all__ = [
     "candidate_deviations",
@@ -220,6 +221,25 @@ def _horner(xs, coef, x):
     return value
 
 
+def _line_payoffs(game, locs, i, ys):
+    """Player ``i``'s payoff at each deviation of ``ys``, as ``{y: payoff}``.
+
+    The deviations are priced as blocks of at most ``_block_rows(game)`` rows
+    through :func:`_payoff_rows`, each row the profile with column ``i``
+    moved, so peak memory stays flat however long the line; every payoff is
+    bitwise the one :func:`_payoff_locs` gives the deviation alone.
+    """
+    values = {}
+    row = np.asarray(locs, dtype=float)
+    step = _block_rows(game)
+    for k in range(0, len(ys), step):
+        chunk = ys[k : k + step]
+        block = np.tile(row, (len(chunk), 1))
+        block[:, i] = chunk
+        values.update(zip(chunk, _payoff_rows(game, block)[:, i].tolist()))
+    return values
+
+
 def _line_max(game, locs, i):
     """Exact supremum of player ``i``'s payoff along its deviation line.
 
@@ -231,8 +251,10 @@ def _line_max(game, locs, i):
     limits of every fitted piece, the polynomial at its ends.  A piece inside
     an endpoint's snap band needs no points: every deviation there snaps onto
     the endpoint, a kink.  A piece too narrow for deg + 1 distinct interior
-    points prices the ones it has and is not fitted.  Everything is priced
-    through :func:`_payoff_locs`, in plain floats.
+    points prices the ones it has and is not fitted.  Each of the two passes
+    (kinks and interior points, then stationary points) is priced as row
+    blocks by :func:`_line_payoffs`, bitwise as pricing one deviation at a
+    time would; the fits run on the payoffs as plain floats.
 
     Returns ``(sup, best, limit, priced)``: the supremum; the best priced
     ``(y, payoff)``; ``(kink, y)`` when the supremum is a one-sided limit at
@@ -253,10 +275,7 @@ def _line_max(game, locs, i):
                 inner.append(y)
         pieces.append((a, b, inner))
 
-    def price(points):
-        return {y: value for _, y, value in _deviation_payoffs(game, locs, ((i, y) for y in points))}
-
-    values = price(kinks + [y for _, _, inner in pieces for y in inner])
+    values = _line_payoffs(game, locs, i, kinks + [y for _, _, inner in pieces for y in inner])
     fits, stationary = [], []
     for a, b, inner in pieces:
         if len(inner) < deg + 1:
@@ -268,7 +287,7 @@ def _line_max(game, locs, i):
             y = 0.5 * (inner[0] + inner[1]) - coef[1] / (2.0 * coef[2])
             if a < y < b and y not in values and _horner(inner, coef, y) > max(fs):
                 stationary.append(y)
-    values.update(price(stationary))
+    values.update(_line_payoffs(game, locs, i, stationary))
 
     best = max(values.items(), key=lambda item: item[1])
     sup, limit = best[1], None
@@ -555,10 +574,12 @@ def better_response_dynamics(game, start, max_steps, seed=0, gain_tol=_DEFAULT_G
     candidates (grid, opponents, reference locations, interval endpoints and
     reflections): the one-sided offset probes used for certification would
     produce microscopic undercutting steps and no observable convergence.
-    A ``max_steps`` that is no integer >= 1 raises ValueError.
+    A ``max_steps`` that is no integer >= 1 or a ``seed`` that is no integer
+    >= 0 raises ValueError.
     """
     _check_count("max_steps", max_steps)
     _check_gain_tol(gain_tol)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     current = validate_profile(start, game.n)
     states = [current]
@@ -590,9 +611,13 @@ def neutrality_check(game, trials, seed=0, tol=1e-9):
     of obedient locations, so purely uniform sampling would never exercise
     the asymmetry.  Returns ``(neutral_on_sample, witness)`` where the
     witness is ``(profile, i, j, payoff_i, swapped_payoff_j)``.  ``trials``
-    that is no integer >= 1 raises ValueError.
+    that is no integer >= 1, a ``seed`` that is no integer >= 0 and a ``tol``
+    that is no finite real >= 0 raise ValueError.
     """
     _check_count("trials", trials)
+    _check_seed(seed)
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     rng = np.random.default_rng(seed)
     n = game.n
     anchors = game.mediator.targets or quantile_locations(n, game.distribution)

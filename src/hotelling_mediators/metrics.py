@@ -15,10 +15,11 @@ coordinate ascent) next to the analytic bounds from
 :func:`analytic_ic_bounds`.
 
 Single profiles are priced by the scalar path (compile, then sum piece by
-piece).  The random phase of :func:`ic_search` and equilibrium enumeration
-price their rows in blocks through the array compiler and one row
-integrator instead; every row's gap and payoffs are bitwise equal to the
-scalar path's, so both return the same answers either way.
+piece).  The random phase of :func:`ic_search`, equilibrium enumeration and
+the exhaustive equilibrium check's deviation lines price their rows in
+blocks through the array compiler and one row integrator instead; every
+row's gap and payoffs are bitwise equal to the scalar path's, so both
+return the same answers either way.
 """
 
 from __future__ import annotations
@@ -258,6 +259,13 @@ def _check_count(name, value):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_seed(seed):
+    """Reject a random ``seed`` that is no integer >= 0, so every randomized
+    result is reproducible from the seed it reports."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def _pool_map(fn, jobs, threads):
     """``[fn(job) for job in jobs]``, over ``threads`` worker processes when
     there is more than one of each.  The pool module is imported only then:
@@ -335,6 +343,7 @@ def ic_search(game, budget, seed=0, threads=1):
     """
     _check_count("budget", budget)
     _check_count("threads", threads)
+    _check_seed(seed)
     nime_game = _nime_twin(game)
     n = game.n
 
@@ -474,6 +483,7 @@ def _mc_samples(game, profile, n_samples, seed):
     _check_count("n_samples", n_samples)
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2 for a standard error, got {n_samples!r}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     ts = game.distribution.quantile_array(rng.random(n_samples))
     W = direction_weights(game, profile, ts)
@@ -482,14 +492,16 @@ def _mc_samples(game, profile, n_samples, seed):
 
 def mc_payoff(game, profile, n_samples=10**6, seed=0):
     """Monte Carlo payoff estimate: (means, standard errors) per player;
-    an ``n_samples`` that is no integer >= 2 raises ValueError."""
+    an ``n_samples`` that is no integer >= 2 or a ``seed`` that is no
+    integer >= 0 raises ValueError."""
     _, W = _mc_samples(game, profile, n_samples, seed)
     return W.mean(axis=0), W.std(axis=0, ddof=1) / math.sqrt(n_samples)
 
 
 def mc_social_cost(game, profile, n_samples=10**6, seed=0):
     """Monte Carlo social-cost estimate: (mean, standard error); an
-    ``n_samples`` that is no integer >= 2 raises ValueError."""
+    ``n_samples`` that is no integer >= 2 or a ``seed`` that is no integer
+    >= 0 raises ValueError."""
     locs = np.asarray(_snap_to_endpoints(validate_profile(profile, game.n), game.piis))
     ts, W = _mc_samples(game, profile, n_samples, seed)
     per_user = (W * np.abs(ts[:, None] - locs[None, :])).sum(axis=1)

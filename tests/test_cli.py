@@ -200,6 +200,16 @@ class TestUsageErrorsExitTwo:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["ic", "table1"])
+    def test_negative_seed_names_the_seed(self, command, capsys):
+        game = ["--mediator", "lime", "--n", "3"] if command == "ic" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, *game, "--budget", "50", "--seed", "-1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: seed must be an integer >= 0, got -1\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

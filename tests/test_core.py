@@ -175,6 +175,20 @@ class TestReferenceLocations:
         with pytest.raises(ValueError):
             optimal_locations(0)
 
+    @pytest.mark.parametrize("n", [2.7, 1.0, True, "2", None])
+    def test_count_must_be_an_integer(self, n):
+        # int(n) truncated: optimal_locations(2.7) gave two locations and
+        # optimal_locations(True) one.
+        with pytest.raises(ValueError, match="integer"):
+            optimal_locations(n)
+        with pytest.raises(ValueError, match="integer"):
+            quantile_locations(n)
+
+    def test_numpy_integer_count(self):
+        assert optimal_locations(np.int64(2)) == (0.25, 0.75)
+        assert quantile_locations(np.int32(1)) == (0.5,)
+        assert len(quantile_locations(np.uint8(3), PiecewiseLinearDensity((0.0, 1.0), (0.5, 1.5)))) == 3
+
     def test_uniform_quantile_locations_match_exactly(self):
         for n in range(1, 9):
             assert quantile_locations(n, UNIFORM) == optimal_locations(n)

@@ -42,7 +42,7 @@ from hotelling_mediators.equilibrium import (
     _refute_fast,
     _refute_rows,
 )
-from hotelling_mediators.metrics import _payoff_rows
+from hotelling_mediators.metrics import _block_rows, _payoff_locs, _payoff_rows
 
 from test_policy_reference import DENSITIES, ZIGZAG, _mediators, _profiles
 
@@ -161,15 +161,21 @@ class TestIsPne:
     )
     def test_exhaustive_check_counts_its_payoffs(self, game, profile, gain_tol, monkeypatch):
         calls = []
-        payoff_locs = equilibrium._payoff_locs
+        payoff_locs, payoff_rows = equilibrium._payoff_locs, equilibrium._payoff_rows
 
         def counting(game, locs):
             calls.append(locs)
             return payoff_locs(game, locs)
 
+        def counting_rows(game, rows):
+            calls.extend(tuple(row) for row in rows.tolist())
+            return payoff_rows(game, rows)
+
         monkeypatch.setattr(equilibrium, "_payoff_locs", counting)
+        monkeypatch.setattr(equilibrium, "_payoff_rows", counting_rows)
         report = is_pne(game, profile, gain_tol=gain_tol)
-        # One call prices the profile itself; every other one is a deviation.
+        # One scalar call prices the profile itself; every other call and
+        # every row is a deviation.
         assert report.candidate_count == len(calls) - 1
         assert all(sum(a != b for a, b in zip(locs, profile)) <= 1 for locs in calls)
 
@@ -279,6 +285,79 @@ class TestExactLine:
         report = is_pne(game, profile, gain_tol=0.12)
         assert not report.is_pne and abs(report.worst_gain - 0.125) <= 1e-12
         assert 0.12 < _gain(game, profile, *report.witness) < 0.125
+
+
+def _rows_one_at_a_time(game, rows):
+    return np.array([_payoff_locs(game, tuple(row)) for row in rows.tolist()])
+
+
+def _scalar_line_payoffs(game, locs, i, ys):
+    # The reference: each deviation priced alone, no row block involved.
+    return {y: _payoff_locs(game, (*locs[:i], y, *locs[i + 1 :]))[i] for y in ys}
+
+
+NIME_CLASSICS = [
+    (4, (0.25, 0.25, 0.75, 0.75)),
+    (5, (1 / 6, 1 / 6, 0.5, 5 / 6, 5 / 6)),
+    (6, (1 / 6, 1 / 6, 0.5, 0.5, 5 / 6, 5 / 6)),
+]
+
+
+def _scalar_report(game, profile, monkeypatch):
+    """The exhaustive report's repr with the rows of each block priced one at
+    a time, and again with every deviation priced alone; both must agree."""
+    reports = []
+    for name, stand_in in (("_payoff_rows", _rows_one_at_a_time), ("_line_payoffs", _scalar_line_payoffs)):
+        with monkeypatch.context() as patch:
+            patch.setattr(equilibrium, name, stand_in)
+            reports.append(repr(is_pne(game, profile)))
+    assert reports[0] == reports[1], profile
+    return reports[0]
+
+
+class TestRowPricedLines:
+    """Exhaustive checks price each deviation line as blocks of rows; every
+    report must equal pricing the deviations one at a time."""
+
+    @pytest.mark.parametrize("density", sorted(DENSITIES))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_reports_equal_scalar_pricing(self, n, density, monkeypatch):
+        rng = np.random.default_rng([n, len(density), 29])
+        for name, mediator in _mediators(n).items():
+            game = GameSpec(n, mediator, DENSITIES[density])
+            for profile in _profiles(rng, game, 3) + (known_pne(game) or []):
+                got = repr(is_pne(game, profile))
+                assert got == _scalar_report(game, profile, monkeypatch), (name, profile)
+
+    @pytest.mark.parametrize("n, profile", NIME_CLASSICS, ids=[f"n{n}" for n, _ in NIME_CLASSICS])
+    def test_nime_classics_equal_scalar_pricing(self, n, profile, monkeypatch):
+        game = GameSpec(n, Nime())
+        got = is_pne(game, profile)
+        assert got.is_pne and repr(got) == _scalar_report(game, profile, monkeypatch)
+
+    def test_long_line_spans_blocks(self, monkeypatch):
+        # At n = 16 a block holds 8 rows and the line 489 points (uniform
+        # density: one pass, no stationary points): every point is priced
+        # once, in full blocks but the last, moving column 0 only.
+        game = GameSpec(16, Lime(epsilon=1e-3))
+        profile = tuple(np.random.default_rng(16).random(16).tolist())
+        blocks = []
+        payoff_rows = equilibrium._payoff_rows
+
+        def recording(game, rows):
+            blocks.append(rows.copy())
+            return payoff_rows(game, rows)
+
+        monkeypatch.setattr(equilibrium, "_payoff_rows", recording)
+        got = _line_max(game, profile, 0)
+        monkeypatch.setattr(equilibrium, "_line_payoffs", _scalar_line_payoffs)
+        assert repr(got) == repr(_line_max(game, profile, 0))
+        sizes = [len(rows) for rows in blocks]
+        assert _block_rows(game) == 8 and len(blocks) > 2
+        assert sizes[:-1] == [8] * (len(sizes) - 1)
+        ys = [y for rows in blocks for y in rows[:, 0].tolist()]
+        assert len(ys) == len(set(ys)) == got[3] > 400
+        assert all((rows[:, 1:] == profile[1:]).all() for rows in blocks)
 
 
 class TestEnumeration:
@@ -700,6 +779,13 @@ class TestNeutrality:
         # 2.5 raised a bare TypeError from range; True ran one trial.
         with pytest.raises(ValueError):
             neutrality_check(GameSpec(2, Dictator()), trials)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, True, "1e-9"])
+    def test_tol_must_be_a_finite_nonnegative_number(self, tol):
+        # NaN and inf reported the dictator game as neutral; -1.0 reported
+        # every game as non-neutral.
+        with pytest.raises(ValueError, match="tol"):
+            neutrality_check(GameSpec(2, Dictator()), 10, tol=tol)
 
     def test_dictated_targets_break_neutrality(self):
         neutral, witness = neutrality_check(GameSpec(2, Dictator()), trials=1000, seed=0)

@@ -15,10 +15,12 @@ from hotelling_mediators import (
     Nime,
     adversarial_profile,
     analytic_ic_bounds,
+    better_response_dynamics,
     ic_search,
     intervention_gap,
     mc_payoff,
     mc_social_cost,
+    neutrality_check,
     optimal_locations,
     payoff,
     social_cost,
@@ -126,6 +128,23 @@ class TestAdversarialProfiles:
 
     def test_clime_two_player_profile(self):
         assert adversarial_profile("clime", 2) == (0.0, 0.5)
+
+    @pytest.mark.parametrize("n", [3.9, 3.0, True, "3", None])
+    def test_player_count_must_be_an_integer(self, n):
+        # int(n) truncated: adversarial_profile("lime", 3.9) ran as n = 3 and
+        # analytic_ic_bounds(Lime(), 2.9) as n = 2.
+        with pytest.raises(ValueError, match="integer"):
+            adversarial_profile("lime", n)
+        with pytest.raises(ValueError, match="integer"):
+            analytic_ic_bounds(Lime(), n)
+
+    def test_player_count_minimum_and_numpy_integers(self):
+        with pytest.raises(ValueError, match="two players"):
+            adversarial_profile("lime", 1)
+        with pytest.raises(ValueError, match="two players"):
+            analytic_ic_bounds(Lime(), np.int64(1))
+        assert adversarial_profile("lime", np.int64(4), 0.01) == adversarial_profile("lime", 4, 0.01)
+        assert analytic_ic_bounds(Lime(), np.int32(3)) == analytic_ic_bounds(Lime(), 3)
 
     def test_rejects_unsupported(self):
         with pytest.raises(ValueError):
@@ -284,6 +303,30 @@ class TestIcSearch:
         est = ic_search(GameSpec(n, Clime(lam=lam, epsilon=1e-3)), budget=3000, seed=4)
         assert est.analytic_upper == 4 * lam
         assert est.search_lower <= 4 * lam + 1e-9
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [1.5, -1, None, True, "0", np.float64(2.0)])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda seed: ic_search(GameSpec(2, Lime(epsilon=1e-3)), budget=10, seed=seed),
+            lambda seed: neutrality_check(GameSpec(2, Dictator()), 10, seed=seed),
+            lambda seed: better_response_dynamics(GameSpec(2, Nime()), (0.1, 0.9), max_steps=3, seed=seed),
+            lambda seed: mc_payoff(GameSpec(2, Nime()), (0.2, 0.8), n_samples=100, seed=seed),
+            lambda seed: mc_social_cost(GameSpec(2, Nime()), (0.2, 0.8), n_samples=100, seed=seed),
+        ],
+        ids=["ic_search", "neutrality_check", "better_response_dynamics", "mc_payoff", "mc_social_cost"],
+    )
+    def test_seed_must_be_a_nonnegative_integer(self, entry, seed):
+        # 1.5 raised numpy's TypeError, -1 numpy's own ValueError, and None
+        # gave an unreproducible result that reported "seed": null.
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            entry(seed)
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        game = GameSpec(3, Lime(epsilon=1e-3))
+        assert ic_search(game, budget=50, seed=np.int64(3)) == ic_search(game, budget=50, seed=3)
 
 
 class TestMonteCarloOracle:
