@@ -23,9 +23,9 @@ import argparse
 import json
 import sys
 
-from .core import _MEDIATORS, UNIFORM, Dictator, GameSpec, Lime, Nime, distribution_from_json, mediator_from_json
+from .core import _MEDIATORS, UNIFORM, Dictator, GameSpec, Lime, Nime, _integer, distribution_from_json, mediator_from_json
 from .equilibrium import is_pne, pne_enumerate
-from .metrics import _check_count, ic_search, payoff, social_cost
+from .metrics import ic_search, payoff, social_cost
 
 __all__ = ["main"]
 
@@ -99,7 +99,7 @@ def _check_expect(expect, verdict_name):
 
 
 def _cmd_pne(args):
-    _check_count("threads", args.threads)
+    _integer("threads", args.threads, 1)
     game = _build_game(args)
     if args.enumerate:
         if args.grid_step is None:

@@ -5,8 +5,9 @@ in ``[0, 1]``, users are spread over the same segment according to a
 continuous density, and a mediator decides which facility serves each user.
 This module holds the primitive building blocks: locations and strategy
 profiles, user distributions (uniform or piecewise-linear density) with exact
-closed-form CDF / quantile / moment integrals, the mediator records, and the
-full game description.
+closed-form CDF / quantile / moment integrals, the mediator records, the
+full game description, and the checks every count and real-valued argument
+of the package goes through.
 
 Each mediator record is the one place that knows its kind: its wire format,
 its checks against the player count, its protected intervals, its analytic
@@ -109,6 +110,10 @@ class Uniform:
     """Uniform user distribution on [0, 1]."""
 
     kind: ClassVar[str] = "uniform"
+    # (interior breakpoints, degree of a payoff along a deviation line
+    # between kinks): a piece's user mass, with one end moving at half the
+    # deviation's speed, is linear under a constant density.
+    line_shape: ClassVar[tuple] = ((), 1)
 
     def density(self, t):
         validate_location(t)
@@ -172,6 +177,12 @@ class PiecewiseLinearDensity:
     _cum_fm: tuple = field(default=(), repr=False, compare=False)
 
     kind: ClassVar[str] = "pwl"
+
+    @property
+    def line_shape(self):
+        """The interior breakpoints, and the degree (2) of a payoff along a
+        deviation line between kinks, as for :attr:`Uniform.line_shape`."""
+        return self.breakpoints[1:-1], 2
 
     def __post_init__(self):
         xs = tuple(float(x) for x in self.breakpoints)
@@ -426,11 +437,6 @@ def quantile_locations(n, dist=UNIFORM):
 _EPSILON_MAX = 1.0 / 3.0
 
 
-def _check_epsilon(epsilon):
-    if not 0.0 < epsilon < _EPSILON_MAX:
-        raise ValueError(f"epsilon must lie in (0, 1/3), got {epsilon!r}")
-
-
 def _json_number(obj, key, default):
     value = obj.get(key, default)
     if not _is_number(value):
@@ -441,8 +447,7 @@ def _json_number(obj, key, default):
 def _check_offset_fixture(kind, n, delta):
     if n < 3:
         raise ValueError(f"the {kind} fixture needs n >= 3")
-    if not 0.0 < delta < 1.0 / (2 * n):
-        raise ValueError(f"delta must lie in (0, 1/(2n)), got {delta!r}")
+    _real("delta", delta, 0.0, 1.0 / (2 * n))
 
 
 def _players(n, least=2):
@@ -453,6 +458,30 @@ def _players(n, least=2):
     if n < least:
         raise ValueError(f"need at least {'one player' if least == 1 else 'two players'}, got n={n}")
     return int(n)
+
+
+def _integer(name, value, least):
+    """``value`` as an int, unless it is no integer (bools included) or below
+    ``least``: then ValueError.  Every count, seed and index argument other
+    than a player count is checked here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _real(name, value, lo, hi=math.inf, closed=False):
+    """``value`` as a float, unless it is no real number (bools included), is
+    NaN or lies outside ``(lo, hi)``, or ``[lo, hi)`` when ``closed``: then
+    ValueError.  Every real-valued tolerance, step and rule parameter is
+    checked here; the default ``hi`` demands a finite value."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (lo <= value if closed else lo < value)
+        or not value < hi
+    ):
+        raise ValueError(f"{name} must be a real number in {'[' if closed else '('}{lo!r}, {hi!r}), got {value!r}")
+    return float(value)
 
 
 def _corners(a, b):
@@ -561,8 +590,7 @@ class Dictator(Mediator):
     def __post_init__(self):
         if self.targets is not None:
             object.__setattr__(self, "targets", validate_profile(self.targets))
-        if not self.equality_tol >= 0.0:
-            raise ValueError(f"equality_tol must be a nonnegative number, got {self.equality_tol!r}")
+        object.__setattr__(self, "equality_tol", _real("equality_tol", self.equality_tol, 0.0, closed=True))
 
     def bind(self, n):
         if self.targets is None:
@@ -607,7 +635,7 @@ class _Limited(Mediator):
     """Base of the limited-intervention records, which all carry ``epsilon``."""
 
     def __post_init__(self):
-        _check_epsilon(self.epsilon)
+        object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon, 0.0, _EPSILON_MAX))
 
     def to_json(self):
         return {"kind": self.kind, "epsilon": self.epsilon}
@@ -708,8 +736,7 @@ class Clime(_Limited):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 < self.lam < 0.5:
-            raise ValueError(f"lambda must lie in (0, 1/2), got {self.lam!r}")
+        object.__setattr__(self, "lam", _real("lambda", self.lam, 0.0, 0.5))
 
     def bind(self, n):
         if n == 2:
@@ -799,7 +826,7 @@ class GameSpec:
     piis: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _players(self.n)
+        object.__setattr__(self, "n", _players(self.n))
         if not isinstance(self.mediator, Mediator):
             raise TypeError(f"not a mediator: {self.mediator!r}")
         if not isinstance(self.distribution, (Uniform, PiecewiseLinearDensity)):

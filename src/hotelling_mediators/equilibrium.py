@@ -28,16 +28,15 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
-from .core import PiecewiseLinearDensity, quantile_locations, validate_location, validate_profile
+from .core import _integer, _real, quantile_locations, validate_location, validate_profile
 from .mediators import _PII_FACILITY_SNAP, _snap_to_endpoints
-from .metrics import _block_rows, _check_count, _check_seed, _payoff_locs, _payoff_rows, _pool_map
+from .metrics import _block_rows, _payoff_locs, _payoff_rows, _pool_map
 
 __all__ = [
     "candidate_deviations",
@@ -126,18 +125,10 @@ def candidate_deviations(game, profile, player):
     come first.
     """
     locs = validate_profile(profile, game.n)
-    _check_player(game, player)
-    return _player_candidates(_probe_plan(game), locs, player)
-
-
-def _check_player(game, player):
-    if not (isinstance(player, numbers.Integral) and 0 <= player < game.n):
+    player = _integer("player", player, 0)
+    if player >= game.n:
         raise ValueError(f"player index {player!r} is not an integer in range({game.n})")
-
-
-def _check_gain_tol(gain_tol):
-    if not (math.isfinite(gain_tol) and gain_tol > 0.0):
-        raise ValueError(f"gain_tol must be a positive finite number, got {gain_tol!r}")
+    return _player_candidates(_probe_plan(game), locs, player)
 
 
 def _deviation_payoffs(game, locs, deviations):
@@ -157,7 +148,9 @@ def best_response_gain(game, profile, player, candidates):
     or a candidate outside [0, 1] raises ValueError.
     """
     locs = validate_profile(profile, game.n)
-    _check_player(game, player)
+    player = _integer("player", player, 0)
+    if player >= game.n:
+        raise ValueError(f"player index {player!r} is not an integer in range({game.n})")
     candidates = [validate_location(y, "candidate deviation") for y in candidates]
     if not candidates:
         raise ValueError("need at least one candidate deviation")
@@ -167,15 +160,6 @@ def best_response_gain(game, profile, player, candidates):
         if value - base > best_gain:
             best_gain, best_y = value - base, y
     return best_gain, best_y
-
-
-def _line_shape(dist):
-    """``(breaks, degree)``: the density's interior breakpoints, and the
-    degree of a payoff along a deviation line between kinks (a piece's user
-    mass, with one end moving at half the deviation's speed)."""
-    if isinstance(dist, PiecewiseLinearDensity):
-        return dist.breakpoints[1:-1], 2
-    return (), 1
 
 
 def _line_kinks(game, locs, i):
@@ -191,7 +175,7 @@ def _line_kinks(game, locs, i):
     """
     locs = _snap_to_endpoints(locs, game.piis)
     opponents = [z for j, z in enumerate(locs) if j != i]
-    breaks, _ = _line_shape(game.distribution)
+    breaks, _ = game.distribution.line_shape
     ends = [e for pii in game.piis for e in pii]
     kinks = {0.0, 1.0, *opponents, *breaks}
     for e in ends:
@@ -262,7 +246,7 @@ def _line_max(game, locs, i):
     its piece, else None; and the number of payoffs priced.
     """
     kinks = _line_kinks(game, locs, i)
-    _, deg = _line_shape(game.distribution)
+    _, deg = game.distribution.line_shape
     bands = [(e - _PII_FACILITY_SNAP, e + _PII_FACILITY_SNAP) for pii in game.piis for e in pii]
     pieces = []
     for a, b in zip(kinks, kinks[1:]):
@@ -358,7 +342,7 @@ def is_pne(game, profile, gain_tol=_DEFAULT_GAIN_TOL, exhaustive=True):
     all a refutation needs, and ``candidate_count`` counts the probes made up
     to it.
     """
-    _check_gain_tol(gain_tol)
+    gain_tol = _real("gain_tol", gain_tol, 0.0)
     locs = validate_profile(profile, game.n)
     worst_gain, witness, count = -math.inf, None, 0
     if not exhaustive:
@@ -507,14 +491,13 @@ def pne_enumerate(game, grid_step, gain_tol=_DEFAULT_GAIN_TOL, shard=None, threa
     :func:`_refute_rows`), with verdicts identical to the single-profile
     :func:`_refute_fast`; every chunk of the scan logs one DEBUG record to
     the ``hotelling_mediators`` logger.  A non-positive or non-finite
-    ``grid_step`` and a shard outside ``0 <= start < stop <= total`` raise
-    ValueError, as do a ``gain_tol`` that is not a positive finite number and
-    ``threads`` that is no integer >= 1.
+    ``grid_step`` and a shard that is no pair of integers ``0 <= start <
+    stop <= total`` raise ValueError, as do a ``gain_tol`` that is not a
+    positive finite number and ``threads`` that is no integer >= 1.
     """
-    _check_gain_tol(gain_tol)
-    _check_count("threads", threads)
-    if not (math.isfinite(grid_step) and grid_step > 0.0):
-        raise ValueError(f"grid_step must be a positive finite number, got {grid_step!r}")
+    gain_tol = _real("gain_tol", gain_tol, 0.0)
+    threads = _integer("threads", threads, 1)
+    grid_step = _real("grid_step", grid_step, 0.0)
     grid_n = round(1.0 / grid_step)
     if abs(grid_n * grid_step - 1.0) > 1e-9 or grid_n < 1:
         raise ValueError(f"1/grid_step must be an integer, got {grid_step!r}")
@@ -523,9 +506,13 @@ def pne_enumerate(game, grid_step, gain_tol=_DEFAULT_GAIN_TOL, shard=None, threa
         raise ValueError(
             f"grid holds {total} sorted profiles, over the {_MAX_GRID_PROFILES} budget"
         )
-    start, stop = (0, total) if shard is None else shard
-    if not 0 <= start < stop <= total:
-        raise ValueError(f"shard must satisfy 0 <= start < stop <= {total}, got {shard!r}")
+    # Anything but a pair of integers fails the range test below.
+    try:
+        start, stop = (0, total) if shard is None else (_integer("shard", v, 0) for v in shard)
+    except (TypeError, ValueError):
+        start = stop = 0
+    if not start < stop <= total:
+        raise ValueError(f"shard must be a pair of integers 0 <= start < stop <= {total}, got {shard!r}")
     chunk = stop - start if threads == 1 else max(1, math.ceil((stop - start) / (threads * 8)))
     jobs = [(game, grid_n, a, min(a + chunk, stop), gain_tol) for a in range(start, stop, chunk)]
     found = []
@@ -577,10 +564,9 @@ def better_response_dynamics(game, start, max_steps, seed=0, gain_tol=_DEFAULT_G
     A ``max_steps`` that is no integer >= 1 or a ``seed`` that is no integer
     >= 0 raises ValueError.
     """
-    _check_count("max_steps", max_steps)
-    _check_gain_tol(gain_tol)
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
+    max_steps = _integer("max_steps", max_steps, 1)
+    gain_tol = _real("gain_tol", gain_tol, 0.0)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     current = validate_profile(start, game.n)
     states = [current]
     plan = list(_probe_plan(game, side=0.0))
@@ -614,11 +600,9 @@ def neutrality_check(game, trials, seed=0, tol=1e-9):
     that is no integer >= 1, a ``seed`` that is no integer >= 0 and a ``tol``
     that is no finite real >= 0 raise ValueError.
     """
-    _check_count("trials", trials)
-    _check_seed(seed)
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    rng = np.random.default_rng(seed)
+    trials = _integer("trials", trials, 1)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
+    tol = _real("tol", tol, 0.0, closed=True)
     n = game.n
     anchors = game.mediator.targets or quantile_locations(n, game.distribution)
     for _ in range(trials):

@@ -25,12 +25,11 @@ return the same answers either way.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import _MEDIATORS, Dictator, Nime, _players, validate_profile
+from .core import _MEDIATORS, Dictator, Nime, _integer, _players, validate_profile
 from .mediators import _compiled_pieces, _compiled_rows, _snap_rows, _snap_to_endpoints
 
 __all__ = [
@@ -253,19 +252,6 @@ def _block_rows(game):
     return max(1, _BLOCK_ELEMENTS // (pieces * game.n))
 
 
-def _check_count(name, value):
-    """Reject a count (``budget``, ``threads``, ...) that is no integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-def _check_seed(seed):
-    """Reject a random ``seed`` that is no integer >= 0, so every randomized
-    result is reproducible from the seed it reports."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-
-
 def _pool_map(fn, jobs, threads):
     """``[fn(job) for job in jobs]``, over ``threads`` worker processes when
     there is more than one of each.  The pool module is imported only then:
@@ -338,12 +324,13 @@ def ic_search(game, budget, seed=0, threads=1):
     depends only on the other coordinates, so its search is skipped while
     none of them has moved since the last one: it would return what it
     returned then.  Deterministic for fixed ``seed`` regardless of
-    ``threads``.  A ``budget`` or ``threads`` that is no integer >= 1 raises
-    ValueError.
+    ``threads``.  A ``budget`` or ``threads`` that is no integer >= 1 and a
+    ``seed`` that is no integer >= 0 raise ValueError, so every estimate is
+    reproducible from the seed it reports.
     """
-    _check_count("budget", budget)
-    _check_count("threads", threads)
-    _check_seed(seed)
+    budget = _integer("budget", budget, 1)
+    threads = _integer("threads", threads, 1)
+    seed = _integer("seed", seed, 0)
     nime_game = _nime_twin(game)
     n = game.n
 
@@ -480,11 +467,8 @@ def direction_weights(game, profile, ts):
 
 
 def _mc_samples(game, profile, n_samples, seed):
-    _check_count("n_samples", n_samples)
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be at least 2 for a standard error, got {n_samples!r}")
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
+    n_samples = _integer("n_samples", n_samples, 2)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     ts = game.distribution.quantile_array(rng.random(n_samples))
     W = direction_weights(game, profile, ts)
     return ts, W

@@ -15,10 +15,15 @@ from hotelling_mediators import (
     Nime,
     PiecewiseLinearDensity,
     UNIFORM,
+    adversarial_profile,
+    best_response_gain,
+    better_response_dynamics,
     distribution_from_json,
+    is_pne,
     mediator_from_json,
     mediator_to_json,
     optimal_locations,
+    pne_enumerate,
     quantile_locations,
     validate_profile,
 )
@@ -302,3 +307,50 @@ class TestMediatorRecords:
         again = distribution_from_json(RAMP.to_json())
         assert again.breakpoints == RAMP.breakpoints
         assert again.values == RAMP.values
+
+
+NIME2 = GameSpec(2, Nime())
+
+
+class TestArgumentCheckers:
+    # Each call but the last raised TypeError or gave an answer before the
+    # checks moved into core; the bool tolerance certified (0.1, 0.9), whose
+    # worst gain is 0.4, as an equilibrium against a tolerance of 1.  An
+    # infinite obedience band is invalid, as neutrality_check's tol is finite.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: is_pne(NIME2, (0.1, 0.9), gain_tol=True),
+            lambda: better_response_dynamics(NIME2, (0.1, 0.9), 3, gain_tol=True),
+            lambda: pne_enumerate(NIME2, True),
+            lambda: is_pne(NIME2, (0.1, 0.9), gain_tol="1e-9"),
+            lambda: pne_enumerate(NIME2, "0.1"),
+            lambda: pne_enumerate(NIME2, 0.1, shard=(0.5, 3)),
+            lambda: pne_enumerate(NIME2, 0.1, shard="ab"),
+            lambda: adversarial_profile("lime", 4, "x"),
+            lambda: Lime(epsilon="0.1"),
+            lambda: Clime(lam="0.1"),
+            lambda: Dictator(equality_tol="1"),
+            lambda: Dictator(equality_tol=True),
+            lambda: best_response_gain(NIME2, (0.1, 0.9), True, [0.5]),
+            lambda: Dictator(equality_tol=math.inf),
+        ],
+        ids=[
+            "is_pne-gain_tol-bool", "dynamics-gain_tol-bool", "enumerate-grid_step-bool",
+            "is_pne-gain_tol-str", "enumerate-grid_step-str", "shard-float", "shard-str",
+            "adversarial-delta-str", "lime-epsilon-str", "clime-lambda-str",
+            "dict-equality_tol-str", "dict-equality_tol-bool", "best_response-player-bool",
+            "dict-equality_tol-inf",
+        ],
+    )
+    def test_bad_value_raises_value_error(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_numbers_are_stored_as_python_scalars(self):
+        game = GameSpec(np.int64(3), Clime(lam=np.float64(1 / 8), epsilon=np.float32(0.25)))
+        assert type(game.n) is int
+        assert type(game.mediator.lam) is float and type(game.mediator.epsilon) is float
+        assert type(Dictator(equality_tol=0).equality_tol) is float
+        report = is_pne(game, optimal_locations(3), gain_tol=np.float64(1e-9))
+        assert type(report.gain_tol) is float

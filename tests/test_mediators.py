@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hotelling_mediators import (
     Clime,
@@ -24,6 +25,8 @@ from hotelling_mediators import (
     validate_profile,
 )
 from hotelling_mediators.core import _MEDIATORS
+
+from test_policy_reference import COORDS, PROPERTY_GAMES, anchored
 
 TOL = 1e-12
 
@@ -193,6 +196,19 @@ class TestCompiledPolicy:
         third = 1.0 / 3.0
         assert all(close(d, (third, third, third)) for d in pol.piece_dists)
 
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(COORDS)
+    def test_pieces_partition_the_segment_into_distributions(self, coords):
+        for game in PROPERTY_GAMES:
+            profile = anchored(game, coords)
+            pol = compile_policy(game, profile)
+            bps = pol.breakpoints
+            assert bps[0] == 0.0 and bps[-1] == 1.0, (game, profile)
+            assert all(a < b for a, b in zip(bps, bps[1:])), (game, profile)
+            assert len(pol.piece_dists) == len(bps) - 1
+            for d in pol.piece_dists:
+                assert min(d) >= 0.0 and abs(sum(d) - 1.0) <= 1e-12, (game, profile, d)
+
 
 def _random_game(rng, n):
     kind = rng.integers(5)
@@ -294,16 +310,17 @@ class TestRuleSymmetries:
                 assert direct(game, profile, float(t)) == direct(GameSpec(n, Nime()), profile, float(t))
 
 
-# The mediator record classes.  Outside their own module and the Monte Carlo
-# oracle, which re-implements the rules on purpose, code reads a record's
-# fields and methods and never tests which class it is.
+# The mediator record and density classes.  Outside their own module and the
+# Monte Carlo oracle, which re-implements the rules on purpose, code reads a
+# record's or a density's fields and methods and never tests which class it is.
 _RECORD_CLASSES = {"Mediator", "Nime", "Dictator", "_Limited", "Lime", "Glime", "Clime"}
+_DENSITY_CLASSES = {"Uniform", "PiecewiseLinearDensity"}
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hotelling_mediators"
 
 
-def _record_class_tests(path):
-    """``file:line`` of every ``isinstance`` call in ``path`` that names a
-    record class, outside ``core.py`` and ``metrics.direction_weights``."""
+def _class_tests(path, classes):
+    """``file:line`` of every ``isinstance`` call in ``path`` that names one
+    of ``classes``, outside ``core.py`` and ``metrics.direction_weights``."""
     if path.name == "core.py":
         return []
     tree = ast.parse(path.read_text(), str(path))
@@ -318,7 +335,7 @@ def _record_class_tests(path):
         if not (isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
             continue
         names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
-        if names & _RECORD_CLASSES:
+        if names & classes:
             found.append(f"{path.name}:{node.lineno}")
     return found
 
@@ -326,4 +343,9 @@ def _record_class_tests(path):
 def test_no_module_dispatches_on_the_record_class():
     paths = sorted(_PACKAGE.glob("*.py"))
     assert {p.name for p in paths} >= {"core.py", "mediators.py", "metrics.py", "equilibrium.py"}
-    assert [hit for p in paths for hit in _record_class_tests(p)] == []
+    assert [hit for p in paths for hit in _class_tests(p, _RECORD_CLASSES)] == []
+
+
+def test_no_module_dispatches_on_the_density_class():
+    paths = sorted(_PACKAGE.glob("*.py"))
+    assert [hit for p in paths for hit in _class_tests(p, _DENSITY_CLASSES)] == []

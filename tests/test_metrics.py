@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hotelling_mediators import (
     Clime,
@@ -27,6 +28,8 @@ from hotelling_mediators import (
 )
 from hotelling_mediators import metrics
 from hotelling_mediators.core import _MEDIATORS
+
+from test_policy_reference import COORDS, PROPERTY_GAMES, anchored
 
 EXACT = 1e-12
 SUM_TOL = 1e-9
@@ -112,6 +115,13 @@ class TestInterventionGap:
                 game = GameSpec(n, m)
                 for _ in range(60):
                     assert intervention_gap(game, tuple(rng.random(n))) >= -1e-9
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(COORDS)
+    def test_nonnegative_under_every_density(self, coords):
+        for game in PROPERTY_GAMES:
+            profile = anchored(game, coords)
+            assert intervention_gap(game, profile) >= -1e-12, (game, profile)
 
 
 class TestAdversarialProfiles:
@@ -262,6 +272,12 @@ class TestIcSearch:
         }
         assert blob["mediator"]["kind"] == "clime"
         assert len(blob["argmaxProfile"]) == 2
+
+    def test_numpy_integer_game_serializes(self):
+        # The game kept numpy's int64 as its n, which json.dumps rejects.
+        est = ic_search(GameSpec(np.int64(3), Lime()), budget=np.int64(10), seed=np.uint8(1))
+        blob = json.loads(json.dumps(est.to_json()))
+        assert (blob["n"], blob["budget"], blob["seed"]) == (3, 10, 1)
 
     def test_budget_validated(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ midpoint right there, which moves a piece boundary by an ulp.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hotelling_mediators import (
     Clime,
@@ -166,6 +167,23 @@ def _profiles(rng, game, count):
             locs.append(min(max(s, 0.0), 1.0))
         out.append(tuple(locs))
     return out
+
+
+# The games of the property tests: the five mediators under the three
+# densities, n = 2..5.  Every drawn example is checked in all of them.
+PROPERTY_GAMES = [GameSpec(n, m, d) for n in range(2, 6) for m in _mediators(n).values() for d in DENSITIES.values()]
+
+# Five coordinates, each a uniform draw or the index of an anchor.
+COORDS = st.lists(st.one_of(st.floats(0.0, 1.0), st.integers(0, 15)), min_size=5, max_size=5)
+
+
+def anchored(game, coords):
+    """The profile of ``game`` that reads the first n of ``coords``: a float
+    as is, an integer k as the k-th (cyclically) of the game's reference
+    locations, dictated targets and interval endpoints."""
+    anchors = [*quantile_locations(game.n, game.distribution), *game.mediator.targets]
+    anchors += [e for pii in game.piis for e in pii]
+    return tuple(c if isinstance(c, float) else anchors[c % len(anchors)] for c in coords[: game.n])
 
 
 def _count(n):
