@@ -44,13 +44,13 @@ def _cell(v):
     return f"{v:.12g}"
 
 
-def _parse_profile(text):
-    """The floats of a comma-separated profile; ``validate_profile`` judges
-    their count and range."""
+def _parse_locations(flag, text):
+    """The floats of the comma-separated list ``text`` of ``flag``; the
+    library judges their count and range."""
     try:
-        return tuple(float(v) for v in text.split(","))
+        return [float(v) for v in text.split(",")]
     except ValueError:
-        raise ValueError(f"malformed profile {text!r}") from None
+        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
 def _build_game(args):
@@ -64,7 +64,7 @@ def _build_game(args):
     if args.lam is not None:
         wire["lambda"] = args.lam
     if args.targets:
-        wire["targets"] = [float(v) for v in args.targets.split(",")]
+        wire["targets"] = _parse_locations("--targets", args.targets)
     return GameSpec(n=args.n, mediator=mediator_from_json(wire), distribution=dist)
 
 
@@ -81,13 +81,13 @@ def _emit(args, json_obj, rows, header=None):
 
 
 def _cmd_payoff(args):
-    values = payoff(_build_game(args), _parse_profile(args.profile))
+    values = payoff(_build_game(args), _parse_locations("--profile", args.profile))
     _emit(args, {"payoffs": list(values)}, [values])
     return 0
 
 
 def _cmd_social_cost(args):
-    value = social_cost(_build_game(args), _parse_profile(args.profile))
+    value = social_cost(_build_game(args), _parse_locations("--profile", args.profile))
     _emit(args, {"socialCost": value}, [[value]])
     return 0
 
@@ -109,7 +109,7 @@ def _cmd_pne(args):
         return _check_expect(args.expect, "empty" if not profiles else "nonempty")
     if not args.profile:
         raise ValueError("pne needs --profile or --enumerate")
-    report = is_pne(game, _parse_profile(args.profile), gain_tol=args.gain_tol)
+    report = is_pne(game, _parse_locations("--profile", args.profile), gain_tol=args.gain_tol)
     player, deviation = report.witness or (None, None)
     row = [report.is_pne, report.worst_gain, player, deviation, report.candidate_count, report.gain_tol, report.grid_step]
     header = "isPne,worstGain,witnessPlayer,witnessDeviation,candidateCount,gainTol,gridStep"

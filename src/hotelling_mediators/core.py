@@ -6,8 +6,8 @@ continuous density, and a mediator decides which facility serves each user.
 This module holds the primitive building blocks: locations and strategy
 profiles, user distributions (uniform or piecewise-linear density) with exact
 closed-form CDF / quantile / moment integrals, the mediator records, the
-full game description, and the checks every count and real-valued argument
-of the package goes through.
+full game description, and the checks every count, real-valued argument
+and location of the package goes through.
 
 Each mediator record is the one place that knows its kind: its wire format,
 its checks against the player count, its protected intervals, its analytic
@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import ClassVar, Union
@@ -48,13 +49,11 @@ __all__ = [
     "GameSpec",
     "validate_location",
     "validate_profile",
-    "validate_direction_distribution",
     "optimal_locations",
     "quantile_locations",
 ]
 
-# Tolerance used when validating that a density integrates to one and that a
-# probability vector sums to one.
+# Tolerance used when validating that a density integrates to one.
 _NORMALIZATION_TOL = 1e-12
 
 # Closed-form quantiles are accepted when the CDF round-trips this tightly;
@@ -62,42 +61,82 @@ _NORMALIZATION_TOL = 1e-12
 _QUANTILE_TOL = 1e-12
 
 
+def _players(n, least=2):
+    """``n`` as an int, unless it is no integer (bools included) or below
+    ``least``: then ValueError.  Every player count is checked here."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"the number of players must be an integer, got n={n!r}")
+    if n < least:
+        raise ValueError(f"need at least {'one player' if least == 1 else 'two players'}, got n={n}")
+    return int(n)
+
+
+def _integer(name, value, least):
+    """``value`` as an int, unless it is no integer (bools included) or below
+    ``least``: then ValueError.  Every count, seed and index argument other
+    than a player count is checked here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _is_real(value):
+    """Whether ``value`` is a real number: numpy integers and floats are,
+    bools (numpy's included), strings and other types are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(name, value, lo, hi=math.inf, closed=False):
+    """``value`` as a float, unless it is no real number (see
+    :func:`_is_real`), is NaN or lies outside ``(lo, hi)``, or ``[lo, hi)``
+    when ``closed``: then ValueError.  Every real-valued tolerance, step, rule
+    parameter and density knot is checked here; the default ``hi`` demands a
+    finite value."""
+    if not _is_real(value) or not (lo <= value if closed else lo < value) or not value < hi:
+        raise ValueError(f"{name} must be a real number in {'[' if closed else '('}{lo!r}, {hi!r}), got {value!r}")
+    return float(value)
+
+
+def _location(value):
+    """``value`` as a float when it is a real number (see :func:`_is_real`)
+    in [0, 1], else None (NaN included).  Every location, quantile level,
+    dictated target and candidate deviation is judged here."""
+    # A float, numpy's float64 included, skips the slower abstract test.
+    if isinstance(value, float) or _is_real(value):
+        value = float(value)
+        if 0.0 <= value <= 1.0:
+            return value
+    return None
+
+
 def validate_location(t, name="t"):
-    """Check that ``t`` is a real location inside the unit segment."""
-    t = float(t)
-    if math.isnan(t) or not 0.0 <= t <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {t!r}")
-    return t
+    """``t`` as a float in [0, 1]; ValueError unless :func:`_location`
+    accepts it."""
+    loc = _location(t)
+    if loc is None:
+        raise ValueError(f"{name} must be a real number in [0, 1], got {t!r}")
+    return loc
 
 
-def validate_profile(profile, n=None):
-    """Validate a strategy profile and return it as a tuple of floats.
-
-    Player order is preserved; callers that need a canonical form sort
-    explicitly.
-    """
-    locs = tuple(float(s) for s in profile)
+def validate_profile(profile, n=None, name="profile"):
+    """``profile`` as a tuple of floats, in its order, unless it is no
+    sequence (a tuple, a list, a one-dimensional numpy array; no string or
+    bytes) of at least one, or ``n``, entries accepted by :func:`_location`:
+    then ValueError naming ``name``."""
+    if not isinstance(profile, (tuple, list)) and (
+        isinstance(profile, (str, bytes, bytearray))
+        or not (isinstance(profile, Sequence) or getattr(profile, "ndim", None) == 1)
+    ):
+        raise ValueError(f"{name} must be a sequence of locations, got {profile!r}")
+    locs = tuple(map(_location, profile))
+    if None in locs:
+        i = locs.index(None)
+        raise ValueError(f"{name}[{i}] must be a real number in [0, 1], got {profile[i]!r}")
     if n is not None and len(locs) != n:
-        raise ValueError(f"profile has {len(locs)} locations, expected {n}")
-    if len(locs) < 1:
-        raise ValueError("profile must contain at least one location")
-    for s in locs:
-        if math.isnan(s) or not 0.0 <= s <= 1.0:
-            raise ValueError(f"profile location {s!r} outside [0, 1]")
+        raise ValueError(f"{name} has {len(locs)} locations, expected {n}")
+    if not locs:
+        raise ValueError(f"{name} must contain at least one location")
     return locs
-
-
-def validate_direction_distribution(probs, n=None, tol=_NORMALIZATION_TOL):
-    """Check a vector of direction probabilities (entries in [0,1], sum 1)."""
-    p = tuple(float(x) for x in probs)
-    if n is not None and len(p) != n:
-        raise ValueError(f"direction distribution has length {len(p)}, expected {n}")
-    for x in p:
-        if not -tol <= x <= 1.0 + tol:
-            raise ValueError(f"direction probability {x!r} outside [0, 1]")
-    if abs(sum(p) - 1.0) > tol:
-        raise ValueError(f"direction probabilities sum to {sum(p)!r}, expected 1")
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +162,7 @@ class Uniform:
         return validate_location(t)
 
     def quantile(self, p):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"quantile level must lie in [0, 1], got {p!r}")
-        return float(p)
+        return validate_location(p, "quantile level")
 
     def mass(self, a, b):
         """User mass of the interval [a, b]; elementwise over arrays too."""
@@ -185,20 +222,16 @@ class PiecewiseLinearDensity:
         return self.breakpoints[1:-1], 2
 
     def __post_init__(self):
-        xs = tuple(float(x) for x in self.breakpoints)
-        gs = tuple(float(g) for g in self.values)
+        xs = tuple(_real("breakpoint", x, -math.inf) for x in self.breakpoints)
+        gs = tuple(_real("density value", g, 0.0, closed=True) for g in self.values)
         if len(xs) != len(gs):
             raise ValueError("breakpoints and values must have equal length")
         if len(xs) < 2:
             raise ValueError("need at least two breakpoints")
-        if not all(math.isfinite(v) for v in xs + gs):
-            raise ValueError("breakpoints and density values must be finite")
         if xs[0] != 0.0 or xs[-1] != 1.0:
             raise ValueError("breakpoints must start at 0 and end at 1")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if any(g < 0.0 for g in gs):
-            raise ValueError("density values must be nonnegative")
         cum_mass = [0.0]
         cum_fm = [0.0]
         for k in range(len(xs) - 1):
@@ -251,9 +284,7 @@ class PiecewiseLinearDensity:
         Per-segment quadratic inversion with a bisection fallback; flat (zero
         density) stretches resolve to their left endpoint.
         """
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"quantile level must lie in [0, 1], got {p!r}")
-        p = float(p)
+        p = validate_location(p, "quantile level")
         cum = self._cum_mass
         xs, gs = self.breakpoints, self.values
         # First breakpoint whose cumulative mass reaches p.
@@ -378,14 +409,11 @@ UserDistribution = Union[Uniform, PiecewiseLinearDensity]
 UNIFORM = Uniform()
 
 
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _json_numbers(obj, key):
+def _json_list(obj, key):
+    # The record or density built from the list judges its entries.
     values = obj.get(key)
-    if not isinstance(values, list) or not all(_is_number(v) for v in values):
-        raise ValueError(f"{obj['kind']} needs {key!r} as a list of numbers")
+    if not isinstance(values, list):
+        raise ValueError(f"{obj['kind']} needs {key!r} as a list")
     return tuple(values)
 
 
@@ -398,7 +426,7 @@ def distribution_from_json(obj):
     if kind == "uniform":
         return UNIFORM
     if kind == "pwl":
-        return PiecewiseLinearDensity(_json_numbers(obj, "breakpoints"), _json_numbers(obj, "values"))
+        return PiecewiseLinearDensity(_json_list(obj, "breakpoints"), _json_list(obj, "values"))
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 
@@ -437,51 +465,10 @@ def quantile_locations(n, dist=UNIFORM):
 _EPSILON_MAX = 1.0 / 3.0
 
 
-def _json_number(obj, key, default):
-    value = obj.get(key, default)
-    if not _is_number(value):
-        raise ValueError(f"the {obj['kind']} mediator needs {key!r} as a number, got {value!r}")
-    return float(value)
-
-
 def _check_offset_fixture(kind, n, delta):
     if n < 3:
         raise ValueError(f"the {kind} fixture needs n >= 3")
     _real("delta", delta, 0.0, 1.0 / (2 * n))
-
-
-def _players(n, least=2):
-    """``n`` as an int, unless it is no integer (bools included) or below
-    ``least``: then ValueError.  Every player count is checked here."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"the number of players must be an integer, got n={n!r}")
-    if n < least:
-        raise ValueError(f"need at least {'one player' if least == 1 else 'two players'}, got n={n}")
-    return int(n)
-
-
-def _integer(name, value, least):
-    """``value`` as an int, unless it is no integer (bools included) or below
-    ``least``: then ValueError.  Every count, seed and index argument other
-    than a player count is checked here."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
-def _real(name, value, lo, hi=math.inf, closed=False):
-    """``value`` as a float, unless it is no real number (bools included), is
-    NaN or lies outside ``(lo, hi)``, or ``[lo, hi)`` when ``closed``: then
-    ValueError.  Every real-valued tolerance, step and rule parameter is
-    checked here; the default ``hi`` demands a finite value."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not (lo <= value if closed else lo < value)
-        or not value < hi
-    ):
-        raise ValueError(f"{name} must be a real number in {'[' if closed else '('}{lo!r}, {hi!r}), got {value!r}")
-    return float(value)
 
 
 def _corners(a, b):
@@ -589,14 +576,13 @@ class Dictator(Mediator):
 
     def __post_init__(self):
         if self.targets is not None:
-            object.__setattr__(self, "targets", validate_profile(self.targets))
+            object.__setattr__(self, "targets", validate_profile(self.targets, name="targets"))
         object.__setattr__(self, "equality_tol", _real("equality_tol", self.equality_tol, 0.0, closed=True))
 
     def bind(self, n):
         if self.targets is None:
             return replace(self, targets=optimal_locations(n))
-        if len(self.targets) != n:
-            raise ValueError(f"dictator targets have length {len(self.targets)}, expected {n}")
+        validate_profile(self.targets, n, name="targets")
         return self
 
     def to_json(self):
@@ -608,8 +594,8 @@ class Dictator(Mediator):
     @classmethod
     def from_json(cls, obj):
         return cls(
-            targets=_json_numbers(obj, "targets") if obj.get("targets") is not None else None,
-            equality_tol=_json_number(obj, "equalityTol", 1e-9),
+            targets=_json_list(obj, "targets") if obj.get("targets") is not None else None,
+            equality_tol=obj.get("equalityTol", 1e-9),
         )
 
     def eligible(self, locs):
@@ -642,7 +628,7 @@ class _Limited(Mediator):
 
     @classmethod
     def from_json(cls, obj):
-        return cls(epsilon=_json_number(obj, "epsilon", 1e-3))
+        return cls(epsilon=obj.get("epsilon", 1e-3))
 
 
 @dataclass(frozen=True)
@@ -764,7 +750,7 @@ class Clime(_Limited):
 
     @classmethod
     def from_json(cls, obj):
-        return cls(lam=_json_number(obj, "lambda", None), epsilon=_json_number(obj, "epsilon", 1e-3))
+        return cls(lam=obj.get("lambda"), epsilon=obj.get("epsilon", 1e-3))
 
     def ic_bounds(self, n):
         if n == 2:

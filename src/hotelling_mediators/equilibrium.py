@@ -34,7 +34,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import _integer, _real, quantile_locations, validate_location, validate_profile
+from .core import _integer, _real, quantile_locations, validate_profile
 from .mediators import _PII_FACILITY_SNAP, _snap_to_endpoints
 from .metrics import _block_rows, _payoff_locs, _payoff_rows, _pool_map
 
@@ -144,21 +144,22 @@ def best_response_gain(game, profile, player, candidates):
     """Best payoff improvement of ``player`` over the candidate deviations.
 
     Returns ``(gain, argmax)``; the gain may be negative when no candidate
-    beats the current location.  A player that is no integer in ``range(n)``
-    or a candidate outside [0, 1] raises ValueError.
+    beats the current location.  The candidates are priced as one line of
+    rows (:func:`_line_payoffs`), bitwise as one deviation at a time.  A
+    player that is no integer in ``range(n)``, and candidates that are no
+    nonempty sequence of locations in [0, 1], raise ValueError.
     """
     locs = validate_profile(profile, game.n)
     player = _integer("player", player, 0)
     if player >= game.n:
         raise ValueError(f"player index {player!r} is not an integer in range({game.n})")
-    candidates = [validate_location(y, "candidate deviation") for y in candidates]
-    if not candidates:
-        raise ValueError("need at least one candidate deviation")
+    candidates = validate_profile(candidates, name="candidates")
     base = _payoff_locs(game, locs)[player]
+    values = _line_payoffs(game, locs, player, candidates)
     best_gain, best_y = -math.inf, None
-    for _, y, value in _deviation_payoffs(game, locs, ((player, y) for y in candidates)):
-        if value - base > best_gain:
-            best_gain, best_y = value - base, y
+    for y in candidates:
+        if values[y] - base > best_gain:
+            best_gain, best_y = values[y] - base, y
     return best_gain, best_y
 
 

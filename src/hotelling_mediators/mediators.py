@@ -50,6 +50,7 @@ bitwise the scalar compiler's.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -102,18 +103,25 @@ _PII_FACILITY_SNAP = 1e-7
 
 
 def _snap_to_endpoints(locs, piis):
-    """Canonicalize facilities onto interval endpoints they almost touch."""
+    """Canonicalize facilities onto interval endpoints they almost touch.
+
+    A facility moves to the nearer of the last endpoint below it and the
+    first at or above it, ties to the lower, when that one lies within
+    ``_PII_FACILITY_SNAP``; a facility on an endpoint stays, so snapping a
+    snapped profile changes nothing.  The endpoints are sorted, since the
+    intervals are increasing and disjoint.
+    """
     if not piis:
         return locs
+    ends = [-math.inf, *(e for pii in piis for e in pii), math.inf]
     out = None
-    for lo, hi in piis:
-        for i, s in enumerate(out if out is not None else locs):
-            for e in (lo, hi):
-                if s != e and abs(s - e) <= _PII_FACILITY_SNAP:
-                    if out is None:
-                        out = list(locs)
-                    out[i] = e
-                    break
+    for i, s in enumerate(locs):
+        k = bisect_left(ends, s)
+        e = ends[k - 1] if s - ends[k - 1] <= ends[k] - s else ends[k]
+        if e != s and abs(s - e) <= _PII_FACILITY_SNAP:
+            if out is None:
+                out = list(locs)
+            out[i] = e
     return locs if out is None else tuple(out)
 
 
@@ -296,14 +304,15 @@ def compile_policy(game, profile, include_point_dists=True):
 
 
 def _snap_rows(locs, piis):
-    """:func:`_snap_to_endpoints` applied to every row of a ``(B, n)`` array."""
+    """:func:`_snap_to_endpoints` applied to every row of a ``(B, n)`` array,
+    bitwise."""
     out = np.array(locs, dtype=float)
-    for lo, hi in piis:
-        near_lo = (out != lo) & (np.abs(out - lo) <= _PII_FACILITY_SNAP)
-        near_hi = ~near_lo & (out != hi) & (np.abs(out - hi) <= _PII_FACILITY_SNAP)
-        out[near_lo] = lo
-        out[near_hi] = hi
-    return out
+    if not piis:
+        return out
+    ends = np.array([-np.inf, *(e for pii in piis for e in pii), np.inf])
+    k = np.searchsorted(ends, out, side="left")
+    e = np.where(out - ends[k - 1] <= ends[k] - out, ends[k - 1], ends[k])
+    return np.where(np.abs(out - e) <= _PII_FACILITY_SNAP, e, out)
 
 
 def _nearest_rows(dists, subset):

@@ -261,6 +261,15 @@ class TestDictTargetsFlag:
         assert code == 0
         assert out.strip() == "1,0"
 
+    @pytest.mark.parametrize("targets", ["0.2,x", "0.2,1.5", "nan,0.5"], ids=["malformed", "outside", "nan"])
+    def test_bad_targets_exit_two_naming_the_flag(self, targets, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["payoff", "--mediator", "dict", "--n", "2", "--targets", targets, "--profile", "0.3,0.9"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "targets" in err, err
+
 
 class TestDistributionFile:
     def test_pwl_distribution_flag(self, tmp_path, capsys):

@@ -18,11 +18,15 @@ from hotelling_mediators import (
     adversarial_profile,
     best_response_gain,
     better_response_dynamics,
+    compile_policy,
+    direct,
     distribution_from_json,
     is_pne,
+    mc_payoff,
     mediator_from_json,
     mediator_to_json,
     optimal_locations,
+    payoff,
     pne_enumerate,
     quantile_locations,
     validate_profile,
@@ -354,3 +358,71 @@ class TestArgumentCheckers:
         assert type(Dictator(equality_tol=0).equality_tol) is float
         report = is_pne(game, optimal_locations(3), gain_tol=np.float64(1e-9))
         assert type(report.gain_tol) is float
+
+
+P2 = (0.2, 0.8)
+FLAT = PiecewiseLinearDensity((0.0, 1.0), (1.0, 1.0))
+
+
+class TestLocationChecks:
+    # Each call passes a string, bytes, a bool, None or no sequence where a
+    # location, a profile or density knots belong; float() would take the
+    # strings and bytes, bools read as 0 and 1, and a dict as its keys.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: payoff(NIME2, ("0.2", True)),
+            lambda: payoff(NIME2, (b"0.2", 0.8)),
+            lambda: payoff(NIME2, (0.2, np.True_)),
+            lambda: payoff(NIME2, {0.2: "a", 0.8: "b"}),
+            lambda: payoff(NIME2, 0.5),
+            lambda: payoff(NIME2, (None, 0.5)),
+            lambda: Dictator(targets=("0.2", "0.8")),
+            lambda: Dictator(targets=(False, True)),
+            lambda: direct(NIME2, P2, "0.5"),
+            lambda: direct(NIME2, P2, True),
+            lambda: UNIFORM.cdf("0.5"),
+            lambda: compile_policy(NIME2, P2).evaluate("0.3"),
+            lambda: UNIFORM.quantile(True),
+            lambda: UNIFORM.quantile("0.5"),
+            lambda: FLAT.quantile(None),
+            lambda: PiecewiseLinearDensity(("0", "1"), ("1", "1")),
+            lambda: PiecewiseLinearDensity((False, True), (True, True)),
+            lambda: best_response_gain(NIME2, P2, 0, ["0.5"]),
+            lambda: is_pne(NIME2, ("0.5", "0.5")),
+            lambda: better_response_dynamics(NIME2, ("0.1", "0.9"), 1),
+            lambda: mc_payoff(NIME2, ("0.1", "0.9"), 10),
+        ],
+        ids=[
+            "payoff-str-bool", "payoff-bytes", "payoff-numpy-bool", "payoff-dict", "payoff-scalar",
+            "payoff-none", "dict-targets-str", "dict-targets-bool", "direct-str", "direct-bool",
+            "cdf-str", "evaluate-str", "quantile-bool", "quantile-str", "pwl-quantile-none",
+            "pwl-knots-str", "pwl-knots-bool", "best_response-candidate-str", "is_pne-str",
+            "dynamics-str", "mc_payoff-str",
+        ],
+    )
+    def test_bad_location_raises_value_error(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    @pytest.mark.parametrize(
+        "profile",
+        ["0.2", b"\x00\x01", {0.2, 0.8}, np.array([[0.2, 0.8]]), np.array(0.5), [[0.2], [0.8]], (0.2, float("nan"))],
+        ids=["str", "bytes", "set", "nested-array", "zero-d-array", "nested-list", "nan"],
+    )
+    def test_only_a_sequence_of_locations_is_a_profile(self, profile):
+        with pytest.raises(ValueError):
+            validate_profile(profile)
+
+    def test_numpy_entries_are_stored_as_python_floats(self):
+        entries = (np.float32(0.25), np.float64(0.5), np.int64(1))
+        for locs in (
+            validate_profile(entries),
+            validate_profile(np.array([0.25, 0.5, 1.0])),
+            Dictator(targets=entries).targets,
+        ):
+            assert locs == (0.25, 0.5, 1.0)
+            assert all(type(s) is float for s in locs)
+        assert type(UNIFORM.quantile(np.float32(0.5))) is float
+        assert type(FLAT.quantile(np.int64(1))) is float
+        assert payoff(NIME2, np.array(P2)) == payoff(NIME2, P2)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hotelling_mediators import (
     Clime,
@@ -20,11 +21,13 @@ from hotelling_mediators import (
     compile_policy,
     direct,
     optimal_locations,
+    payoff,
     pii_intervals,
     quantile_locations,
     validate_profile,
 )
 from hotelling_mediators.core import _MEDIATORS
+from hotelling_mediators.mediators import _snap_rows, _snap_to_endpoints
 
 from test_policy_reference import COORDS, PROPERTY_GAMES, anchored
 
@@ -223,6 +226,52 @@ def _random_game(rng, n):
     return GameSpec(n, Clime(lam=1 / 8, epsilon=1e-3))
 
 
+# The property games plus clime games whose intervals are narrower than the
+# facility snap band, so that one facility lies in the band of both ends.
+SNAP_GAMES = PROPERTY_GAMES + [GameSpec(n, Clime(lam=lam)) for n in (2, 3) for lam in (1e-8, 3e-8)]
+
+# Five coordinates, each a uniform draw or an offset from the k-th interval
+# endpoint of a game.
+NEAR_ENDS = st.lists(
+    st.one_of(st.floats(0.0, 1.0), st.tuples(st.integers(0, 15), st.floats(-3e-7, 3e-7))), min_size=5, max_size=5
+)
+
+
+def near_ends(game, coords):
+    """The profile of ``game`` that reads the first n of ``coords``, an
+    offset ``(k, d)`` as the k-th (cyclically) interval endpoint plus d,
+    clipped to [0, 1]."""
+    ends = [e for pii in game.piis for e in pii] or [0.5]
+    return tuple(
+        c if isinstance(c, float) else min(max(ends[c[0] % len(ends)] + c[1], 0.0), 1.0) for c in coords[: game.n]
+    )
+
+
+class TestSnapping:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(NEAR_ENDS)
+    def test_snapping_is_idempotent_and_rows_agree(self, coords):
+        for game in SNAP_GAMES:
+            profile = near_ends(game, coords)
+            once = _snap_to_endpoints(profile, game.piis)
+            assert _snap_to_endpoints(once, game.piis) == once, (game, profile)
+            rows = _snap_rows(np.array([profile, once]), game.piis)
+            assert rows.tolist() == [list(once), list(once)], (game, profile)
+
+    def test_nearest_endpoint_wins(self):
+        # Clime n = 3, lambda = 1e-8: the first interval spans 2e-8, so a
+        # facility inside lies in the snap band of both ends.  It snaps to
+        # the nearer end, and from the midpoint to the lower one; snapped, it
+        # stays, and its payoff is the snapped profile's.
+        game = GameSpec(3, Clime(lam=1e-8))
+        (lo, hi), _ = game.piis
+        profile = (lo + 5e-9, 0.5, 0.9)
+        assert _snap_to_endpoints(profile, game.piis) == (lo, 0.5, 0.9)
+        assert _snap_to_endpoints((hi - 5e-9, 0.5, 0.9), game.piis) == (hi, 0.5, 0.9)
+        assert _snap_to_endpoints((0.5 * (lo + hi), 0.5, 0.9), game.piis)[0] == lo
+        assert payoff(game, profile) == payoff(game, (lo, 0.5, 0.9))
+
+
 class TestPolicyAgreement:
     @pytest.mark.parametrize(
         "mediator",
@@ -244,15 +293,15 @@ class TestPolicyAgreement:
                 assert close(got, want), (game.mediator, profile, t)
 
     def test_distributions_are_probability_vectors(self):
-        from hotelling_mediators.core import validate_direction_distribution
-
         rng = np.random.default_rng(13)
         for _ in range(300):
             n = int(rng.integers(2, 7))
             game = _random_game(rng, n)
             profile = tuple(rng.random(n))
             for _, _, d in compile_policy(game, profile).pieces:
-                validate_direction_distribution(d, n)
+                assert len(d) == n, (game, profile, d)
+                assert all(0.0 <= x <= 1.0 for x in d), (game, profile, d)
+                assert abs(sum(d) - 1.0) <= 1e-12, (game, profile, d)
 
     def test_rule_constant_inside_each_piece(self):
         rng = np.random.default_rng(17)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hotelling_mediators import (
     Clime,
@@ -54,6 +55,22 @@ class TestPayoff:
         est, se = mc_payoff(game, profile, n_samples=200_000, seed=5)
         for x, e, s in zip(got, est, se):
             assert abs(x - e) <= 3.0 * max(s, 1e-12)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(COORDS, st.permutations(range(5)))
+    def test_payoffs_permute_with_the_players(self, coords, order):
+        # The neutral rules: renaming the players renames their payoffs and
+        # leaves the social cost alone.  The sums run in another order, so
+        # the match is within 1e-12, not bitwise.
+        for game in PROPERTY_GAMES:
+            if isinstance(game.mediator, Dictator):
+                continue
+            perm = [k for k in order if k < game.n]
+            profile = anchored(game, coords)
+            permuted = tuple(profile[k] for k in perm)
+            base, moved = payoff(game, profile), payoff(game, permuted)
+            assert all(abs(moved[i] - base[perm[i]]) <= EXACT for i in range(game.n)), (game, profile, perm)
+            assert abs(social_cost(game, permuted) - social_cost(game, profile)) <= EXACT, (game, profile, perm)
 
     def test_simplex(self):
         rng = np.random.default_rng(3)
