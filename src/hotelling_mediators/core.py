@@ -97,6 +97,14 @@ def _real(name, value, lo, hi=math.inf, closed=False):
     return float(value)
 
 
+def _is_sequence(value):
+    """Whether ``value`` is a sequence of entries: a tuple, a list, another
+    ``Sequence`` or a one-dimensional numpy array, but no string or bytes."""
+    return isinstance(value, (tuple, list)) or not isinstance(value, (str, bytes, bytearray)) and (
+        isinstance(value, Sequence) or getattr(value, "ndim", None) == 1
+    )
+
+
 def _location(value):
     """``value`` as a float when it is a real number (see :func:`_is_real`)
     in [0, 1], else None (NaN included).  Every location, quantile level,
@@ -123,10 +131,7 @@ def validate_profile(profile, n=None, name="profile"):
     sequence (a tuple, a list, a one-dimensional numpy array; no string or
     bytes) of at least one, or ``n``, entries accepted by :func:`_location`:
     then ValueError naming ``name``."""
-    if not isinstance(profile, (tuple, list)) and (
-        isinstance(profile, (str, bytes, bytearray))
-        or not (isinstance(profile, Sequence) or getattr(profile, "ndim", None) == 1)
-    ):
+    if not _is_sequence(profile):
         raise ValueError(f"{name} must be a sequence of locations, got {profile!r}")
     locs = tuple(map(_location, profile))
     if None in locs:
@@ -182,6 +187,11 @@ class Uniform:
             return 0.5 * (b * b - a * a) - c * (b - a)
         return 0.5 * ((c - a) * (c - a) + (b - c) * (b - c))
 
+    def _integrals(self):
+        """``(mass, abs_moment)`` for one integration call: the closed forms,
+        which need no prefixes."""
+        return self.mass, self.abs_moment
+
     def abs_moment_array(self, c, a, b):
         """:meth:`abs_moment` elementwise over broadcast arrays, bitwise equal."""
         below = c * (b - a) - 0.5 * (b * b - a * a)
@@ -222,6 +232,9 @@ class PiecewiseLinearDensity:
         return self.breakpoints[1:-1], 2
 
     def __post_init__(self):
+        for name, knots in (("breakpoints", self.breakpoints), ("values", self.values)):
+            if not _is_sequence(knots):
+                raise ValueError(f"{name} must be a sequence of real numbers, got {knots!r}")
         xs = tuple(_real("breakpoint", x, -math.inf) for x in self.breakpoints)
         gs = tuple(_real("density value", g, 0.0, closed=True) for g in self.values)
         if len(xs) != len(gs):
@@ -272,11 +285,20 @@ class PiecewiseLinearDensity:
 
     def cdf(self, t):
         t = validate_location(t)
-        k = self._segment_index(t)
+        return self._cdf_in(self._segment_index(t), t)
+
+    def _cdf_in(self, k, x):
+        # cdf(x) for an x in segment k.
         xs, gs = self.breakpoints, self.values
-        u = t - xs[k]
+        u = x - xs[k]
         m = (gs[k + 1] - gs[k]) / (xs[k + 1] - xs[k])
         return self._cum_mass[k] + u * (gs[k] + 0.5 * m * u)
+
+    def _prefix(self, x):
+        # (cdf(x), integral of t*g(t) from 0 to x), unchecked: by the formula
+        # of cdf and the closed form of each segment's first moment.
+        k = self._segment_index(x)
+        return self._cdf_in(k, x), self._cum_fm[k] + self._segment_fm(k, x, self.breakpoints, self.values)
 
     def quantile(self, p):
         """Smallest location q with cdf(q) = p.
@@ -328,21 +350,40 @@ class PiecewiseLinearDensity:
         return self.cdf(b) - self.cdf(a)
 
     def first_moment(self, a, b):
-        return self._fm_prefix(b) - self._fm_prefix(a)
-
-    def _fm_prefix(self, x):
-        k = self._segment_index(x)
-        return self._cum_fm[k] + self._segment_fm(k, x, self.breakpoints, self.values)
+        return self._prefix(b)[1] - self._prefix(a)[1]
 
     def abs_moment(self, c, a, b):
         """Integral of |c - t| over [a, b] against the density."""
-        if b <= c:
-            return c * self.mass(a, b) - self.first_moment(a, b)
-        if a >= c:
-            return self.first_moment(a, b) - c * self.mass(a, b)
-        left = c * self.mass(a, c) - self.first_moment(a, c)
-        right = self.first_moment(c, b) - c * self.mass(c, b)
-        return left + right
+        _, abs_moment = self._integrals()
+        return abs_moment(validate_location(c), validate_location(a), validate_location(b))
+
+    def _integrals(self):
+        """``(mass, abs_moment)`` for one integration call, unchecked, each
+        bitwise the public method's value.  A point's prefixes are computed
+        on first use and kept for the rest of the call: a piece's upper end
+        serves as the next piece's lower end, and a facility's prefixes are
+        computed only when a piece straddles it."""
+        memo = {}
+
+        def prefix(x):
+            p = memo.get(x)
+            if p is None:
+                p = memo[x] = self._prefix(x)
+            return p
+
+        def mass(a, b):
+            return prefix(b)[0] - prefix(a)[0]
+
+        def abs_moment(c, a, b):
+            (cdf_a, fm_a), (cdf_b, fm_b) = prefix(a), prefix(b)
+            if b <= c:
+                return c * (cdf_b - cdf_a) - (fm_b - fm_a)
+            if a >= c:
+                return (fm_b - fm_a) - c * (cdf_b - cdf_a)
+            cdf_c, fm_c = prefix(c)
+            return (c * (cdf_c - cdf_a) - (fm_c - fm_a)) + ((fm_b - fm_c) - c * (cdf_b - cdf_c))
+
+        return mass, abs_moment
 
     def _cdf_array(self, t):
         # Arrays of cdf(t), by the scalar formula of cdf, and of the segment
@@ -356,7 +397,7 @@ class PiecewiseLinearDensity:
 
     def _prefixes_array(self, t):
         # Arrays of cdf(t) and of the first-moment prefix at t, by the
-        # scalar formulas of cdf and _fm_prefix.
+        # scalar formulas of _prefix.
         cdf, k = self._cdf_array(t)
         fm = np.array(self._cum_fm)[k] + self._segment_fm(k, t, np.array(self.breakpoints), np.array(self.values))
         return cdf, fm
@@ -366,8 +407,9 @@ class PiecewiseLinearDensity:
         return self._cdf_array(b)[0] - self._cdf_array(a)[0]
 
     def abs_moment_array(self, c, a, b):
-        """:meth:`abs_moment` elementwise over broadcast arrays, bitwise equal."""
-        c, a, b = np.broadcast_arrays(c, a, b)
+        """:meth:`abs_moment` elementwise over broadcast arrays, bitwise equal.
+        Each argument's prefixes are computed on its own shape, before the
+        terms broadcast."""
         cdf_a, fm_a = self._prefixes_array(a)
         cdf_b, fm_b = self._prefixes_array(b)
         cdf_c, fm_c = self._prefixes_array(c)

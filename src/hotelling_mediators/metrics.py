@@ -15,11 +15,15 @@ coordinate ascent) next to the analytic bounds from
 :func:`analytic_ic_bounds`.
 
 Single profiles are priced by the scalar path (compile, then sum piece by
-piece).  The random phase of :func:`ic_search`, equilibrium enumeration and
-the exhaustive equilibrium check's deviation lines price their rows in
-blocks through the array compiler and one row integrator instead; every
-row's gap and payoffs are bitwise equal to the scalar path's, so both
-return the same answers either way.
+piece).  Under a piecewise-linear density every mass and absolute moment is
+a difference of (cdf, first-moment) prefixes; one scalar call computes each
+point's prefixes once and shares them between pieces, facilities and both
+sides of a gap, and every value stays bitwise what the density's public
+methods give.  The random phase of :func:`ic_search`, equilibrium
+enumeration and the exhaustive equilibrium check's deviation lines price
+their rows in blocks through the array compiler and one row integrator
+instead; every row's gap and payoffs are bitwise equal to the scalar
+path's, so both return the same answers either way.
 """
 
 from __future__ import annotations
@@ -48,13 +52,13 @@ __all__ = [
 
 def _payoff_locs(game, locs):
     _, _, pieces, _ = _compiled_pieces(game, locs)
-    dist = game.distribution
+    mass, _ = game.distribution._integrals()
     out = [0.0] * game.n
     for lo, hi, w in pieces:
-        mass = dist.mass(lo, hi)
+        m = mass(lo, hi)
         for i, wi in enumerate(w):
             if wi:
-                out[i] += wi * mass
+                out[i] += wi * m
     return tuple(out)
 
 
@@ -63,31 +67,32 @@ def payoff(game, profile):
     return _payoff_locs(game, validate_profile(profile, game.n))
 
 
-def _pieces_cost(dist, locs, pieces):
+def _cost_locs(game, locs, abs_moment):
+    """The facilities as the game's compiler canonicalized them, and their
+    social cost, priced by ``abs_moment`` from the density's
+    ``_integrals()``."""
+    locs, _, pieces, _ = _compiled_pieces(game, locs)
     total = 0.0
     for lo, hi, w in pieces:
         for i, wi in enumerate(w):
             if wi:
-                total += wi * dist.abs_moment(locs[i], lo, hi)
-    return total
-
-
-def _social_cost_locs(game, locs):
-    locs, _, pieces, _ = _compiled_pieces(game, locs)
-    return _pieces_cost(game.distribution, locs, pieces)
+                total += wi * abs_moment(locs[i], lo, hi)
+    return locs, total
 
 
 def social_cost(game, profile):
     """Expected distance a user travels to her assigned facility."""
-    return _social_cost_locs(game, validate_profile(profile, game.n))
+    _, abs_moment = game.distribution._integrals()
+    return _cost_locs(game, validate_profile(profile, game.n), abs_moment)[1]
 
 
 def _gap_locs(game, nime_game, locs):
     # The no-intervention side prices the facilities as the mediator's
-    # compiler canonicalized them, so both sides see the same positions.
-    locs, _, pieces, _ = _compiled_pieces(game, locs)
-    cost = _pieces_cost(game.distribution, locs, pieces)
-    return cost - _social_cost_locs(nime_game, locs)
+    # compiler canonicalized them, so both sides see the same positions, and
+    # both sides share one call's density prefixes.
+    _, abs_moment = game.distribution._integrals()
+    locs, cost = _cost_locs(game, locs, abs_moment)
+    return cost - _cost_locs(nime_game, locs, abs_moment)[1]
 
 
 def _runs(game, locs):
@@ -121,7 +126,7 @@ def _runs(game, locs):
 
 def _rows_cost(game, locs):
     """Social cost of every canonicalized ``(B, n)`` row, bitwise equal to
-    :func:`_social_cost_locs` on each row: the absolute moments of the runs,
+    :func:`_cost_locs` on each row: the absolute moments of the runs,
     summed piece-major, player-minor."""
     weights, lo, hi = _runs(game, locs)
     moments = game.distribution.abs_moment_array(locs[:, None, :], lo[..., None], hi[..., None])
@@ -420,9 +425,17 @@ def direction_weights(game, profile, ts):
     by the Monte Carlo estimators so the cross-check does not share the
     piecewise integration path.
     """
-    locs = validate_profile(profile, game.n)
+    return _direction_weights(game, _snapped(game, profile), ts)
+
+
+def _snapped(game, profile):
+    """The validated profile, snapped onto interval endpoints, as an array."""
+    return np.asarray(_snap_to_endpoints(validate_profile(profile, game.n), game.piis))
+
+
+def _direction_weights(game, locs, ts):
+    """:func:`direction_weights` at snapped facility locations ``locs``."""
     piis = game.piis
-    locs = np.asarray(_snap_to_endpoints(locs, piis))
     ts = np.asarray(ts, dtype=float)
     n = game.n
     D = np.abs(ts[:, None] - locs[None, :])
@@ -466,19 +479,18 @@ def direction_weights(game, profile, ts):
     return W
 
 
-def _mc_samples(game, profile, n_samples, seed):
+def _mc_samples(game, locs, n_samples, seed):
     n_samples = _integer("n_samples", n_samples, 2)
     rng = np.random.default_rng(_integer("seed", seed, 0))
     ts = game.distribution.quantile_array(rng.random(n_samples))
-    W = direction_weights(game, profile, ts)
-    return ts, W
+    return ts, _direction_weights(game, locs, ts)
 
 
 def mc_payoff(game, profile, n_samples=10**6, seed=0):
     """Monte Carlo payoff estimate: (means, standard errors) per player;
     an ``n_samples`` that is no integer >= 2 or a ``seed`` that is no
     integer >= 0 raises ValueError."""
-    _, W = _mc_samples(game, profile, n_samples, seed)
+    _, W = _mc_samples(game, _snapped(game, profile), n_samples, seed)
     return W.mean(axis=0), W.std(axis=0, ddof=1) / math.sqrt(n_samples)
 
 
@@ -486,7 +498,7 @@ def mc_social_cost(game, profile, n_samples=10**6, seed=0):
     """Monte Carlo social-cost estimate: (mean, standard error); an
     ``n_samples`` that is no integer >= 2 or a ``seed`` that is no integer
     >= 0 raises ValueError."""
-    locs = np.asarray(_snap_to_endpoints(validate_profile(profile, game.n), game.piis))
-    ts, W = _mc_samples(game, profile, n_samples, seed)
+    locs = _snapped(game, profile)
+    ts, W = _mc_samples(game, locs, n_samples, seed)
     per_user = (W * np.abs(ts[:, None] - locs[None, :])).sum(axis=1)
     return per_user.mean(), per_user.std(ddof=1) / math.sqrt(n_samples)

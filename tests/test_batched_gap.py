@@ -9,12 +9,13 @@ exactly what pricing one row at a time does.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hotelling_mediators import GameSpec, Lime, ic_search
 from hotelling_mediators import metrics
 from hotelling_mediators.metrics import _gap_locs, _gap_rows, _nime_twin, _payoff_locs, _payoff_rows
 
-from test_policy_reference import DENSITIES, _custom_dictator, _mediators, _profiles
+from test_policy_reference import COORDS, DENSITIES, PROPERTY_GAMES, _custom_dictator, _mediators, _profiles, anchored
 
 NS = (2, 3, 4, 5, 6, 7, 8, 12, 16, 32)
 
@@ -35,6 +36,18 @@ def test_rows_equal_scalar_gap(n, density):
         for k in range(len(rows)):
             want = _gap_locs(game, twin, tuple(rows[k]))
             assert _bitwise(got[k], want), (name, tuple(rows[k]), got[k], want)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(COORDS)
+def test_scalar_and_row_paths_agree(coords):
+    for game in PROPERTY_GAMES:
+        profile = anchored(game, coords)
+        row = np.array([profile])
+        got, want = _payoff_rows(game, row)[0], _payoff_locs(game, profile)
+        assert all(_bitwise(a, b) for a, b in zip(got, want)), (game, profile, got, want)
+        got, want = _gap_rows(game, row)[0], _gap_locs(game, _nime_twin(game), profile)
+        assert _bitwise(got, want), (game, profile, got, want)
 
 
 @pytest.mark.parametrize("density", sorted(DENSITIES))

@@ -388,6 +388,10 @@ class TestLocationChecks:
             lambda: FLAT.quantile(None),
             lambda: PiecewiseLinearDensity(("0", "1"), ("1", "1")),
             lambda: PiecewiseLinearDensity((False, True), (True, True)),
+            lambda: PiecewiseLinearDensity(5, 5),
+            lambda: PiecewiseLinearDensity(None, (1.0,)),
+            lambda: PiecewiseLinearDensity((0.0, 1.0), 5),
+            lambda: FLAT.abs_moment("0.5", 0.0, 1.0),
             lambda: best_response_gain(NIME2, P2, 0, ["0.5"]),
             lambda: is_pne(NIME2, ("0.5", "0.5")),
             lambda: better_response_dynamics(NIME2, ("0.1", "0.9"), 1),
@@ -397,7 +401,8 @@ class TestLocationChecks:
             "payoff-str-bool", "payoff-bytes", "payoff-numpy-bool", "payoff-dict", "payoff-scalar",
             "payoff-none", "dict-targets-str", "dict-targets-bool", "direct-str", "direct-bool",
             "cdf-str", "evaluate-str", "quantile-bool", "quantile-str", "pwl-quantile-none",
-            "pwl-knots-str", "pwl-knots-bool", "best_response-candidate-str", "is_pne-str",
+            "pwl-knots-str", "pwl-knots-bool", "pwl-knots-int", "pwl-knots-none", "pwl-values-int",
+            "pwl-abs-moment-str", "best_response-candidate-str", "is_pne-str",
             "dynamics-str", "mc_payoff-str",
         ],
     )

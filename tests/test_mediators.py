@@ -369,13 +369,13 @@ _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hotelling_mediators
 
 def _class_tests(path, classes):
     """``file:line`` of every ``isinstance`` call in ``path`` that names one
-    of ``classes``, outside ``core.py`` and ``metrics.direction_weights``."""
+    of ``classes``, outside ``core.py`` and ``metrics._direction_weights``."""
     if path.name == "core.py":
         return []
     tree = ast.parse(path.read_text(), str(path))
     exempt = set()
     if path.name == "metrics.py":
-        (oracle,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "direction_weights"]
+        (oracle,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_direction_weights"]
         exempt = {id(node) for node in ast.walk(oracle)}
     found = []
     for node in ast.walk(tree):

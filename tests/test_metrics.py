@@ -23,14 +23,17 @@ from hotelling_mediators import (
     mc_payoff,
     mc_social_cost,
     neutrality_check,
+    PiecewiseLinearDensity,
+    compile_policy,
     optimal_locations,
     payoff,
     social_cost,
 )
 from hotelling_mediators import metrics
 from hotelling_mediators.core import _MEDIATORS
+from hotelling_mediators.mediators import _snap_to_endpoints
 
-from test_policy_reference import COORDS, PROPERTY_GAMES, anchored
+from test_policy_reference import COORDS, PROPERTY_GAMES, ZIGZAG, _custom_dictator, _mediators, _profiles, anchored
 
 EXACT = 1e-12
 SUM_TOL = 1e-9
@@ -139,6 +142,39 @@ class TestInterventionGap:
         for game in PROPERTY_GAMES:
             profile = anchored(game, coords)
             assert intervention_gap(game, profile) >= -1e-12, (game, profile)
+
+
+class TestSharedPrefixes:
+    # Under a piecewise-linear density a scalar call computes the (cdf,
+    # first-moment) prefixes of a point once: a piece's upper end serves as
+    # the next piece's lower end, both sides of a gap share them, and a
+    # facility's are computed only when a piece straddles it.
+    @pytest.mark.parametrize("price", [payoff, social_cost, intervention_gap], ids=["payoff", "cost", "gap"])
+    def test_no_point_is_prefixed_twice(self, price, monkeypatch):
+        seen = []
+        prefix = PiecewiseLinearDensity._prefix
+
+        def counting(self, x):
+            seen.append(x)
+            return prefix(self, x)
+
+        monkeypatch.setattr(PiecewiseLinearDensity, "_prefix", counting)
+        rng = np.random.default_rng(23)
+        for n in (2, 3, 5, 8):
+            for mediator in (*_mediators(n).values(), _custom_dictator(n)):
+                game = GameSpec(n, mediator, ZIGZAG)
+                for profile in _profiles(rng, game, 12):
+                    seen.clear()
+                    price(game, profile)
+                    assert len(set(seen)) == len(seen), (mediator, profile, seen)
+                    snapped = _snap_to_endpoints(profile, game.piis)
+                    ends = set(compile_policy(game, profile).breakpoints)
+                    if price is intervention_gap:
+                        ends |= set(compile_policy(metrics._nime_twin(game), snapped).breakpoints)
+                    if price is payoff:
+                        assert set(seen) == ends, (mediator, profile, seen)
+                    else:
+                        assert ends <= set(seen) <= ends | set(snapped), (mediator, profile, seen)
 
 
 class TestAdversarialProfiles:
