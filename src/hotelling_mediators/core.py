@@ -56,10 +56,6 @@ __all__ = [
 # Tolerance used when validating that a density integrates to one.
 _NORMALIZATION_TOL = 1e-12
 
-# Closed-form quantiles are accepted when the CDF round-trips this tightly;
-# otherwise a bisection fallback refines the root.
-_QUANTILE_TOL = 1e-12
-
 
 def _players(n, least=2):
     """``n`` as an int, unless it is no integer (bools included) or below
@@ -149,8 +145,41 @@ def validate_profile(profile, n=None, name="profile"):
 # ---------------------------------------------------------------------------
 
 
+class _Density:
+    """Base of the user densities.  Each public method checks its arguments
+    here, once, through :func:`validate_location`, and then evaluates the
+    density's unchecked form: ``_density``, ``_cdf``, ``_first_moment``, the
+    ``abs_moment`` of ``_integrals()`` and :meth:`quantile_array`.  The
+    ``*_array`` methods check nothing."""
+
+    def density(self, t):
+        return self._density(validate_location(t))
+
+    def cdf(self, t):
+        return self._cdf(validate_location(t))
+
+    def quantile(self, p):
+        """Smallest location q with cdf(q) = p; flat (zero density) stretches
+        resolve to their left endpoint."""
+        return float(self.quantile_array(validate_location(p, "quantile level")))
+
+    def mass(self, a, b):
+        """User mass of the interval [a, b]."""
+        a, b = validate_location(a, "a"), validate_location(b, "b")
+        return self._cdf(b) - self._cdf(a)
+
+    def first_moment(self, a, b):
+        """Integral of t over [a, b] against the density."""
+        return self._first_moment(validate_location(a, "a"), validate_location(b, "b"))
+
+    def abs_moment(self, c, a, b):
+        """Integral of |c - t| over [a, b] against the density."""
+        _, abs_moment = self._integrals()
+        return abs_moment(validate_location(c, "c"), validate_location(a, "a"), validate_location(b, "b"))
+
+
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(_Density):
     """Uniform user distribution on [0, 1]."""
 
     kind: ClassVar[str] = "uniform"
@@ -159,28 +188,20 @@ class Uniform:
     # deviation's speed, is linear under a constant density.
     line_shape: ClassVar[tuple] = ((), 1)
 
-    def density(self, t):
-        validate_location(t)
+    def _density(self, t):
         return 1.0
 
-    def cdf(self, t):
-        return validate_location(t)
+    def _cdf(self, t):
+        return t
 
-    def quantile(self, p):
-        return validate_location(p, "quantile level")
-
-    def mass(self, a, b):
-        """User mass of the interval [a, b]; elementwise over arrays too."""
+    def mass_array(self, a, b):
+        """:meth:`mass` elementwise over arrays, unchecked."""
         return b - a
 
-    mass_array = mass
-
-    def first_moment(self, a, b):
-        """Integral of t over [a, b] against the density."""
+    def _first_moment(self, a, b):
         return 0.5 * (b * b - a * a)
 
-    def abs_moment(self, c, a, b):
-        """Integral of |c - t| over [a, b] against the density."""
+    def _abs_moment(self, c, a, b):
         if b <= c:
             return c * (b - a) - 0.5 * (b * b - a * a)
         if a >= c:
@@ -188,9 +209,9 @@ class Uniform:
         return 0.5 * ((c - a) * (c - a) + (b - c) * (b - c))
 
     def _integrals(self):
-        """``(mass, abs_moment)`` for one integration call: the closed forms,
-        which need no prefixes."""
-        return self.mass, self.abs_moment
+        """``(mass, abs_moment)`` for one integration call, unchecked: the
+        closed forms, which need no prefixes."""
+        return self.mass_array, self._abs_moment
 
     def abs_moment_array(self, c, a, b):
         """:meth:`abs_moment` elementwise over broadcast arrays, bitwise equal."""
@@ -207,7 +228,7 @@ class Uniform:
 
 
 @dataclass(frozen=True)
-class PiecewiseLinearDensity:
+class PiecewiseLinearDensity(_Density):
     """Continuous piecewise-linear user density on [0, 1].
 
     The density interpolates ``values`` linearly between consecutive
@@ -276,15 +297,13 @@ class PiecewiseLinearDensity:
         k = bisect_right(self.breakpoints, t) - 1
         return min(max(k, 0), len(self.breakpoints) - 2)
 
-    def density(self, t):
-        t = validate_location(t)
+    def _density(self, t):
         k = self._segment_index(t)
         xs, gs = self.breakpoints, self.values
         w = (t - xs[k]) / (xs[k + 1] - xs[k])
         return gs[k] + w * (gs[k + 1] - gs[k])
 
-    def cdf(self, t):
-        t = validate_location(t)
+    def _cdf(self, t):
         return self._cdf_in(self._segment_index(t), t)
 
     def _cdf_in(self, k, x):
@@ -300,62 +319,8 @@ class PiecewiseLinearDensity:
         k = self._segment_index(x)
         return self._cdf_in(k, x), self._cum_fm[k] + self._segment_fm(k, x, self.breakpoints, self.values)
 
-    def quantile(self, p):
-        """Smallest location q with cdf(q) = p.
-
-        Per-segment quadratic inversion with a bisection fallback; flat (zero
-        density) stretches resolve to their left endpoint.
-        """
-        p = validate_location(p, "quantile level")
-        cum = self._cum_mass
-        xs, gs = self.breakpoints, self.values
-        # First breakpoint whose cumulative mass reaches p.
-        j = 0
-        while j < len(cum) and cum[j] < p:
-            j += 1
-        if j == 0:
-            return 0.0
-        k = j - 1
-        r = p - cum[k]
-        h = xs[k + 1] - xs[k]
-        m = (gs[k + 1] - gs[k]) / h
-        q = xs[k] + self._invert_segment_mass(gs[k], m, r, h)
-        if abs(self.cdf(q) - p) > _QUANTILE_TOL:
-            q = self._bisect_quantile(p, xs[k], xs[k + 1])
-        return min(max(q, 0.0), 1.0)
-
-    @staticmethod
-    def _invert_segment_mass(g0, m, r, h):
-        # Smallest u in [0, h] with g0*u + m*u^2/2 == r, assuming one exists.
-        if r <= 0.0:
-            return 0.0
-        disc = g0 * g0 + 2.0 * m * r
-        denom = g0 + math.sqrt(max(disc, 0.0))
-        if denom <= 0.0:
-            return h
-        return min(max(2.0 * r / denom, 0.0), h)
-
-    def _bisect_quantile(self, p, lo, hi):
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if self.cdf(mid) < p:
-                lo = mid
-            else:
-                hi = mid
-        return hi if self.cdf(hi) <= p else 0.5 * (lo + hi)
-
-    def mass(self, a, b):
-        return self.cdf(b) - self.cdf(a)
-
-    def first_moment(self, a, b):
+    def _first_moment(self, a, b):
         return self._prefix(b)[1] - self._prefix(a)[1]
-
-    def abs_moment(self, c, a, b):
-        """Integral of |c - t| over [a, b] against the density."""
-        _, abs_moment = self._integrals()
-        return abs_moment(validate_location(c), validate_location(a), validate_location(b))
 
     def _integrals(self):
         """``(mass, abs_moment)`` for one integration call, unchecked, each
@@ -420,7 +385,8 @@ class PiecewiseLinearDensity:
         return np.where(b <= c, below, np.where(a >= c, above, left + right))
 
     def quantile_array(self, p):
-        """Vectorized quantile, used by the Monte Carlo sampler."""
+        """:meth:`quantile` elementwise over an array of levels, in the
+        input's shape, unchecked: per-segment quadratic inversion."""
         p = np.asarray(p, dtype=float)
         cum = np.array(self._cum_mass)
         xs = np.array(self.breakpoints)
@@ -434,8 +400,7 @@ class PiecewiseLinearDensity:
         denom = gs[k] + np.sqrt(disc)
         with np.errstate(divide="ignore", invalid="ignore"):
             u = np.where(denom > 0.0, 2.0 * r / np.where(denom > 0.0, denom, 1.0), 0.0)
-        q = xs[k] + np.minimum(np.maximum(u, 0.0), h)
-        q[j == 0] = 0.0
+        q = np.where(j == 0, 0.0, xs[k] + np.minimum(np.maximum(u, 0.0), h))
         return np.clip(q, 0.0, 1.0)
 
     def to_json(self):
@@ -478,23 +443,24 @@ def distribution_from_json(obj):
 
 
 def optimal_locations(n):
-    """The n socially optimal locations ((2i-1)/(2n) for i = 1..n).
+    """The n socially optimal locations ((2i-1)/(2n) for i = 1..n): the
+    uniform density's :func:`quantile_locations`.
 
     Under nearest-facility assignment and the uniform distribution these
     minimize the users' total travel distance.
     """
-    n = _players(n, least=1)
-    return tuple((2 * i - 1) / (2 * n) for i in range(1, n + 1))
+    return quantile_locations(n)
 
 
 def quantile_locations(n, dist=UNIFORM):
     """Distribution-adapted counterpart of :func:`optimal_locations`.
 
-    Returns the quantiles of ``dist`` at levels (2i-1)/(2n); for the uniform
-    distribution this coincides with ``optimal_locations(n)`` exactly.
+    Returns the quantiles of ``dist`` at levels (2i-1)/(2n), priced in one
+    :meth:`quantile_array` call; for the uniform distribution these are the
+    levels themselves.
     """
     n = _players(n, least=1)
-    return tuple(dist.quantile((2 * i - 1) / (2 * n)) for i in range(1, n + 1))
+    return tuple(dist.quantile_array([(2 * i - 1) / (2 * n) for i in range(1, n + 1)]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +823,7 @@ class GameSpec:
         object.__setattr__(self, "n", _players(self.n))
         if not isinstance(self.mediator, Mediator):
             raise TypeError(f"not a mediator: {self.mediator!r}")
-        if not isinstance(self.distribution, (Uniform, PiecewiseLinearDensity)):
+        if not isinstance(self.distribution, _Density):
             raise TypeError(f"not a user distribution: {self.distribution!r}")
         object.__setattr__(self, "mediator", self.mediator.bind(self.n))
         object.__setattr__(self, "piis", self.mediator.intervals(self.n, self.distribution))

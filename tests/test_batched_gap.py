@@ -38,7 +38,7 @@ def test_rows_equal_scalar_gap(n, density):
             assert _bitwise(got[k], want), (name, tuple(rows[k]), got[k], want)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(COORDS)
 def test_scalar_and_row_paths_agree(coords):
     for game in PROPERTY_GAMES:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hotelling_mediators import (
     Clime,
@@ -41,6 +43,22 @@ TOL = 1e-12
 RAMP = PiecewiseLinearDensity((0.0, 1.0), (0.0, 2.0))
 # A two-segment tent density, to exercise interior breakpoints.
 TENT = PiecewiseLinearDensity((0.0, 0.5, 1.0), (0.0, 2.0, 0.0))
+
+
+@st.composite
+def _densities(draw):
+    """A valid density: 2-8 knots on a grid of step 1/100, integer values
+    with zeros among them, normalized to integrate to one."""
+    k = draw(st.integers(2, 8))
+    inner = draw(st.lists(st.integers(1, 99), min_size=k - 2, max_size=k - 2, unique=True))
+    xs = (0.0, *sorted(i / 100 for i in inner), 1.0)
+    gs = draw(st.lists(st.one_of(st.just(0), st.integers(0, 40)), min_size=k, max_size=k))
+    area = sum(0.5 * (xs[i + 1] - xs[i]) * (gs[i] + gs[i + 1]) for i in range(k - 1))
+    assume(area > 0.0)
+    return PiecewiseLinearDensity(xs, tuple(g / area for g in gs))
+
+
+RANDOM_DENSITIES = _densities()
 
 
 def bisect_quantile(dist, p, iters=200):
@@ -168,6 +186,32 @@ class TestQuantileCdfIdentity:
             vec = dist.quantile_array(ps)
             for p, q in zip(ps, vec):
                 assert abs(dist.quantile(float(p)) - q) <= 1e-12
+
+    @pytest.mark.parametrize("dist", [UNIFORM, RAMP, TENT], ids=["uniform", "ramp", "tent"])
+    def test_quantile_array_keeps_the_input_shape(self, dist):
+        # A scalar level used to raise TypeError under a piecewise-linear
+        # density: the result was a numpy scalar, assigned to by item.
+        for p in (0.25, np.float64(0.25), np.array(0.25), [0.25], np.full((2, 3), 0.25)):
+            q = dist.quantile_array(p)
+            assert np.shape(q) == np.shape(p)
+            assert np.all(q == dist.quantile(0.25))
+
+    def test_quantile_one_when_the_mass_rounds_below_one(self):
+        # The cumulative mass is 0.9999999999999999: no breakpoint reaches
+        # level 1, and the quantile used to index past the last segment.
+        dist = PiecewiseLinearDensity((0.0, 0.1, 1.0), (0.4, 0.7, 1.4))
+        assert dist._cum_mass[-1] < 1.0
+        assert dist.quantile(1.0) == 1.0
+
+    @settings(max_examples=200)
+    @given(RANDOM_DENSITIES, st.lists(st.floats(0.0, 1.0), max_size=20))
+    def test_quantile_inverts_cdf_on_random_densities(self, dist, levels):
+        levels = [0.0, 1.0, *levels]
+        qs = dist.quantile_array(levels)
+        for p, q in zip(levels, qs):
+            got = dist.quantile(p)
+            assert got == q, (dist, p, got, q)
+            assert abs(dist.cdf(got) - p) <= 1e-12, (dist, p, got)
 
 
 class TestReferenceLocations:
@@ -365,9 +409,10 @@ FLAT = PiecewiseLinearDensity((0.0, 1.0), (1.0, 1.0))
 
 
 class TestLocationChecks:
-    # Each call passes a string, bytes, a bool, None or no sequence where a
-    # location, a profile or density knots belong; float() would take the
-    # strings and bytes, bools read as 0 and 1, and a dict as its keys.
+    # Each call passes a string, bytes, a bool, None, no sequence or a number
+    # outside [0, 1] where a location, a profile or density knots belong;
+    # float() would take the strings and bytes, bools read as 0 and 1, a
+    # dict as its keys, and an unchecked moment extrapolates.
     @pytest.mark.parametrize(
         "call",
         [
@@ -396,6 +441,11 @@ class TestLocationChecks:
             lambda: is_pne(NIME2, ("0.5", "0.5")),
             lambda: better_response_dynamics(NIME2, ("0.1", "0.9"), 1),
             lambda: mc_payoff(NIME2, ("0.1", "0.9"), 10),
+            lambda: UNIFORM.mass(2.0, -1.0),
+            lambda: UNIFORM.abs_moment(5.0, -1.0, 3.0),
+            lambda: RAMP.first_moment(-1.0, 2.0),
+            lambda: UNIFORM.first_moment(True, 0.5),
+            lambda: UNIFORM.mass("0.1", 0.5),
         ],
         ids=[
             "payoff-str-bool", "payoff-bytes", "payoff-numpy-bool", "payoff-dict", "payoff-scalar",
@@ -403,12 +453,35 @@ class TestLocationChecks:
             "cdf-str", "evaluate-str", "quantile-bool", "quantile-str", "pwl-quantile-none",
             "pwl-knots-str", "pwl-knots-bool", "pwl-knots-int", "pwl-knots-none", "pwl-values-int",
             "pwl-abs-moment-str", "best_response-candidate-str", "is_pne-str",
-            "dynamics-str", "mc_payoff-str",
+            "dynamics-str", "mc_payoff-str", "mass-outside", "abs-moment-outside",
+            "pwl-first-moment-outside", "first-moment-bool", "mass-str",
         ],
     )
     def test_bad_location_raises_value_error(self, call):
         with pytest.raises(ValueError):
             call()
+
+    @pytest.mark.parametrize("dist", [UNIFORM, RAMP], ids=["uniform", "pwl"])
+    @pytest.mark.parametrize(
+        "method, args, name",
+        [
+            ("density", (1.5,), "t"),
+            ("cdf", (-0.1,), "t"),
+            ("quantile", (True,), "quantile level"),
+            ("mass", (2.0, -1.0), "a"),
+            ("mass", (0.1, "0.5"), "b"),
+            ("first_moment", (None, 0.5), "a"),
+            ("first_moment", (0.1, math.nan), "b"),
+            ("abs_moment", (5.0, -1.0, 3.0), "c"),
+            ("abs_moment", (0.5, -1.0, 1.0), "a"),
+            ("abs_moment", (0.5, 0.0, b"1"), "b"),
+        ],
+        ids=["density-t", "cdf-t", "quantile-level", "mass-a", "mass-b", "first-moment-a",
+             "first-moment-b", "abs-moment-c", "abs-moment-a", "abs-moment-b"],
+    )
+    def test_density_checks_name_the_argument(self, dist, method, args, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be a real number in \[0, 1\], got "):
+            getattr(dist, method)(*args)
 
     @pytest.mark.parametrize(
         "profile",

@@ -245,7 +245,7 @@ class TestExactLine:
                             )
                             assert abs(f[s] - want) <= 1e-12, (name, profile, player, a, b, s)
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(st.data())
     def test_no_dense_deviation_beats_the_exact_gain(self, data):
         n = data.draw(st.integers(2, 4))
@@ -580,7 +580,7 @@ class TestProbeWaves:
         got = _enumerate_chunk((game, 12, 0, total, 1e-9))[0]
         assert got == _scalar_scan(game, 12, 0, total) == [optimal_locations(3)]
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=25)
     @given(st.data())
     def test_wave_verdicts_equal_scalar_verdicts(self, data):
         n = data.draw(st.integers(2, 5))

@@ -199,7 +199,7 @@ class TestCompiledPolicy:
         third = 1.0 / 3.0
         assert all(close(d, (third, third, third)) for d in pol.piece_dists)
 
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=50)
     @given(COORDS)
     def test_pieces_partition_the_segment_into_distributions(self, coords):
         for game in PROPERTY_GAMES:
@@ -248,7 +248,7 @@ def near_ends(game, coords):
 
 
 class TestSnapping:
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=50)
     @given(NEAR_ENDS)
     def test_snapping_is_idempotent_and_rows_agree(self, coords):
         for game in SNAP_GAMES:
