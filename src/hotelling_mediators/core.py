@@ -243,6 +243,9 @@ class PiecewiseLinearDensity(_Density):
     # Per-breakpoint prefix integrals of g and of t*g, filled in __post_init__.
     _cum_mass: tuple = field(default=(), repr=False, compare=False)
     _cum_fm: tuple = field(default=(), repr=False, compare=False)
+    # The breakpoints, values and both prefix tuples as read-only numpy
+    # arrays for the ``*_array`` methods, built once in __post_init__.
+    _arrays: tuple = field(init=False, repr=False, compare=False)
 
     kind: ClassVar[str] = "pwl"
 
@@ -280,6 +283,10 @@ class PiecewiseLinearDensity(_Density):
         object.__setattr__(self, "values", gs)
         object.__setattr__(self, "_cum_mass", tuple(cum_mass))
         object.__setattr__(self, "_cum_fm", tuple(cum_fm))
+        arrays = tuple(np.array(v) for v in (xs, gs, self._cum_mass, self._cum_fm))
+        for array in arrays:
+            array.flags.writeable = False
+        object.__setattr__(self, "_arrays", arrays)
 
     @staticmethod
     def _segment_fm(k, x, xs, gs):
@@ -353,19 +360,18 @@ class PiecewiseLinearDensity(_Density):
     def _cdf_array(self, t):
         # Arrays of cdf(t), by the scalar formula of cdf, and of the segment
         # index of t.
-        xs = np.array(self.breakpoints)
-        gs = np.array(self.values)
-        k = np.clip(np.searchsorted(xs, t, side="right") - 1, 0, len(xs) - 2)
+        xs, gs, cum, _ = self._arrays
+        k = np.minimum(np.maximum(np.searchsorted(xs, t, side="right") - 1, 0), len(xs) - 2)
         u = t - xs[k]
         m = (gs[k + 1] - gs[k]) / (xs[k + 1] - xs[k])
-        return np.array(self._cum_mass)[k] + u * (gs[k] + 0.5 * m * u), k
+        return cum[k] + u * (gs[k] + 0.5 * m * u), k
 
     def _prefixes_array(self, t):
         # Arrays of cdf(t) and of the first-moment prefix at t, by the
         # scalar formulas of _prefix.
         cdf, k = self._cdf_array(t)
-        fm = np.array(self._cum_fm)[k] + self._segment_fm(k, t, np.array(self.breakpoints), np.array(self.values))
-        return cdf, fm
+        xs, gs, _, cum_fm = self._arrays
+        return cdf, cum_fm[k] + self._segment_fm(k, t, xs, gs)
 
     def mass_array(self, a, b):
         """:meth:`mass` elementwise over broadcast arrays, bitwise equal."""
@@ -388,11 +394,9 @@ class PiecewiseLinearDensity(_Density):
         """:meth:`quantile` elementwise over an array of levels, in the
         input's shape, unchecked: per-segment quadratic inversion."""
         p = np.asarray(p, dtype=float)
-        cum = np.array(self._cum_mass)
-        xs = np.array(self.breakpoints)
-        gs = np.array(self.values)
+        xs, gs, cum, _ = self._arrays
         j = np.searchsorted(cum, p, side="left")
-        k = np.clip(j - 1, 0, len(xs) - 2)
+        k = np.minimum(np.maximum(j - 1, 0), len(xs) - 2)
         r = np.maximum(p - cum[k], 0.0)
         h = xs[k + 1] - xs[k]
         m = (gs[k + 1] - gs[k]) / h
@@ -812,12 +816,15 @@ class GameSpec:
 
     The mediator is bound to the player count at construction, and its
     protected intervals for this game are worked out once into ``piis``.
+    ``nime_twin`` is the same game under no intervention, built once here
+    for every intervention gap; a no-intervention game is its own twin.
     """
 
     n: int
     mediator: Mediator
     distribution: UserDistribution = UNIFORM
     piis: tuple = field(init=False, repr=False, compare=False)
+    nime_twin: GameSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", _players(self.n))
@@ -827,3 +834,5 @@ class GameSpec:
             raise TypeError(f"not a user distribution: {self.distribution!r}")
         object.__setattr__(self, "mediator", self.mediator.bind(self.n))
         object.__setattr__(self, "piis", self.mediator.intervals(self.n, self.distribution))
+        twin = self if isinstance(self.mediator, Nime) else GameSpec(self.n, Nime(), self.distribution)
+        object.__setattr__(self, "nime_twin", twin)

@@ -13,15 +13,19 @@ candidate set, in one fixed order, the probe plan (:func:`_probe_plan`, its
 only builder): opponent locations (with one-sided offsets standing in for
 one-sided limits), the reflections of opponents through protected-interval
 endpoints, the endpoints themselves, the distribution's reference
-locations, and the uniform grid of step 1/100.  A refutation needs only one
-improving deviation, which the set supplies; a profile the set does not
-refute is certified against that set only.  :func:`_refute_fast` is the
-single-profile path: it walks the plan one scalar payoff at a time.  Grid
-enumeration refutes blocks of profiles in waves instead, pricing every
-wave's deviations as one block of rows; each row is priced bitwise as the
-scalar path prices it, so the verdicts agree.  :func:`candidate_deviations`
-lists one player's entries, and better-response dynamics reads the same plan
-without the one-sided offsets.
+locations, and the uniform grid of step 1/100.  The plan takes the players
+round-robin, first over their opponent entries and then over the static
+points, since any one player's improving deviation refutes the profile.  A
+refutation needs only one improving deviation, which the set supplies; a
+profile the set does not refute is certified against that set only.
+:func:`_refute_fast` is the single-profile path: it walks the plan one
+scalar payoff at a time.  Grid enumeration refutes blocks of profiles in
+waves instead, pricing every wave's deviations as one block of rows; each
+row is priced bitwise as the scalar path prices it, so the verdicts agree.
+The order moves only which deviation refutes a profile first, never
+whether one does.  :func:`candidate_deviations` lists one player's entries,
+and better-response dynamics reads the same plan without the one-sided
+offsets.
 """
 
 from __future__ import annotations
@@ -65,9 +69,13 @@ _log = logging.getLogger("hotelling_mediators")
 
 
 def _probe_plan(game, side=_SIDE_DELTA):
-    """The finite candidate set, one entry per probe, in probe order: every
-    player's opponent entries (the historically strongest refutations), then
-    every player's static entries.
+    """The finite candidate set, one entry per probe, in probe order: the
+    players' opponent entries (the historically strongest refutations),
+    round-robin over the players, then the static entries, round-robin over
+    the players.  Any player's improving deviation refutes a profile, and a
+    profile usually falls to whichever player sits worst, so entry k of every
+    player comes before entry k + 1 of any; each player's own entries keep
+    their order.
 
     An entry ``(player, col, scale, offset)`` stands for the deviation
     ``clip(scale * locs[col] + offset, 0, 1)`` of ``player`` (see
@@ -75,13 +83,16 @@ def _probe_plan(game, side=_SIDE_DELTA):
     each interval endpoint e gives the reflections 2e - z (where a moving
     basin boundary can change slope); under IEEE rounding ``1.0 * z - d`` is
     ``z - d``, ``1.0 * z + (-0.0)`` is ``z`` with its sign of zero, and
-    ``-1.0 * z + 2e`` is ``2e - z``.  A static entry has scale zero and the
-    point as offset: each endpoint e, e - side and e + side, the reference
-    locations, the dictated targets, 0, 1 and the grid of step 1/100.  With
-    ``side=0.0`` each one-sided entry repeats its anchor.  The plan is lazy,
-    so an early exit builds only what it probes.
+    ``-1.0 * z + 2e`` is ``2e - z``.  Every player has the same number of
+    opponent entries.  A static entry has scale zero and the point as offset:
+    each endpoint e, e - side and e + side, the reference locations, the
+    dictated targets, 0, 1 and the grid of step 1/100.  With ``side=0.0``
+    each one-sided entry repeats its anchor.  The plan is lazy, so an early
+    exit builds only what it probes: the static points are worked out only
+    once every opponent entry has been taken.
     """
-    for player in range(game.n):
+
+    def opponent_entries(player):
         opponents = [j for j in range(game.n) if j != player]
         for j in opponents:
             yield player, j, 1.0, -side
@@ -91,13 +102,16 @@ def _probe_plan(game, side=_SIDE_DELTA):
             for e in (lo, hi):
                 for j in opponents:
                     yield player, j, -1.0, 2.0 * e
+
+    for entries in zip(*map(opponent_entries, range(game.n))):
+        yield from entries
     static = [p for pii in game.piis for e in pii for p in (e, e - side, e + side)]
     static += quantile_locations(game.n, game.distribution)
     static += game.mediator.targets
     static += [0.0, 1.0]
     static += [k * (1.0 / (_GRID_POINTS - 1)) for k in range(_GRID_POINTS)]
-    for player in range(game.n):
-        for p in static:
+    for p in static:
+        for player in range(game.n):
             yield player, 0, 0.0, p
 
 
@@ -121,8 +135,9 @@ def candidate_deviations(game, profile, player):
     protected-interval endpoints, the endpoints and their offsets, the
     distribution's reference locations (plus dictated targets), the segment
     ends, and the uniform grid of step 1/100; clipped to [0, 1] and
-    deduplicated in probe order, so that the historically strongest probes
-    come first.
+    deduplicated in probe order, so that the player's historically strongest
+    probes come first.  The plan interleaves the players, but each player's
+    own entries keep this order.
     """
     locs = validate_profile(profile, game.n)
     player = _integer("player", player, 0)
@@ -338,10 +353,11 @@ def is_pne(game, profile, gain_tol=_DEFAULT_GAIN_TOL, exhaustive=True):
     point beats ``gain_tol``, points halving the distance from the limit's
     piece towards its kink are priced until one does; they count in
     ``candidate_count``.  With ``exhaustive=False`` the probe plan's
-    candidates are scanned up to the first beneficial deviation;
-    ``worst_gain`` is then the gain found rather than the supremum, which is
-    all a refutation needs, and ``candidate_count`` counts the probes made up
-    to it.
+    candidates are scanned in plan order, the players round-robin, up to the
+    first beneficial deviation; ``witness`` is that deviation, ``worst_gain``
+    is then the gain found rather than the supremum, which is all a
+    refutation needs, and ``candidate_count`` counts the probes made up to
+    it.
     """
     gain_tol = _real("gain_tol", gain_tol, 0.0)
     locs = validate_profile(profile, game.n)
@@ -385,8 +401,11 @@ def _refute_fast(game, locs, gain_tol):
     Returns ``(probes, hit)``: the number of deviations priced, and None when
     no candidate beats the profile, otherwise the first witness found as
     ``(player, deviation, gain)``.  Walks :func:`_probe_plan` one scalar
-    payoff at a time, and skips deduplication: a duplicate only costs one
-    redundant evaluation.  Enumeration walks the same plan in waves of rows.
+    payoff at a time, the players round-robin, so the first hit is usually
+    within the first pass over the players' opponent entries; the static
+    tail is built only when every opponent entry misses.  Skips
+    deduplication: a duplicate only costs one redundant evaluation.
+    Enumeration walks the same plan in waves of rows.
     """
     base = _payoff_locs(game, locs)
     deviations = ((e[0], _probe(locs, e)) for e in _probe_plan(game))

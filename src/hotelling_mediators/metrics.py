@@ -29,7 +29,7 @@ path's, so both return the same answers either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,7 +166,9 @@ def intervention_gap(game, profile):
 
 
 def _nime_twin(game):
-    return replace(game, mediator=Nime())
+    """The game under no intervention, kept on the game (see
+    :class:`GameSpec`)."""
+    return game.nime_twin
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +491,18 @@ def _mc_samples(game, locs, n_samples, seed):
 def mc_payoff(game, profile, n_samples=10**6, seed=0):
     """Monte Carlo payoff estimate: (means, standard errors) per player;
     an ``n_samples`` that is no integer >= 2 or a ``seed`` that is no
-    integer >= 0 raises ValueError."""
+    integer >= 0 raises ValueError.
+
+    A player whose N sampled weights all agree, say a share no sample lands
+    in, has a sample standard error of 0, which would read as exact; its
+    error is sqrt(x (1 - x) / N) instead, at x = (N mean + 1) / (N + 2), so
+    that it stays positive when the mean is 0 or 1.
+    """
     _, W = _mc_samples(game, _snapped(game, profile), n_samples, seed)
-    return W.mean(axis=0), W.std(axis=0, ddof=1) / math.sqrt(n_samples)
+    mean = W.mean(axis=0)
+    se = W.std(axis=0, ddof=1) / math.sqrt(n_samples)
+    x = (n_samples * mean + 1.0) / (n_samples + 2)
+    return mean, np.where(se == 0.0, np.sqrt(x * (1.0 - x) / n_samples), se)
 
 
 def mc_social_cost(game, profile, n_samples=10**6, seed=0):

@@ -2,7 +2,7 @@
 
 import logging
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 import numpy as np
 import pytest
@@ -147,6 +147,14 @@ class TestIsPne:
         assert report.is_pne == (profile == optimal_locations(5))
         # One call prices the profile itself; every other one is a probe.
         assert report.candidate_count == len(calls) - 1
+
+    def test_fast_check_tries_every_player_before_a_second_probe(self):
+        # Player 0's first probe misses and player 1's refutes the profile;
+        # walked player by player, the plan took 15 probes to reach it.
+        report = is_pne(GameSpec(3, Lime(epsilon=1e-3)), (0.153, 0.713, 0.809), exhaustive=False)
+        assert not report.is_pne
+        assert report.witness == (1, 0.153 - DELTA)
+        assert report.candidate_count == 2
 
     @pytest.mark.parametrize(
         "game, profile, gain_tol",
@@ -467,10 +475,12 @@ class TestEnumeration:
 
 
 def _reference_probes(game, locs, offsets=True):
-    """The ``(player, deviation)`` list ``_refute_fast`` probed before the
-    probe plan, written out as it was; without ``offsets``, the macroscopic
-    candidates better-response dynamics moves to."""
-    out = []
+    """The ``(player, deviation)`` list ``_refute_fast`` probes, written out:
+    every player's opponent points, point k of each player in turn before
+    point k + 1 of any, then each static point for every player in turn;
+    without ``offsets``, the macroscopic candidates better-response dynamics
+    moves to."""
+    per_player = []
     for player in range(game.n):
         opponents = [locs[j] for j in range(game.n) if j != player]
         pts = []
@@ -479,7 +489,8 @@ def _reference_probes(game, locs, offsets=True):
         for lo, hi in game.piis:
             for e in (lo, hi):
                 pts += [2.0 * e - z for z in opponents]
-        out += [(player, min(max(p, 0.0), 1.0)) for p in pts]
+        per_player.append([(player, min(max(p, 0.0), 1.0)) for p in pts])
+    out = [entry for k in range(len(per_player[0])) for entry in (pts[k] for pts in per_player)]
     static = []
     for lo, hi in game.piis:
         for e in (lo, hi):
@@ -489,8 +500,7 @@ def _reference_probes(game, locs, offsets=True):
         static += game.mediator.targets
     static += [0.0, 1.0]
     static += [k * (1 / 100) for k in range(101)]
-    for player in range(game.n):
-        out += [(player, min(max(p, 0.0), 1.0)) for p in static]
+    out += [(player, min(max(p, 0.0), 1.0)) for p in static for player in range(game.n)]
     return out
 
 
@@ -560,6 +570,24 @@ class TestProbeWaves:
             got, waves, rows, _ = _enumerate_chunk((game, grid_n, start, stop, 1e-9))
             assert got == _scalar_scan(game, grid_n, start, stop), (start, stop)
             assert rows >= 2 * (stop - start) and waves >= 1
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_opponent_entries_leave_the_static_tail_unbuilt(self, n, monkeypatch):
+        # The opponent entries come first, round-robin over the players; an
+        # early exit among them never works out the static points.
+        game = GameSpec(n, Lime(epsilon=1e-3))
+
+        def unbuilt(*args):
+            raise RuntimeError("static tail built")
+
+        monkeypatch.setattr(equilibrium, "quantile_locations", unbuilt)
+        count = n * (n - 1) * (3 + 2 * len(game.piis))
+        plan = _probe_plan(game)
+        head = list(islice(plan, count))
+        assert [e[0] for e in head] == [k % n for k in range(count)]
+        assert all(e[2] != 0.0 for e in head)
+        with pytest.raises(RuntimeError, match="static tail built"):
+            next(plan)
 
     def test_survivors_take_every_probe(self):
         # The center pair survives and walks the rest of the plan in

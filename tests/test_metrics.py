@@ -432,6 +432,19 @@ class TestMonteCarloOracle:
             est, se = mc_social_cost(game, profile, samples)
             assert close(social_cost(game, profile), est, se), (game, profile, est, se)
 
+    def test_unsampled_share_has_a_positive_standard_error(self):
+        # No sample lands in the first player's exact share of 3.05e-5, so its
+        # weights are all 0; only the other players' errors are sampled.
+        game = GameSpec(4, Nime())
+        profile = (0.0, 0.903779648293997, 0.903779648293997, 6.103515625e-05)
+        est, se = mc_payoff(game, profile, 2000, 7)
+        _, W = metrics._mc_samples(game, metrics._snapped(game, profile), 2000, 7)
+        assert est[0] == 0.0 and np.all(W[:, 0] == 0.0)
+        x = 1 / 2002
+        assert se[0] == math.sqrt(x * (1 - x) / 2000)
+        assert abs(payoff(game, profile)[0] - est[0]) <= se[0]
+        assert np.array_equal(se[1:], W[:, 1:].std(axis=0, ddof=1) / math.sqrt(2000))
+
     @pytest.mark.parametrize("n_samples", [0, 1, 2.5, True, -3])
     def test_sample_count_must_be_an_integer_of_at_least_two(self, n_samples):
         # 0 and 1 returned NaN with RuntimeWarnings; 2.5 raised numpy's TypeError.
