@@ -590,10 +590,12 @@ def better_response_dynamics(game, start, max_steps, seed=0, gain_tol=_DEFAULT_G
     current = validate_profile(start, game.n)
     states = [current]
     plan = list(_probe_plan(game, side=0.0))
+    # Each player's own entries, in plan order, split out once.
+    plans = [[e for e in plan if e[0] == player] for player in range(game.n)]
     while True:
         improvers = []
-        for player in range(game.n):
-            gain, y = best_response_gain(game, current, player, _player_candidates(plan, current, player))
+        for player, own in enumerate(plans):
+            gain, y = best_response_gain(game, current, player, _player_candidates(own, current, player))
             if gain > gain_tol:
                 improvers.append((player, y))
         # The last state is checked like every other, so a run that ran out

@@ -263,18 +263,45 @@ def _policy_breakpoints(sites, piis):
     return sorted(points)
 
 
+# The last compile, as ``(game, input locations, result)``; see
+# :func:`_compiled_pieces`.  One entry in total, read and replaced as one
+# tuple, so a caller in another thread never pairs one key with another
+# compile's result.
+_last_compile = (None, None, None)
+
+
+def _same_floats(a, b):
+    """Whether two location tuples hold the same floats bit for bit: equal
+    values of the same type, with the same sign on every zero, since
+    ``-0.0 == 0.0``."""
+    return a == b and all(
+        type(x) is type(y) and math.copysign(1.0, x) == math.copysign(1.0, y) for x, y in zip(a, b)
+    )
+
+
 def _compiled_pieces(game, locs):
     """Canonicalized locations plus (lo, hi, distribution) pieces over (0, 1).
 
     Facilities are snapped onto interval endpoints once, here, and the rule
     is bound to the snapped profile once.  Adjacent pieces with identical
-    distributions are coalesced; the returned breakpoint list still holds
+    distributions are coalesced; the returned breakpoint tuple still holds
     every candidate switch point, where the rule may deviate pointwise
     (ties, interval endpoints).
+
+    The last compile is kept: a call with the same ``game`` object and the
+    same input floats bit for bit (see :func:`_same_floats`) returns it
+    again, so payoff, social cost and gap on one profile compile it once.
+    Any other call compiles and replaces it.  The result is shared between
+    callers, so it is made of tuples and a rule that keeps no state.
     """
+    global _last_compile
+    last_game, last_locs, last = _last_compile
+    if game is last_game and _same_floats(locs, last_locs):
+        return last
+    locs = tuple(locs)
     piis = game.piis
-    locs = _snap_to_endpoints(locs, piis)
-    rule, sites = _bind_rule(game, locs)
+    snapped = _snap_to_endpoints(locs, piis)
+    rule, sites = _bind_rule(game, snapped)
     bps = _policy_breakpoints(sorted(set(sites)), piis)
     pieces = []
     for lo, hi in zip(bps, bps[1:]):
@@ -283,7 +310,9 @@ def _compiled_pieces(game, locs):
             pieces[-1] = (pieces[-1][0], hi, d)
         else:
             pieces.append((lo, hi, d))
-    return locs, bps, pieces, rule
+    result = (snapped, tuple(bps), tuple(pieces), rule)
+    _last_compile = (game, locs, result)
+    return result
 
 
 def compile_policy(game, profile, include_point_dists=True):

@@ -15,7 +15,10 @@ coordinate ascent) next to the analytic bounds from
 :func:`analytic_ic_bounds`.
 
 Single profiles are priced by the scalar path (compile, then sum piece by
-piece).  Under a piecewise-linear density every mass and absolute moment is
+piece).  The compiler keeps its last compile, so repeated calls on the same
+game object and the same profile (payoff, social cost and gap of one
+profile) compile it once; the results are bitwise those of a fresh compile.
+Under a piecewise-linear density every mass and absolute moment is
 a difference of (cdf, first-moment) prefixes; one scalar call computes each
 point's prefixes once and shares them between pieces, facilities and both
 sides of a gap, and every value stays bitwise what the density's public

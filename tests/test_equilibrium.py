@@ -44,6 +44,7 @@ from hotelling_mediators.equilibrium import (
 )
 from hotelling_mediators.metrics import _block_rows, _payoff_locs, _payoff_rows
 
+from test_core import RANDOM_DENSITIES
 from test_policy_reference import DENSITIES, ZIGZAG, _mediators, _profiles
 
 RAMP = PiecewiseLinearDensity((0.0, 1.0), (0.0, 2.0))
@@ -701,6 +702,18 @@ class TestKnownPne:
         shares = payoff(game, locs)
         assert all(abs(x - 1 / 3) <= 1e-9 for x in shares)
         assert is_pne(game, locs).is_pne
+
+    @settings(max_examples=150)
+    @given(RANDOM_DENSITIES, st.integers(3, 5))
+    def test_glime_quantiles_are_an_equilibrium_under_any_density(self, density, n):
+        # The quantile rule places its intervals at the density's odd
+        # quantiles, and its claim is that the quantile profile is an
+        # equilibrium under every density.
+        game = GameSpec(n, Glime(epsilon=1e-3), density)
+        (locs,) = known_pne(game)
+        assert locs == quantile_locations(n, density)
+        report = is_pne(game, locs)
+        assert report.is_pne, (density, n, report)
 
     def test_every_known_profile_certifies(self):
         games = [

@@ -2,6 +2,8 @@
 
 import ast
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +22,17 @@ from hotelling_mediators import (
     UNIFORM,
     compile_policy,
     direct,
+    intervention_gap,
     optimal_locations,
     payoff,
     pii_intervals,
     quantile_locations,
+    social_cost,
     validate_profile,
 )
+from hotelling_mediators import mediators, metrics
 from hotelling_mediators.core import _MEDIATORS
-from hotelling_mediators.mediators import _snap_rows, _snap_to_endpoints
+from hotelling_mediators.mediators import _compiled_pieces, _snap_rows, _snap_to_endpoints
 
 from test_policy_reference import COORDS, PROPERTY_GAMES, anchored
 
@@ -211,6 +216,148 @@ class TestCompiledPolicy:
             assert len(pol.piece_dists) == len(bps) - 1
             for d in pol.piece_dists:
                 assert min(d) >= 0.0 and abs(sum(d) - 1.0) <= 1e-12, (game, profile, d)
+
+
+def _cleared(monkeypatch):
+    """Empty the compile memo, as at import."""
+    monkeypatch.setattr(mediators, "_last_compile", (None, None, None))
+
+
+def _counting_binds(monkeypatch):
+    """Count the rule bindings, one per compile that misses the memo."""
+    calls = []
+    bind = mediators._bind_rule
+
+    def counted(game, locs):
+        calls.append(locs)
+        return bind(game, locs)
+
+    monkeypatch.setattr(mediators, "_bind_rule", counted)
+    return calls
+
+
+def _same(got, want):
+    # repr round-trips every float, and so tells -0.0 from 0.0 and a numpy
+    # float64 from a float: equal reprs are the same values, bit for bit.
+    assert repr(got) == repr(want), (got, want)
+
+
+class TestCompileMemo:
+    """``_compiled_pieces`` keeps its last compile, keyed on the game object
+    and the input floats bit for bit."""
+
+    def _fresh(self, monkeypatch, game, locs):
+        _cleared(monkeypatch)
+        locs, bps, pieces, _ = _compiled_pieces(game, locs)
+        return locs, bps, pieces
+
+    @pytest.mark.parametrize("game", [GameSpec(3, Nime()), GameSpec(3, Lime(epsilon=0.1)), GameSpec(3, Dictator())])
+    def test_signed_zeros_do_not_share_a_compile(self, game, monkeypatch):
+        # The two profiles are equal, and so one dict key: keep them apart.
+        cases = [(locs, self._fresh(monkeypatch, game, locs)) for locs in ((0.0, 0.5, 0.9), (-0.0, 0.5, 0.9))]
+        assert math.copysign(1.0, cases[1][1][0][0]) == -1.0
+        _cleared(monkeypatch)
+        for locs, want in cases + cases:
+            _same(_compiled_pieces(game, locs)[:3], want)
+            _same(_compiled_pieces(game, locs)[:3], want)
+
+    def test_numpy_floats_do_not_share_a_compile(self, monkeypatch):
+        game = GameSpec(3, Lime())
+        calls = _counting_binds(monkeypatch)
+        _cleared(monkeypatch)
+        _compiled_pieces(game, (0.1, 0.5, 0.9))
+        locs, _, _, _ = _compiled_pieces(game, tuple(np.array([0.1, 0.5, 0.9])))
+        assert len(calls) == 2 and all(type(x) is np.float64 for x in locs)
+
+    def test_equal_games_do_not_share_a_compile(self, monkeypatch):
+        first, second = GameSpec(3, Lime()), GameSpec(3, Lime())
+        assert first == second and first is not second
+        calls = _counting_binds(monkeypatch)
+        _cleared(monkeypatch)
+        locs = (0.1, 0.5, 0.9)
+        _compiled_pieces(first, locs)
+        _compiled_pieces(first, locs)
+        assert len(calls) == 1
+        _compiled_pieces(second, locs)
+        assert len(calls) == 2
+
+    def test_the_memo_holds_one_compile(self, monkeypatch):
+        game = GameSpec(3, Glime(), RAMP)
+        a, b = (0.1, 0.5, 0.9), (0.2, 0.5, 0.9)
+        calls = _counting_binds(monkeypatch)
+        _cleared(monkeypatch)
+        for locs in (a, b, a):
+            _compiled_pieces(game, locs)
+        assert len(calls) == 3
+        _compiled_pieces(game, a)
+        assert len(calls) == 3
+
+    def test_a_mutated_list_is_compiled_again(self, monkeypatch):
+        game = GameSpec(3, Lime())
+        locs = [0.1, 0.5, 0.9]
+        _cleared(monkeypatch)
+        _compiled_pieces(game, locs)
+        locs[0] = 0.2
+        got = _compiled_pieces(game, locs)[:3]
+        _same(got, self._fresh(monkeypatch, game, (0.2, 0.5, 0.9)))
+
+    def test_the_shared_result_is_immutable(self, monkeypatch):
+        _cleared(monkeypatch)
+        locs, bps, pieces, _ = _compiled_pieces(GameSpec(3, Lime()), [0.1, 0.5, 0.9])
+        assert type(locs) is tuple and type(bps) is tuple and type(pieces) is tuple
+
+    def test_threads_never_share_a_result(self, monkeypatch):
+        # Each thread compiles its own profiles while the others replace
+        # the memo; a result paired with another thread's key would show.
+        game = GameSpec(4, Lime(epsilon=0.1))
+        rng = np.random.default_rng(31)
+        profiles = [[tuple(rng.random(4)) for _ in range(3)] for _ in range(6)]
+        want = {}
+        for locs in (p for own in profiles for p in own):
+            _cleared(monkeypatch)
+            want[locs] = repr(_compiled_pieces(game, locs)[:3])
+        wrong = []
+
+        def work(own):
+            for k in range(1000):
+                locs = own[k // 2 % len(own)]
+                if repr(_compiled_pieces(game, locs)[:3]) != want[locs]:
+                    wrong.append(locs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(own,)) for own in profiles]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert wrong == []
+
+    def test_queries_agree_in_any_order(self, monkeypatch):
+        queries = {"payoff": payoff, "social_cost": social_cost, "intervention_gap": intervention_gap}
+        compile_ = mediators._compiled_pieces
+
+        def fresh(game, locs):
+            mediators._last_compile = (None, None, None)
+            return compile_(game, locs)
+
+        rng = np.random.default_rng(29)
+        _cleared(monkeypatch)
+        for game in PROPERTY_GAMES:
+            for coords in ([0.0, *rng.random(4)], [-0.0, *rng.random(4)], list(rng.integers(0, 16, 5))):
+                profile = anchored(game, [c if isinstance(c, float) else int(c) for c in coords])
+                # Every compile from an empty memo, even within one query.
+                with monkeypatch.context() as patch:
+                    patch.setattr(metrics, "_compiled_pieces", fresh)
+                    want = {name: query(game, profile) for name, query in queries.items()}
+                for order in ([*queries], [*queries][::-1], ["intervention_gap", "payoff", "social_cost"]):
+                    _cleared(monkeypatch)
+                    for name in order + order:
+                        _same(queries[name](game, profile), want[name])
 
 
 def _random_game(rng, n):
