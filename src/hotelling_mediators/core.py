@@ -149,7 +149,7 @@ class _Density:
     """Base of the user densities.  Each public method checks its arguments
     here, once, through :func:`validate_location`, and then evaluates the
     density's unchecked form: ``_density``, ``_cdf``, ``_first_moment``, the
-    ``abs_moment`` of ``_integrals()`` and :meth:`quantile_array`.  The
+    ``abs_moment`` of ``_integrals({})`` and :meth:`quantile_array`.  The
     ``*_array`` methods check nothing."""
 
     def density(self, t):
@@ -174,7 +174,7 @@ class _Density:
 
     def abs_moment(self, c, a, b):
         """Integral of |c - t| over [a, b] against the density."""
-        _, abs_moment = self._integrals()
+        _, abs_moment = self._integrals({})
         return abs_moment(validate_location(c, "c"), validate_location(a, "a"), validate_location(b, "b"))
 
 
@@ -208,9 +208,9 @@ class Uniform(_Density):
             return 0.5 * (b * b - a * a) - c * (b - a)
         return 0.5 * ((c - a) * (c - a) + (b - c) * (b - c))
 
-    def _integrals(self):
-        """``(mass, abs_moment)`` for one integration call, unchecked: the
-        closed forms, which need no prefixes."""
+    def _integrals(self, memo):
+        """``(mass, abs_moment)``, unchecked: the closed forms, which need no
+        prefixes, so ``memo`` goes unused."""
         return self.mass_array, self._abs_moment
 
     def abs_moment_array(self, c, a, b):
@@ -243,6 +243,10 @@ class PiecewiseLinearDensity(_Density):
     # Per-breakpoint prefix integrals of g and of t*g, filled in __post_init__.
     _cum_mass: tuple = field(default=(), repr=False, compare=False)
     _cum_fm: tuple = field(default=(), repr=False, compare=False)
+    # The scalar segment table, built once in __post_init__: the left ends
+    # of the segments, and per segment the constants of :meth:`_prefix`.
+    _starts: tuple = field(init=False, repr=False, compare=False)
+    _segments: tuple = field(init=False, repr=False, compare=False)
     # The breakpoints, values and both prefix tuples as read-only numpy
     # arrays for the ``*_array`` methods, built once in __post_init__.
     _arrays: tuple = field(init=False, repr=False, compare=False)
@@ -287,6 +291,16 @@ class PiecewiseLinearDensity(_Density):
         for array in arrays:
             array.flags.writeable = False
         object.__setattr__(self, "_arrays", arrays)
+        segments = []
+        for k in range(len(xs) - 1):
+            # Each constant by the expression the segment's formulas use.
+            x0 = xs[k]
+            m = (gs[k + 1] - gs[k]) / (xs[k + 1] - x0)
+            c = gs[k] - m * x0
+            x0_sq = x0 * x0
+            segments.append((x0, gs[k], 0.5 * m, cum_mass[k], cum_fm[k], 0.5 * c, m, x0_sq, x0_sq * x0))
+        object.__setattr__(self, "_starts", xs[:-1])
+        object.__setattr__(self, "_segments", tuple(segments))
 
     @staticmethod
     def _segment_fm(k, x, xs, gs):
@@ -299,43 +313,42 @@ class PiecewiseLinearDensity(_Density):
         c = gs[k] - m * x0
         return 0.5 * c * (x * x - x0 * x0) + m * (x * x * x - x0 * x0 * x0) / 3.0
 
-    def _segment_index(self, t):
-        # Segment k such that breakpoints[k] <= t, with t == 1 mapped to the last one.
-        k = bisect_right(self.breakpoints, t) - 1
-        return min(max(k, 0), len(self.breakpoints) - 2)
-
     def _density(self, t):
-        k = self._segment_index(t)
+        k = bisect_right(self._starts, t) - 1
         xs, gs = self.breakpoints, self.values
         w = (t - xs[k]) / (xs[k + 1] - xs[k])
         return gs[k] + w * (gs[k + 1] - gs[k])
 
     def _cdf(self, t):
-        return self._cdf_in(self._segment_index(t), t)
-
-    def _cdf_in(self, k, x):
-        # cdf(x) for an x in segment k.
-        xs, gs = self.breakpoints, self.values
-        u = x - xs[k]
-        m = (gs[k + 1] - gs[k]) / (xs[k + 1] - xs[k])
-        return self._cum_mass[k] + u * (gs[k] + 0.5 * m * u)
+        x0, g0, half_m, cum_mass = self._segments[bisect_right(self._starts, t) - 1][:4]
+        u = t - x0
+        return cum_mass + u * (g0 + half_m * u)
 
     def _prefix(self, x):
-        # (cdf(x), integral of t*g(t) from 0 to x), unchecked: by the formula
-        # of cdf and the closed form of each segment's first moment.
-        k = self._segment_index(x)
-        return self._cdf_in(k, x), self._cum_fm[k] + self._segment_fm(k, x, self.breakpoints, self.values)
+        # (cdf(x), integral of t*g(t) from 0 to x) for an x in [0, 1],
+        # unchecked: one lookup in the segment table, then the formula of
+        # cdf and the closed form of the segment's first moment, with the
+        # operations in the order of _segment_fm.
+        x0, g0, half_m, cum_mass, cum_fm, half_c, m, x0_sq, x0_cube = self._segments[
+            bisect_right(self._starts, x) - 1
+        ]
+        u = x - x0
+        x_sq = x * x
+        cdf = cum_mass + u * (g0 + half_m * u)
+        return cdf, cum_fm + (half_c * (x_sq - x0_sq) + m * (x_sq * x - x0_cube) / 3.0)
 
     def _first_moment(self, a, b):
         return self._prefix(b)[1] - self._prefix(a)[1]
 
-    def _integrals(self):
-        """``(mass, abs_moment)`` for one integration call, unchecked, each
-        bitwise the public method's value.  A point's prefixes are computed
-        on first use and kept for the rest of the call: a piece's upper end
-        serves as the next piece's lower end, and a facility's prefixes are
-        computed only when a piece straddles it."""
-        memo = {}
+    def _integrals(self, memo):
+        """``(mass, abs_moment)``, unchecked, each bitwise the public
+        method's value.  A point's prefixes are computed on first use and
+        kept in ``memo``, a dict from point to prefixes, for every later use:
+        a piece's upper end serves as the next piece's lower end, and a
+        facility's prefixes are computed only when a piece straddles it.
+        The integrators pass the memo of the compiled profile they price
+        (see :func:`hotelling_mediators.mediators._prefix_memo`), so payoff,
+        social cost and gap on one profile share it."""
 
         def prefix(x):
             p = memo.get(x)

@@ -5,8 +5,11 @@ the opponents and move one player's location y.  Between consecutive
 *kinks* (see :func:`_line_kinks`) the player's payoff is a polynomial in y,
 of degree at most 1 under the uniform density and at most 2 under a
 piecewise-linear one, so a few priced points per piece give the exact
-supremum of the payoff along the whole line (see :func:`_line_max`); a
-line's points are priced as blocks of rows, bitwise as one at a time.
+supremum of the payoff along the whole line (see :func:`_lines_max`).  One
+check prices every player's line at once: all players' kinks and interior
+points go out as one stream of (player, y) rows in blocks, then all their
+stationary points as a second stream, each row bitwise as pricing its
+deviation alone.
 
 The early-exit refutation and grid enumeration still probe a finite
 candidate set, in one fixed order, the probe plan (:func:`_probe_plan`, its
@@ -33,6 +36,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 
@@ -159,8 +163,8 @@ def best_response_gain(game, profile, player, candidates):
     """Best payoff improvement of ``player`` over the candidate deviations.
 
     Returns ``(gain, argmax)``; the gain may be negative when no candidate
-    beats the current location.  The candidates are priced as one line of
-    rows (:func:`_line_payoffs`), bitwise as one deviation at a time.  A
+    beats the current location.  The candidates are priced as one stream of
+    rows (:func:`_stream_payoffs`), bitwise as one deviation at a time.  A
     player that is no integer in ``range(n)``, and candidates that are no
     nonempty sequence of locations in [0, 1], raise ValueError.
     """
@@ -170,11 +174,11 @@ def best_response_gain(game, profile, player, candidates):
         raise ValueError(f"player index {player!r} is not an integer in range({game.n})")
     candidates = validate_profile(candidates, name="candidates")
     base = _payoff_locs(game, locs)[player]
-    values = _line_payoffs(game, locs, player, candidates)
+    values = _stream_payoffs(game, locs, [player] * len(candidates), candidates)
     best_gain, best_y = -math.inf, None
-    for y in candidates:
-        if values[y] - base > best_gain:
-            best_gain, best_y = values[y] - base, y
+    for y, value in zip(candidates, values):
+        if value - base > best_gain:
+            best_gain, best_y = value - base, y
     return best_gain, best_y
 
 
@@ -221,27 +225,54 @@ def _horner(xs, coef, x):
     return value
 
 
-def _line_payoffs(game, locs, i, ys):
-    """Player ``i``'s payoff at each deviation of ``ys``, as ``{y: payoff}``.
+def _stream_payoffs(game, locs, players, ys):
+    """The payoff of ``players[k]`` at deviation ``ys[k]``, for every k, as a
+    list: the one pricing loop of the exact check and of
+    :func:`best_response_gain`.
 
-    The deviations are priced as blocks of at most ``_block_rows(game)`` rows
-    through :func:`_payoff_rows`, each row the profile with column ``i``
-    moved, so peak memory stays flat however long the line; every payoff is
-    bitwise the one :func:`_payoff_locs` gives the deviation alone.
+    The deviations are priced as one stream of rows, in blocks of at most
+    ``_block_rows(game)`` rows through :func:`_payoff_rows`, each row the
+    profile with column ``players[k]`` moved to ``ys[k]``, so peak memory
+    stays flat however long the stream; a block may mix players.  Every
+    payoff is bitwise the one :func:`_payoff_locs` gives the deviation
+    alone.
     """
-    values = {}
     row = np.asarray(locs, dtype=float)
     step = _block_rows(game)
+    out = []
     for k in range(0, len(ys), step):
-        chunk = ys[k : k + step]
-        block = np.tile(row, (len(chunk), 1))
-        block[:, i] = chunk
-        values.update(zip(chunk, _payoff_rows(game, block)[:, i].tolist()))
-    return values
+        cols = players[k : k + step]
+        at = np.arange(len(cols))
+        block = np.tile(row, (len(cols), 1))
+        block[at, cols] = ys[k : k + step]
+        out.extend(_payoff_rows(game, block)[at, cols].tolist())
+    return out
 
 
-def _line_max(game, locs, i):
-    """Exact supremum of player ``i``'s payoff along its deviation line.
+def _line_plan(game, locs, i, deg, lows, highs):
+    """Player ``i``'s kinks and pieces ``(a, b, inner)`` between consecutive
+    kinks, each with up to deg + 1 interior points to price.  A piece inside
+    an endpoint's snap band, ``lows[j] <= a`` and ``b <= highs[j]`` for some
+    band j, is left out: the bands are sorted, so the band with the last low
+    at or below ``a`` reaches furthest."""
+    kinks = _line_kinks(game, locs, i)
+    pieces = []
+    for a, b in zip(kinks, kinks[1:]):
+        j = bisect_right(lows, a) - 1
+        if j >= 0 and b <= highs[j]:
+            continue
+        inner = []
+        for k in range(1, deg + 2):
+            y = a + (b - a) * (k / (deg + 2))
+            if a < y < b and (not inner or y > inner[-1]):
+                inner.append(y)
+        pieces.append((a, b, inner))
+    return kinks, pieces
+
+
+def _lines_max(game, locs, players):
+    """Exact supremum of each player's payoff along its deviation line, for
+    the players of ``players``, as one list entry per player.
 
     Prices every kink of :func:`_line_kinks`, then deg + 1 interior points of
     every piece between consecutive kinks, whose payoffs fix the piece's
@@ -252,30 +283,35 @@ def _line_max(game, locs, i):
     an endpoint's snap band needs no points: every deviation there snaps onto
     the endpoint, a kink.  A piece too narrow for deg + 1 distinct interior
     points prices the ones it has and is not fitted.  Each of the two passes
-    (kinks and interior points, then stationary points) is priced as row
-    blocks by :func:`_line_payoffs`, bitwise as pricing one deviation at a
+    (every player's kinks and interior points, then every player's
+    stationary points) is priced as one stream of (player, y) rows by
+    :func:`_stream_payoffs`, bitwise as pricing one deviation at a
     time would; the fits run on the payoffs as plain floats.
 
-    Returns ``(sup, best, limit, priced)``: the supremum; the best priced
-    ``(y, payoff)``; ``(kink, y)`` when the supremum is a one-sided limit at
-    ``kink`` above every priced payoff, with ``y`` the best priced point of
-    its piece, else None; and the number of payoffs priced.
+    Each entry is ``(sup, best, limit, priced)``: the supremum; the best
+    priced ``(y, payoff)``; ``(kink, y)`` when the supremum is a one-sided
+    limit at ``kink`` above every priced payoff, with ``y`` the best priced
+    point of its piece, else None; and the number of payoffs priced.
     """
-    kinks = _line_kinks(game, locs, i)
     _, deg = game.distribution.line_shape
-    bands = [(e - _PII_FACILITY_SNAP, e + _PII_FACILITY_SNAP) for pii in game.piis for e in pii]
-    pieces = []
-    for a, b in zip(kinks, kinks[1:]):
-        if any(lo <= a and b <= hi for lo, hi in bands):
-            continue
-        inner = []
-        for k in range(1, deg + 2):
-            y = a + (b - a) * (k / (deg + 2))
-            if a < y < b and (not inner or y > inner[-1]):
-                inner.append(y)
-        pieces.append((a, b, inner))
+    ends = [e for pii in game.piis for e in pii]
+    lows = [e - _PII_FACILITY_SNAP for e in ends]
+    highs = [e + _PII_FACILITY_SNAP for e in ends]
+    plans = [(i, *_line_plan(game, locs, i, deg, lows, highs)) for i in players]
+    points = [(i, kinks + [y for _, _, inner in pieces for y in inner]) for i, kinks, pieces in plans]
+    lines = _price_streams(game, locs, points)
+    fitted = [_fit_pieces(pieces, values, deg) for (_, _, pieces), values in zip(plans, lines)]
+    more = _price_streams(game, locs, [(i, stationary) for (i, _, _), (_, stationary) in zip(plans, fitted)])
+    for values, extra in zip(lines, more):
+        values.update(extra)
+    return [_line_sup(values, fits, stationary) for values, (fits, stationary) in zip(lines, fitted)]
 
-    values = _line_payoffs(game, locs, i, kinks + [y for _, _, inner in pieces for y in inner])
+
+def _fit_pieces(pieces, values, deg):
+    """``(fits, stationary)`` of one line: the Newton fit ``(a, b, inner,
+    coef)`` of every piece with deg + 1 priced interior points, and the
+    stationary points of the concave quadratic ones that rise above their
+    piece's priced points, not priced yet."""
     fits, stationary = [], []
     for a, b, inner in pieces:
         if len(inner) < deg + 1:
@@ -287,8 +323,12 @@ def _line_max(game, locs, i):
             y = 0.5 * (inner[0] + inner[1]) - coef[1] / (2.0 * coef[2])
             if a < y < b and y not in values and _horner(inner, coef, y) > max(fs):
                 stationary.append(y)
-    values.update(_line_payoffs(game, locs, i, stationary))
+    return fits, stationary
 
+
+def _line_sup(values, fits, stationary):
+    """One entry of :func:`_lines_max` from the line's priced ``{y: payoff}``
+    and its fits."""
     best = max(values.items(), key=lambda item: item[1])
     sup, limit = best[1], None
     for a, b, inner, coef in fits:
@@ -298,6 +338,14 @@ def _line_max(game, locs, i):
                 piece_points = [y for y in stationary if a < y < b] + inner
                 sup, limit = value, (kink, max(piece_points, key=values.__getitem__))
     return sup, best, limit, len(values)
+
+
+def _price_streams(game, locs, streams):
+    """``{y: payoff}`` per ``(player, ys)`` of ``streams``, every player's
+    deviations priced in one stream (:func:`_stream_payoffs`)."""
+    players = [i for i, ys in streams for _ in ys]
+    values = iter(_stream_payoffs(game, locs, players, [y for _, ys in streams for y in ys]))
+    return [{y: next(values) for y in ys} for _, ys in streams]
 
 
 def _toward(kink, y):
@@ -348,7 +396,7 @@ def is_pne(game, profile, gain_tol=_DEFAULT_GAIN_TOL, exhaustive=True):
     """Check a profile against the deviations of every player.
 
     The exhaustive check is exact: it takes every player's supremum payoff
-    along its deviation line (:func:`_line_max`), and ``worst_gain`` is the
+    along its deviation line (:func:`_lines_max`), and ``worst_gain`` is the
     largest supremum gain.  When that gain is a one-sided limit and no priced
     point beats ``gain_tol``, points halving the distance from the limit's
     piece towards its kink are priced until one does; they count in
@@ -369,8 +417,7 @@ def is_pne(game, profile, gain_tol=_DEFAULT_GAIN_TOL, exhaustive=True):
             witness = (player, y)
     else:
         base = _payoff_locs(game, locs)
-        for player in range(game.n):
-            sup, best, limit, priced = _line_max(game, locs, player)
+        for player, (sup, best, limit, priced) in enumerate(_lines_max(game, locs, range(game.n))):
             count += priced
             if sup - base[player] > worst_gain:
                 worst_gain = sup - base[player]

@@ -263,10 +263,10 @@ def _policy_breakpoints(sites, piis):
     return sorted(points)
 
 
-# The last compile, as ``(game, input locations, result)``; see
-# :func:`_compiled_pieces`.  One entry in total, read and replaced as one
-# tuple, so a caller in another thread never pairs one key with another
-# compile's result.
+# The last compile, as ``(game, input locations, (result, prefix memo))``;
+# see :func:`_compiled_pieces` and :func:`_prefix_memo`.  One entry in total,
+# read and replaced as one tuple, so a caller in another thread never pairs
+# one key with another compile's result.
 _last_compile = (None, None, None)
 
 
@@ -291,13 +291,14 @@ def _compiled_pieces(game, locs):
     The last compile is kept: a call with the same ``game`` object and the
     same input floats bit for bit (see :func:`_same_floats`) returns it
     again, so payoff, social cost and gap on one profile compile it once.
-    Any other call compiles and replaces it.  The result is shared between
+    Any other call compiles and replaces it, with an empty prefix memo
+    beside it (see :func:`_prefix_memo`).  The result is shared between
     callers, so it is made of tuples and a rule that keeps no state.
     """
     global _last_compile
     last_game, last_locs, last = _last_compile
     if game is last_game and _same_floats(locs, last_locs):
-        return last
+        return last[0]
     locs = tuple(locs)
     piis = game.piis
     snapped = _snap_to_endpoints(locs, piis)
@@ -311,8 +312,18 @@ def _compiled_pieces(game, locs):
         else:
             pieces.append((lo, hi, d))
     result = (snapped, tuple(bps), tuple(pieces), rule)
-    _last_compile = (game, locs, result)
+    _last_compile = (game, locs, (result, {}))
     return result
+
+
+def _prefix_memo(result):
+    """The density-prefix memo to price the compile ``result`` with: the
+    dict kept beside it when it is the last compile, so every integration
+    over one compiled profile computes a point's prefixes once, else a fresh
+    dict.  The memo lives and dies with the compile: a new profile, another
+    game object or an emptied slot starts a fresh one."""
+    last = _last_compile[2]
+    return last[1] if last is not None and last[0] is result else {}
 
 
 def compile_policy(game, profile, include_point_dists=True):

@@ -19,10 +19,11 @@ piece).  The compiler keeps its last compile, so repeated calls on the same
 game object and the same profile (payoff, social cost and gap of one
 profile) compile it once; the results are bitwise those of a fresh compile.
 Under a piecewise-linear density every mass and absolute moment is
-a difference of (cdf, first-moment) prefixes; one scalar call computes each
-point's prefixes once and shares them between pieces, facilities and both
-sides of a gap, and every value stays bitwise what the density's public
-methods give.  The random phase of :func:`ic_search`, equilibrium
+a difference of (cdf, first-moment) prefixes.  One memo of prefixes lives
+beside each kept compile and dies with it, so the calls on one compiled
+profile compute each point's prefixes once in total and share them between
+pieces, facilities, calls and both sides of a gap; every value stays
+bitwise what the density's public methods give.  The random phase of :func:`ic_search`, equilibrium
 enumeration and the exhaustive equilibrium check's deviation lines price
 their rows in blocks through the array compiler and one row integrator
 instead; every row's gap and payoffs are bitwise equal to the scalar
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _MEDIATORS, Dictator, Nime, _integer, _players, validate_profile
-from .mediators import _compiled_pieces, _compiled_rows, _snap_rows, _snap_to_endpoints
+from .mediators import _compiled_pieces, _compiled_rows, _prefix_memo, _snap_rows, _snap_to_endpoints
 
 __all__ = [
     "payoff",
@@ -54,10 +55,10 @@ __all__ = [
 
 
 def _payoff_locs(game, locs):
-    _, _, pieces, _ = _compiled_pieces(game, locs)
-    mass, _ = game.distribution._integrals()
+    compiled = _compiled_pieces(game, locs)
+    mass, _ = game.distribution._integrals(_prefix_memo(compiled))
     out = [0.0] * game.n
-    for lo, hi, w in pieces:
+    for lo, hi, w in compiled[2]:
         m = mass(lo, hi)
         for i, wi in enumerate(w):
             if wi:
@@ -70,32 +71,34 @@ def payoff(game, profile):
     return _payoff_locs(game, validate_profile(profile, game.n))
 
 
-def _cost_locs(game, locs, abs_moment):
-    """The facilities as the game's compiler canonicalized them, and their
-    social cost, priced by ``abs_moment`` from the density's
-    ``_integrals()``."""
-    locs, _, pieces, _ = _compiled_pieces(game, locs)
+def _cost(compiled, abs_moment):
+    """Social cost of a compile of :func:`_compiled_pieces`, its facilities
+    as the compiler canonicalized them, priced by ``abs_moment`` from the
+    density's ``_integrals``."""
+    locs, _, pieces, _ = compiled
     total = 0.0
     for lo, hi, w in pieces:
         for i, wi in enumerate(w):
             if wi:
                 total += wi * abs_moment(locs[i], lo, hi)
-    return locs, total
+    return total
 
 
 def social_cost(game, profile):
     """Expected distance a user travels to her assigned facility."""
-    _, abs_moment = game.distribution._integrals()
-    return _cost_locs(game, validate_profile(profile, game.n), abs_moment)[1]
+    compiled = _compiled_pieces(game, validate_profile(profile, game.n))
+    _, abs_moment = game.distribution._integrals(_prefix_memo(compiled))
+    return _cost(compiled, abs_moment)
 
 
 def _gap_locs(game, nime_game, locs):
-    # The no-intervention side prices the facilities as the mediator's
-    # compiler canonicalized them, so both sides see the same positions, and
-    # both sides share one call's density prefixes.
-    _, abs_moment = game.distribution._integrals()
-    locs, cost = _cost_locs(game, locs, abs_moment)
-    return cost - _cost_locs(nime_game, locs, abs_moment)[1]
+    # The mediator is compiled once.  The no-intervention side prices the
+    # facilities as the mediator's compiler canonicalized them, so both
+    # sides see the same positions, and both sides share the mediator's
+    # compile's density prefixes.
+    compiled = _compiled_pieces(game, locs)
+    _, abs_moment = game.distribution._integrals(_prefix_memo(compiled))
+    return _cost(compiled, abs_moment) - _cost(_compiled_pieces(nime_game, compiled[0]), abs_moment)
 
 
 def _runs(game, locs):
@@ -129,7 +132,7 @@ def _runs(game, locs):
 
 def _rows_cost(game, locs):
     """Social cost of every canonicalized ``(B, n)`` row, bitwise equal to
-    :func:`_cost_locs` on each row: the absolute moments of the runs,
+    :func:`_cost` of each row's compile: the absolute moments of the runs,
     summed piece-major, player-minor."""
     weights, lo, hi = _runs(game, locs)
     moments = game.distribution.abs_moment_array(locs[:, None, :], lo[..., None], hi[..., None])

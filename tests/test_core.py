@@ -2,6 +2,7 @@
 
 import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from hotelling_mediators import (
 from hotelling_mediators.core import _MEDIATORS
 
 from test_mediators import SAMPLES
+from test_policy_reference import ZIGZAG
 
 TOL = 1e-12
 
@@ -151,6 +153,83 @@ class TestMoments:
         approx = np.trapezoid(np.abs(c - ts) * g, ts)
         assert abs(TENT.abs_moment(c, 0.1, 0.8)) >= 0.0
         assert abs(RAMP.abs_moment(c, 0.1, 0.8) - approx) <= 1e-8
+
+
+def _reference_segment(dist, x):
+    """Segment k of x and the formulas the density evaluated before its
+    segment table: ``(density, cdf, first-moment prefix)`` at x."""
+    xs, gs = dist.breakpoints, dist.values
+    k = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
+    w = (x - xs[k]) / (xs[k + 1] - xs[k])
+    density = gs[k] + w * (gs[k + 1] - gs[k])
+    u = x - xs[k]
+    m = (gs[k + 1] - gs[k]) / (xs[k + 1] - xs[k])
+    cdf = dist._cum_mass[k] + u * (gs[k] + 0.5 * m * u)
+    x0 = xs[k]
+    h = xs[k + 1] - x0
+    m = (gs[k + 1] - gs[k]) / h
+    c = gs[k] - m * x0
+    fm = 0.5 * c * (x * x - x0 * x0) + m * (x * x * x - x0 * x0 * x0) / 3.0
+    return density, cdf, dist._cum_fm[k] + fm
+
+
+def _reference_abs_moment(dist, c, a, b):
+    _, cdf_a, fm_a = _reference_segment(dist, a)
+    _, cdf_b, fm_b = _reference_segment(dist, b)
+    if b <= c:
+        return c * (cdf_b - cdf_a) - (fm_b - fm_a)
+    if a >= c:
+        return (fm_b - fm_a) - c * (cdf_b - cdf_a)
+    _, cdf_c, fm_c = _reference_segment(dist, c)
+    return (c * (cdf_c - cdf_a) - (fm_c - fm_a)) + ((fm_b - fm_c) - c * (cdf_b - cdf_c))
+
+
+def _table_points(dist, randoms):
+    """0, 1, every breakpoint and its float neighbours inside [0, 1], and
+    the given random points, sorted."""
+    points = {0.0, 1.0, *randoms}
+    for x in dist.breakpoints:
+        points.update(y for y in (math.nextafter(x, -1.0), x, math.nextafter(x, 2.0)) if 0.0 <= y <= 1.0)
+    return sorted(points)
+
+
+def _assert_table_matches_reference(dist, points):
+    bits = float.hex
+    for x in points:
+        density, cdf, fm = _reference_segment(dist, x)
+        assert tuple(map(bits, dist._prefix(x))) == (bits(cdf), bits(fm)), (dist, x)
+        assert bits(dist.cdf(x)) == bits(cdf), (dist, x)
+        assert bits(dist.density(x)) == bits(density), (dist, x)
+        _, cdf_0, fm_0 = _reference_segment(dist, 0.0)
+        assert bits(dist.mass(0.0, x)) == bits(cdf - cdf_0), (dist, x)
+        assert bits(dist.first_moment(0.0, x)) == bits(fm - fm_0), (dist, x)
+    # Every ordered pair (a, b) of a sample of the points, with c below,
+    # inside and above it.
+    sample = points[:: max(1, len(points) // 12)] + [points[-1]]
+    for i, a in enumerate(sample):
+        for b in sample[i:]:
+            _, cdf_a, fm_a = _reference_segment(dist, a)
+            _, cdf_b, fm_b = _reference_segment(dist, b)
+            assert bits(dist.mass(a, b)) == bits(cdf_b - cdf_a), (dist, a, b)
+            assert bits(dist.first_moment(a, b)) == bits(fm_b - fm_a), (dist, a, b)
+            for c in sample:
+                want = _reference_abs_moment(dist, c, a, b)
+                assert bits(dist.abs_moment(c, a, b)) == bits(want), (dist, c, a, b)
+
+
+class TestSegmentTable:
+    """The scalar density methods read one per-segment table of constants;
+    every value is bitwise what the formulas gave before the table."""
+
+    @pytest.mark.parametrize("dist", [RAMP, TENT, ZIGZAG], ids=["ramp", "tent", "zigzag"])
+    def test_fixed_densities_match_the_formulas(self, dist):
+        rng = np.random.default_rng(31)
+        _assert_table_matches_reference(dist, _table_points(dist, rng.random(40).tolist()))
+
+    @settings(max_examples=60)
+    @given(RANDOM_DENSITIES, st.lists(st.floats(0.0, 1.0), max_size=20))
+    def test_random_densities_match_the_formulas(self, dist, randoms):
+        _assert_table_matches_reference(dist, _table_points(dist, randoms))
 
 
 class TestQuantileCdfIdentity:

@@ -35,7 +35,7 @@ from hotelling_mediators.equilibrium import (
     _combos,
     _enumerate_chunk,
     _line_kinks,
-    _line_max,
+    _lines_max,
     _player_candidates,
     _probe,
     _probe_plan,
@@ -214,7 +214,7 @@ class TestExactLine:
         game = GameSpec(3, Nime(), NIME_ZIGZAG)
         profile = (0.81522, 0.72999, 0.11320)
         candidate_gain, _ = best_response_gain(game, profile, 0, candidate_deviations(game, profile, 0))
-        sup, (y, value), limit, _ = _line_max(game, profile, 0)
+        sup, (y, value), limit, _ = _lines_max(game, profile, [0])[0]
         assert sup - payoff(game, profile)[0] >= candidate_gain + 2.5e-5
         assert limit is None and value == sup and abs(y - 0.165) <= 1e-3
 
@@ -228,7 +228,7 @@ class TestExactLine:
                 base = payoff(game, profile)
                 for player in range(n):
                     gain, _ = best_response_gain(game, profile, player, candidate_deviations(game, profile, player))
-                    assert _line_max(game, profile, player)[0] - base[player] >= gain - 1e-12, (name, profile, player)
+                    assert _lines_max(game, profile, [player])[0][0] - base[player] >= gain - 1e-12, (name, profile, player)
 
     @pytest.mark.parametrize("density", sorted(DENSITIES))
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -265,7 +265,7 @@ class TestExactLine:
         coord = st.one_of(st.floats(0.0, 1.0), st.sampled_from(anchors))
         profile = data.draw(st.tuples(*[coord] * n))
         player = data.draw(st.integers(0, n - 1))
-        sup = _line_max(game, profile, player)[0]
+        sup = _lines_max(game, profile, [player])[0][0]
         rows = np.repeat([profile], 2001, axis=0)
         rows[:, player] = np.linspace(0.0, 1.0, 2001)
         assert _payoff_rows(game, rows)[:, player].max() <= sup + 1e-12
@@ -300,9 +300,9 @@ def _rows_one_at_a_time(game, rows):
     return np.array([_payoff_locs(game, tuple(row)) for row in rows.tolist()])
 
 
-def _scalar_line_payoffs(game, locs, i, ys):
+def _scalar_stream_payoffs(game, locs, players, ys):
     # The reference: each deviation priced alone, no row block involved.
-    return {y: _payoff_locs(game, (*locs[:i], y, *locs[i + 1 :]))[i] for y in ys}
+    return [_payoff_locs(game, (*locs[:i], y, *locs[i + 1 :]))[i] for i, y in zip(players, ys)]
 
 
 NIME_CLASSICS = [
@@ -316,7 +316,7 @@ def _scalar_report(game, profile, monkeypatch):
     """The exhaustive report's repr with the rows of each block priced one at
     a time, and again with every deviation priced alone; both must agree."""
     reports = []
-    for name, stand_in in (("_payoff_rows", _rows_one_at_a_time), ("_line_payoffs", _scalar_line_payoffs)):
+    for name, stand_in in (("_payoff_rows", _rows_one_at_a_time), ("_stream_payoffs", _scalar_stream_payoffs)):
         with monkeypatch.context() as patch:
             patch.setattr(equilibrium, name, stand_in)
             reports.append(repr(is_pne(game, profile)))
@@ -358,15 +358,42 @@ class TestRowPricedLines:
             return payoff_rows(game, rows)
 
         monkeypatch.setattr(equilibrium, "_payoff_rows", recording)
-        got = _line_max(game, profile, 0)
-        monkeypatch.setattr(equilibrium, "_line_payoffs", _scalar_line_payoffs)
-        assert repr(got) == repr(_line_max(game, profile, 0))
+        got = _lines_max(game, profile, [0])[0]
+        monkeypatch.setattr(equilibrium, "_stream_payoffs", _scalar_stream_payoffs)
+        assert repr(got) == repr(_lines_max(game, profile, [0])[0])
         sizes = [len(rows) for rows in blocks]
         assert _block_rows(game) == 8 and len(blocks) > 2
         assert sizes[:-1] == [8] * (len(sizes) - 1)
         ys = [y for rows in blocks for y in rows[:, 0].tolist()]
         assert len(ys) == len(set(ys)) == got[3] > 400
         assert all((rows[:, 1:] == profile[1:]).all() for rows in blocks)
+
+
+    def test_exhaustive_check_is_one_row_stream(self, monkeypatch):
+        # Uniform density: no stationary points, so every player's kinks and
+        # interior points go out as one stream of full blocks, mixing
+        # players, and the stream takes no more calls than its rows need.
+        game = GameSpec(6, Lime())
+        cap = _block_rows(game)
+        payoff_rows = equilibrium._payoff_rows
+        rng = np.random.default_rng(6)
+        for profile in [optimal_locations(6), *(tuple(rng.random(6).tolist()) for _ in range(4))]:
+            blocks = []
+
+            def recording(game, rows):
+                blocks.append(rows.copy())
+                return payoff_rows(game, rows)
+
+            monkeypatch.setattr(equilibrium, "_payoff_rows", recording)
+            report = is_pne(game, profile)
+            monkeypatch.setattr(equilibrium, "_payoff_rows", payoff_rows)
+            rows = sum(len(block) for block in blocks)
+            assert rows <= report.candidate_count
+            assert len(blocks) <= math.ceil(rows / cap), (profile, len(blocks), rows)
+            assert max(len(block) for block in blocks) <= cap
+            moved = [set(np.flatnonzero((block != profile).any(axis=0)).tolist()) for block in blocks]
+            assert set().union(*moved) == set(range(6)) and max(map(len, moved)) > 1
+            assert repr(report) == _scalar_report(game, profile, monkeypatch)
 
 
 class TestEnumeration:

@@ -34,7 +34,7 @@ from hotelling_mediators import mediators, metrics
 from hotelling_mediators.core import _MEDIATORS
 from hotelling_mediators.mediators import _compiled_pieces, _snap_rows, _snap_to_endpoints
 
-from test_policy_reference import COORDS, PROPERTY_GAMES, anchored
+from test_policy_reference import COORDS, PROPERTY_GAMES, ZIGZAG, anchored
 
 TOL = 1e-12
 
@@ -328,6 +328,64 @@ class TestCompileMemo:
         sys.setswitchinterval(1e-6)
         try:
             workers = [threading.Thread(target=work, args=(own,)) for own in profiles]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert wrong == []
+
+    def test_a_replaced_compile_is_priced_with_a_fresh_memo(self, monkeypatch):
+        # Another caller replaces the slot between a compile and its memo
+        # lookup, as a thread switch can, with a compile under another
+        # density whose memo holds this compile's piece ends.
+        games = [GameSpec(3, Lime(epsilon=0.1), RAMP), GameSpec(3, Lime(epsilon=0.1), ZIGZAG)]
+        profile = (0.1, 0.45, 0.9)
+        want = []
+        for game in games:
+            _cleared(monkeypatch)
+            want.append(repr([payoff(game, profile), social_cost(game, profile), intervention_gap(game, profile)]))
+        compile_ = mediators._compiled_pieces
+
+        def interleaved(game, locs):
+            result = compile_(game, locs)
+            other = games[game is games[0]]
+            mass, _ = other.distribution._integrals(mediators._prefix_memo(compile_(other, locs)))
+            for lo, hi, _ in result[2]:
+                mass(lo, hi)
+            return result
+
+        monkeypatch.setattr(metrics, "_compiled_pieces", interleaved)
+        for game, expected in zip(games, want):
+            assert repr([payoff(game, profile), social_cost(game, profile), intervention_gap(game, profile)]) == expected
+
+    def test_threads_never_share_a_prefix_memo(self, monkeypatch):
+        # Two games with one profile set but different densities: a thread
+        # pricing with the prefix memo of the other game's compile, or of
+        # another profile's, would read the other density's prefixes.
+        games = [GameSpec(4, Lime(epsilon=0.1), RAMP), GameSpec(4, Glime(epsilon=0.1), ZIGZAG)]
+        rng = np.random.default_rng(37)
+        locs = [tuple(rng.random(4)) for _ in range(3)]
+        jobs = [(game, p) for game in games for p in locs]
+        queries = (payoff, social_cost, intervention_gap)
+        want = {}
+        for game, p in jobs:
+            _cleared(monkeypatch)
+            want[id(game), p] = repr([query(game, p) for query in queries])
+        wrong = []
+
+        def work(k0):
+            for k in range(300):
+                game, p = jobs[(k0 + k // 3) % len(jobs)]
+                if repr([query(game, p) for query in queries]) != want[id(game), p]:
+                    wrong.append((game, p))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(k0,)) for k0 in range(6)]
             for w in workers:
                 w.start()
             for w in workers:

@@ -29,7 +29,7 @@ from hotelling_mediators import (
     payoff,
     social_cost,
 )
-from hotelling_mediators import metrics
+from hotelling_mediators import mediators, metrics
 from hotelling_mediators.core import _MEDIATORS
 from hotelling_mediators.mediators import _snap_to_endpoints
 
@@ -144,21 +144,28 @@ class TestInterventionGap:
             assert intervention_gap(game, profile) >= -1e-12, (game, profile)
 
 
+def _counting_prefixes(monkeypatch):
+    """The points whose density prefixes are computed, in order."""
+    seen = []
+    prefix = PiecewiseLinearDensity._prefix
+
+    def counting(self, x):
+        seen.append(x)
+        return prefix(self, x)
+
+    monkeypatch.setattr(PiecewiseLinearDensity, "_prefix", counting)
+    return seen
+
+
 class TestSharedPrefixes:
-    # Under a piecewise-linear density a scalar call computes the (cdf,
-    # first-moment) prefixes of a point once: a piece's upper end serves as
-    # the next piece's lower end, both sides of a gap share them, and a
-    # facility's are computed only when a piece straddles it.
+    # Under a piecewise-linear density the (cdf, first-moment) prefixes of a
+    # point are computed once per compiled profile: a piece's upper end
+    # serves as the next piece's lower end, both sides of a gap share them,
+    # a facility's are computed only when a piece straddles it, and payoff,
+    # social cost and gap on one profile share one memo.
     @pytest.mark.parametrize("price", [payoff, social_cost, intervention_gap], ids=["payoff", "cost", "gap"])
     def test_no_point_is_prefixed_twice(self, price, monkeypatch):
-        seen = []
-        prefix = PiecewiseLinearDensity._prefix
-
-        def counting(self, x):
-            seen.append(x)
-            return prefix(self, x)
-
-        monkeypatch.setattr(PiecewiseLinearDensity, "_prefix", counting)
+        seen = _counting_prefixes(monkeypatch)
         rng = np.random.default_rng(23)
         for n in (2, 3, 5, 8):
             for mediator in (*_mediators(n).values(), _custom_dictator(n)):
@@ -175,6 +182,39 @@ class TestSharedPrefixes:
                         assert set(seen) == ends, (mediator, profile, seen)
                     else:
                         assert ends <= set(seen) <= ends | set(snapped), (mediator, profile, seen)
+
+    def test_one_profile_prefixes_each_point_once_in_total(self, monkeypatch):
+        seen = _counting_prefixes(monkeypatch)
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 5, 8):
+            for mediator in (*_mediators(n).values(), _custom_dictator(n)):
+                game = GameSpec(n, mediator, ZIGZAG)
+                for profile in _profiles(rng, game, 6):
+                    seen.clear()
+                    payoff(game, profile)
+                    social_cost(game, profile)
+                    intervention_gap(game, profile)
+                    assert len(set(seen)) == len(seen), (mediator, profile, seen)
+
+    def test_a_new_compile_starts_a_fresh_memo(self, monkeypatch):
+        seen = _counting_prefixes(monkeypatch)
+        game = GameSpec(3, Lime(epsilon=1e-2), ZIGZAG)
+        profile = (0.2, 0.45, 0.8)
+        payoff(game, profile)
+        first = list(seen)
+        assert first
+        seen.clear()
+        payoff(game, profile)
+        assert seen == []
+        # An emptied compile slot, an equal but distinct game object, and
+        # another profile in between each start a fresh memo.
+        monkeypatch.setattr(mediators, "_last_compile", (None, None, None))
+        twin = GameSpec(3, Lime(epsilon=1e-2), ZIGZAG)
+        for calls in ([(game, profile)], [(twin, profile)], [(game, (0.1, 0.45, 0.8)), (game, profile)]):
+            seen.clear()
+            for g, p in calls:
+                payoff(g, p)
+            assert seen[-len(first) :] == first, calls
 
 
 class TestAdversarialProfiles:
