@@ -164,7 +164,7 @@ def best_response_gain(game, profile, player, candidates):
 
     Returns ``(gain, argmax)``; the gain may be negative when no candidate
     beats the current location.  The candidates are priced as one stream of
-    rows (:func:`_stream_payoffs`), bitwise as one deviation at a time.  A
+    rows (:func:`_price_streams`), bitwise as one deviation at a time.  A
     player that is no integer in ``range(n)``, and candidates that are no
     nonempty sequence of locations in [0, 1], raise ValueError.
     """
@@ -174,11 +174,11 @@ def best_response_gain(game, profile, player, candidates):
         raise ValueError(f"player index {player!r} is not an integer in range({game.n})")
     candidates = validate_profile(candidates, name="candidates")
     base = _payoff_locs(game, locs)[player]
-    values = _stream_payoffs(game, locs, [player] * len(candidates), candidates)
+    values = _price_streams(game, locs, [(player, candidates)])[0]
     best_gain, best_y = -math.inf, None
-    for y, value in zip(candidates, values):
-        if value - base > best_gain:
-            best_gain, best_y = value - base, y
+    for y in candidates:
+        if values[y] - base > best_gain:
+            best_gain, best_y = values[y] - base, y
     return best_gain, best_y
 
 
@@ -225,28 +225,30 @@ def _horner(xs, coef, x):
     return value
 
 
-def _stream_payoffs(game, locs, players, ys):
-    """The payoff of ``players[k]`` at deviation ``ys[k]``, for every k, as a
-    list: the one pricing loop of the exact check and of
+def _price_streams(game, locs, streams):
+    """Each ``(player, ys)`` of ``streams`` as ``{y: payoff of player at y}``,
+    opponents fixed: the one pricing loop of the exact check and of
     :func:`best_response_gain`.
 
-    The deviations are priced as one stream of rows, in blocks of at most
-    ``_block_rows(game)`` rows through :func:`_payoff_rows`, each row the
-    profile with column ``players[k]`` moved to ``ys[k]``, so peak memory
-    stays flat however long the stream; a block may mix players.  Every
-    payoff is bitwise the one :func:`_payoff_locs` gives the deviation
-    alone.
+    Every stream's deviations go out as one stream of rows, in blocks of at
+    most ``_block_rows(game)`` rows through :func:`_payoff_rows`, each row
+    the profile with the player's column moved, so peak memory stays flat
+    however long the stream; a block may mix players.  Every payoff is
+    bitwise the one :func:`_payoff_locs` gives the deviation alone.
     """
+    players = [i for i, line in streams for _ in line]
+    ys = [y for _, line in streams for y in line]
     row = np.asarray(locs, dtype=float)
     step = _block_rows(game)
-    out = []
+    values = []
     for k in range(0, len(ys), step):
         cols = players[k : k + step]
         at = np.arange(len(cols))
         block = np.tile(row, (len(cols), 1))
         block[at, cols] = ys[k : k + step]
-        out.extend(_payoff_rows(game, block)[at, cols].tolist())
-    return out
+        values.extend(_payoff_rows(game, block)[at, cols].tolist())
+    values = iter(values)
+    return [{y: next(values) for y in line} for _, line in streams]
 
 
 def _line_plan(game, locs, i, deg, lows, highs):
@@ -285,7 +287,7 @@ def _lines_max(game, locs, players):
     points prices the ones it has and is not fitted.  Each of the two passes
     (every player's kinks and interior points, then every player's
     stationary points) is priced as one stream of (player, y) rows by
-    :func:`_stream_payoffs`, bitwise as pricing one deviation at a
+    :func:`_price_streams`, bitwise as pricing one deviation at a
     time would; the fits run on the payoffs as plain floats.
 
     Each entry is ``(sup, best, limit, priced)``: the supremum; the best
@@ -338,14 +340,6 @@ def _line_sup(values, fits, stationary):
                 piece_points = [y for y in stationary if a < y < b] + inner
                 sup, limit = value, (kink, max(piece_points, key=values.__getitem__))
     return sup, best, limit, len(values)
-
-
-def _price_streams(game, locs, streams):
-    """``{y: payoff}`` per ``(player, ys)`` of ``streams``, every player's
-    deviations priced in one stream (:func:`_stream_payoffs`)."""
-    players = [i for i, ys in streams for _ in ys]
-    values = iter(_stream_payoffs(game, locs, players, [y for _, ys in streams for y in ys]))
-    return [{y: next(values) for y in ys} for _, ys in streams]
 
 
 def _toward(kink, y):

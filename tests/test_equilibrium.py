@@ -300,9 +300,9 @@ def _rows_one_at_a_time(game, rows):
     return np.array([_payoff_locs(game, tuple(row)) for row in rows.tolist()])
 
 
-def _scalar_stream_payoffs(game, locs, players, ys):
+def _scalar_price_streams(game, locs, streams):
     # The reference: each deviation priced alone, no row block involved.
-    return [_payoff_locs(game, (*locs[:i], y, *locs[i + 1 :]))[i] for i, y in zip(players, ys)]
+    return [{y: _payoff_locs(game, (*locs[:i], y, *locs[i + 1 :]))[i] for y in ys} for i, ys in streams]
 
 
 NIME_CLASSICS = [
@@ -316,7 +316,7 @@ def _scalar_report(game, profile, monkeypatch):
     """The exhaustive report's repr with the rows of each block priced one at
     a time, and again with every deviation priced alone; both must agree."""
     reports = []
-    for name, stand_in in (("_payoff_rows", _rows_one_at_a_time), ("_stream_payoffs", _scalar_stream_payoffs)):
+    for name, stand_in in (("_payoff_rows", _rows_one_at_a_time), ("_price_streams", _scalar_price_streams)):
         with monkeypatch.context() as patch:
             patch.setattr(equilibrium, name, stand_in)
             reports.append(repr(is_pne(game, profile)))
@@ -359,7 +359,7 @@ class TestRowPricedLines:
 
         monkeypatch.setattr(equilibrium, "_payoff_rows", recording)
         got = _lines_max(game, profile, [0])[0]
-        monkeypatch.setattr(equilibrium, "_stream_payoffs", _scalar_stream_payoffs)
+        monkeypatch.setattr(equilibrium, "_price_streams", _scalar_price_streams)
         assert repr(got) == repr(_lines_max(game, profile, [0])[0])
         sizes = [len(rows) for rows in blocks]
         assert _block_rows(game) == 8 and len(blocks) > 2
