@@ -368,7 +368,6 @@ class TestRowPricedLines:
         assert len(ys) == len(set(ys)) == got[3] > 400
         assert all((rows[:, 1:] == profile[1:]).all() for rows in blocks)
 
-
     def test_exhaustive_check_is_one_row_stream(self, monkeypatch):
         # Uniform density: no stationary points, so every player's kinks and
         # interior points go out as one stream of full blocks, mixing
