@@ -533,8 +533,9 @@ class Mediator:
         return range(len(locs))
 
     def eligible_rows(self, locs):
-        """:meth:`eligible` as a boolean mask over a ``(B, n)`` array of
-        profiles, or None when every player is eligible in every row."""
+        """:meth:`eligible` as a boolean mask over profiles held player-major,
+        an ``(n, B)`` array with one column per profile, or None when every
+        player is eligible in every profile."""
         return None
 
     def to_json(self):
@@ -627,7 +628,7 @@ class Dictator(Mediator):
         return [i for i, s in enumerate(locs) if abs(s - self.targets[i]) <= self.equality_tol]
 
     def eligible_rows(self, locs):
-        return np.abs(locs - np.asarray(self.targets)) <= self.equality_tol
+        return np.abs(locs - np.asarray(self.targets)[:, None]) <= self.equality_tol
 
     def ic_bounds(self, n):
         return (0.5 - 3.0 / (4 * n) + 1.0 / (4 * n * n), None)

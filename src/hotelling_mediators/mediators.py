@@ -279,27 +279,17 @@ def _same_floats(a, b):
     )
 
 
-def _compiled_pieces(game, locs):
-    """Canonicalized locations plus (lo, hi, distribution) pieces over (0, 1).
+def _compile(game, locs):
+    """Canonicalized locations plus (lo, hi, distribution) pieces over (0, 1),
+    compiled afresh from the location tuple ``locs``.
 
     Facilities are snapped onto interval endpoints once, here, and the rule
     is bound to the snapped profile once.  Adjacent pieces with identical
     distributions are coalesced; the returned breakpoint tuple still holds
     every candidate switch point, where the rule may deviate pointwise
-    (ties, interval endpoints).
-
-    The last compile is kept: a call with the same ``game`` object and the
-    same input floats bit for bit (see :func:`_same_floats`) returns it
-    again, so payoff, social cost and gap on one profile compile it once.
-    Any other call compiles and replaces it, with an empty prefix memo
-    beside it (see :func:`_prefix_memo`).  The result is shared between
-    callers, so it is made of tuples and a rule that keeps no state.
+    (ties, interval endpoints).  The result is made of tuples and a rule
+    that keeps no state, so callers may share it.
     """
-    global _last_compile
-    last_game, last_locs, last = _last_compile
-    if game is last_game and _same_floats(locs, last_locs):
-        return last[0]
-    locs = tuple(locs)
     piis = game.piis
     snapped = _snap_to_endpoints(locs, piis)
     rule, sites = _bind_rule(game, snapped)
@@ -311,7 +301,24 @@ def _compiled_pieces(game, locs):
             pieces[-1] = (pieces[-1][0], hi, d)
         else:
             pieces.append((lo, hi, d))
-    result = (snapped, tuple(bps), tuple(pieces), rule)
+    return (snapped, tuple(bps), tuple(pieces), rule)
+
+
+def _compiled_pieces(game, locs):
+    """:func:`_compile`, keeping the last compile.
+
+    A call with the same ``game`` object and the same input floats bit for
+    bit (see :func:`_same_floats`) returns the kept compile again, so
+    payoff, social cost and gap on one profile compile it once.  Any other
+    call compiles and replaces it, with an empty prefix memo beside it (see
+    :func:`_prefix_memo`).
+    """
+    global _last_compile
+    last_game, last_locs, last = _last_compile
+    if game is last_game and _same_floats(locs, last_locs):
+        return last[0]
+    locs = tuple(locs)
+    result = _compile(game, locs)
     _last_compile = (game, locs, (result, {}))
     return result
 
@@ -344,9 +351,10 @@ def compile_policy(game, profile, include_point_dists=True):
 
 
 def _snap_rows(locs, piis):
-    """:func:`_snap_to_endpoints` applied to every row of a ``(B, n)`` array,
-    bitwise."""
-    out = np.array(locs, dtype=float)
+    """:func:`_snap_to_endpoints` applied elementwise to an array of
+    locations, bitwise, as a new C-contiguous array of its shape; the row
+    kernel passes its profiles player-major, ``(n, B)``."""
+    out = np.array(locs, dtype=float, order="C")
     if not piis:
         return out
     ends = np.array([-np.inf, *(e for pii in piis for e in pii), np.inf])
@@ -356,54 +364,64 @@ def _snap_rows(locs, piis):
 
 
 def _nearest_rows(dists, subset):
-    """:func:`_nearest_weights` over the last axis, restricted to ``subset``."""
+    """:func:`_nearest_weights` over the leading (player) axis, restricted
+    to ``subset``."""
     masked = np.where(subset, dists, np.inf)
-    tie = (masked == masked.min(axis=-1, keepdims=True)) & subset
-    count = tie.sum(axis=-1, keepdims=True)
-    return np.where(tie, 1.0 / np.maximum(count, 1), 0.0)
+    tie = (masked == masked.min(axis=0)) & subset
+    return np.where(tie, 1.0 / np.maximum(tie.sum(axis=0), 1), 0.0)
 
 
 def _compiled_rows(game, locs):
-    """Array form of :func:`_compiled_pieces` over canonicalized ``(B, n)`` rows.
+    """Array form of :func:`_compiled_pieces` over canonicalized profiles
+    held player-major, ``locs`` of shape ``(n, B)``: one column per profile.
 
-    Returns ``(cands, weights)``: per row the sorted candidate breakpoints of
-    :func:`_policy_breakpoints`, padded to one width with duplicates of its
-    own candidates, and the bound rule at the midpoint of every consecutive
-    pair, shape ``(B, K - 1, n)``.  Padding only makes zero-width pieces,
-    whose midpoint is a breakpoint; callers skip them.  Pieces are not
-    coalesced.  Every non-empty piece and its weights are bitwise those of
-    the scalar compiler, which stays the path for single profiles: the
-    array overhead only pays off over many rows.
+    Returns ``(cands, weights)``: per profile the sorted candidate
+    breakpoints of :func:`_policy_breakpoints`, shape ``(B, K)``, padded to
+    one count with duplicates of its own candidates, and the bound rule at
+    the midpoint of every consecutive pair, shape ``(n, B, K - 1)``.  The
+    players lead every array, so each reduction over them is a reduction
+    over the leading axis, elementwise across profiles and pieces, at any
+    n; every interval's candidates are found in the same pass.  Padding
+    only makes zero-width pieces, whose midpoint is a breakpoint; callers
+    skip them.  Pieces are not coalesced.  Every non-empty piece and its
+    weights are bitwise those of the scalar compiler, which stays the path
+    for single profiles: the array overhead only pays off over many rows.
     """
     eligible = game.mediator.eligible_rows(locs)
     if eligible is None:
-        sites = np.sort(locs, axis=1)
+        sites = np.sort(locs, axis=0)
     else:
         # Skipped players stand in as copies of an eligible site (or of 0.0
         # when nobody is eligible), so their midpoints are candidates already.
-        fill = np.where(eligible, locs, 0.0).max(axis=1, keepdims=True)
-        sites = np.sort(np.where(eligible, locs, fill), axis=1)
-    rows = len(locs)
-    parts = [np.zeros((rows, 1)), np.ones((rows, 1)), 0.5 * (sites[:, :-1] + sites[:, 1:])]
-    for lo, hi in game.piis:
-        below = sites <= lo
-        above = sites >= hi
-        # The last site <= lo and the first site >= hi (0.0 and 1.0 when absent).
-        mid = 0.5 * (np.where(below, sites, 0.0).max(axis=1) + np.where(above, sites, 1.0).min(axis=1))
-        ok = below.any(axis=1) & above.any(axis=1) & (lo < mid) & (mid < hi)
-        parts.append(np.repeat([[lo, hi]], rows, axis=0))
-        parts.append(np.where(ok, mid, lo)[:, None])
+        fill = np.where(eligible, locs, 0.0).max(axis=0)
+        sites = np.sort(np.where(eligible, locs, fill), axis=0)
+    rows = locs.shape[1]
+    parts = [np.zeros((rows, 1)), np.ones((rows, 1)), (0.5 * (sites[:-1] + sites[1:])).T]
+    if game.piis:
+        los, his = np.array(game.piis).T[..., None]
+        below = sites[:, None] <= los
+        above = sites[:, None] >= his
+        # Per interval, the last site <= lo and the first site >= hi (0.0
+        # and 1.0 when absent), shape (intervals, B).
+        mid = 0.5 * (np.where(below, sites[:, None], 0.0).max(axis=0) + np.where(above, sites[:, None], 1.0).min(axis=0))
+        ok = below.any(axis=0) & above.any(axis=0) & (los < mid) & (mid < his)
+        # Per interval lo, hi and the midpoint (or lo again), in that order.
+        ends = np.broadcast_to(np.stack([los, his]), (2, len(los), rows))
+        parts.append(np.concatenate([ends, np.where(ok, mid, los)[None]]).T.reshape(rows, -1))
     cands = np.sort(np.concatenate(parts, axis=1), axis=1)
     return cands, _rule_rows(game, locs, eligible, 0.5 * (cands[:, :-1] + cands[:, 1:]))
 
 
 def _rule_rows(game, locs, eligible, t):
-    """:func:`_bind_rule` at user locations ``t`` of shape ``(B, P)``, given
-    the record's row mask ``eligible`` (None when every player is)."""
+    """:func:`_bind_rule` at user locations ``t`` of shape ``(B, P)``, for
+    the ``(n, B)`` profiles ``locs`` and the record's mask ``eligible`` of
+    the same shape (None when every player is): weights ``(n, B, P)``."""
     m = game.mediator
     piis = game.piis
-    dists = np.abs(locs[:, None, :] - t[:, :, None])
-    every = True if eligible is None else eligible[:, None, :]
+    n = len(locs)
+    locs = locs[..., None]
+    dists = np.abs(locs - t)
+    every = True if eligible is None else eligible[..., None]
     if not piis:
         weights = _nearest_rows(dists, every)
     else:
@@ -411,14 +429,14 @@ def _rule_rows(game, locs, eligible, t):
         his = np.array([hi for _, hi in piis])
         k = np.searchsorted(los, t, side="left") - 1  # the last interval with lo < t
         k0 = np.maximum(k, 0)
-        inside = ((k >= 0) & (t < his[k0]))[..., None]
-        left = locs[:, None, :] <= los[k0][..., None]
-        right = locs[:, None, :] >= his[k0][..., None]
+        inside = (k >= 0) & (t < his[k0])
+        left = locs <= los[k0]
+        right = locs >= his[k0]
         if eligible is not None:
             left &= every
             right &= every
-        has_left = left.any(axis=-1, keepdims=True)
-        has_right = right.any(axis=-1, keepdims=True)
+        has_left = left.any(axis=0)
+        has_right = right.any(axis=0)
         both = inside & has_left & has_right
         one = inside & (has_left ^ has_right)
         # One nearest scan serves every branch but the half split's right side.
@@ -427,9 +445,9 @@ def _rule_rows(game, locs, eligible, t):
         else:
             subset = np.where(inside & (has_left | has_right), left | right, every)
         weights = _nearest_rows(dists, subset)
-        weights = np.where(one, (1.0 - m.epsilon) * weights + m.epsilon / locs.shape[1], weights)
+        weights = np.where(one, (1.0 - m.epsilon) * weights + m.epsilon / n, weights)
         if m.half_split:
             weights = np.where(both, 0.5 * weights + 0.5 * _nearest_rows(dists, right), weights)
     if eligible is not None:
-        weights = np.where(eligible.any(axis=1)[:, None, None], weights, 1.0 / locs.shape[1])
+        weights = np.where(eligible.any(axis=0)[:, None], weights, 1.0 / n)
     return weights

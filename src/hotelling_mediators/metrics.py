@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _MEDIATORS, Dictator, Nime, _integer, _players, validate_profile
-from .mediators import _compiled_pieces, _compiled_rows, _prefix_memo, _snap_rows, _snap_to_endpoints
+from .mediators import _compile, _compiled_pieces, _compiled_rows, _prefix_memo, _snap_rows, _snap_to_endpoints
 
 __all__ = [
     "payoff",
@@ -95,19 +95,23 @@ def _gap_locs(game, nime_game, locs):
     # The mediator is compiled once.  The no-intervention side prices the
     # facilities as the mediator's compiler canonicalized them, so both
     # sides see the same positions, and both sides share the mediator's
-    # compile's density prefixes.
+    # compile's density prefixes.  The twin is compiled outside the kept
+    # compile, so it never evicts the mediator's; a no-intervention game is
+    # its own twin and reuses its compile.
     compiled = _compiled_pieces(game, locs)
     _, abs_moment = game.distribution._integrals(_prefix_memo(compiled))
-    return _cost(compiled, abs_moment) - _cost(_compiled_pieces(nime_game, compiled[0]), abs_moment)
+    twin = compiled if nime_game is game else _compile(nime_game, compiled[0])
+    return _cost(compiled, abs_moment) - _cost(twin, abs_moment)
 
 
 def _runs(game, locs):
-    """Compile canonicalized ``(B, n)`` rows into runs: ``(weights, lo, hi)``.
+    """Compile canonicalized profiles, held player-major as an ``(n, B)``
+    array, into runs: ``(weights, lo, hi)``.
 
     A run is a maximal stretch of non-empty pieces with equal weights,
     looking through the zero-width padding between them, as the scalar
     compiler coalesces its pieces.  ``weights`` has the row compiler's shape
-    ``(B, K - 1, n)`` and is zero except on the first piece of each run,
+    ``(n, B, K - 1)`` and is zero except on the first piece of each run,
     which carries the run's weights; ``lo`` and ``hi``, shape ``(B, K - 1)``,
     are the ends of the run that starts at each piece.  This is the one row
     integrator: callers price each run by a per-piece term and sum the
@@ -115,39 +119,42 @@ def _runs(game, locs):
     loops do.
     """
     cands, weights = _compiled_rows(game, locs)
-    rows, pieces, _ = weights.shape
-    at = np.arange(rows)[:, None]
+    n, rows, pieces = weights.shape
     index = np.arange(pieces)
+    at = np.arange(rows)[:, None]
     open_ = cands[:, :-1] < cands[:, 1:]
     # The last non-empty piece before each piece, or -1.
     last_open = np.maximum.accumulate(np.where(open_, index, -1), axis=1)
     prev = np.concatenate([np.full((rows, 1), -1), last_open[:, :-1]], axis=1)
-    changed = (weights != weights[at, np.maximum(prev, 0)]).any(axis=-1)
+    # Each piece's weights against those of that piece, gathered from the
+    # flattened (profile, piece) plane.
+    before = np.take(weights.reshape(n, -1), (at * pieces + np.maximum(prev, 0)).ravel(), axis=1)
+    changed = (weights != before.reshape(weights.shape)).any(axis=0)
     start = open_ & ((prev < 0) | changed)
     # A run ends where the next one starts, or at 1.0.
     next_start = np.minimum.accumulate(np.where(start, index, pieces)[:, ::-1], axis=1)[:, ::-1]
     end = np.concatenate([next_start[:, 1:], np.full((rows, 1), pieces)], axis=1)
-    return np.where(start[..., None], weights, 0.0), cands[:, :-1], cands[at, end]
+    return np.where(start, weights, 0.0), cands[:, :-1], np.take(cands, at * (pieces + 1) + end)
 
 
 def _rows_cost(game, locs):
-    """Social cost of every canonicalized ``(B, n)`` row, bitwise equal to
-    :func:`_cost` of each row's compile: the absolute moments of the runs,
-    summed piece-major, player-minor."""
+    """Social cost of every canonicalized profile of an ``(n, B)`` array,
+    shape ``(B,)``, bitwise equal to :func:`_cost` of each profile's compile:
+    the absolute moments of the runs, summed piece-major, player-minor."""
     weights, lo, hi = _runs(game, locs)
-    moments = game.distribution.abs_moment_array(locs[:, None, :], lo[..., None], hi[..., None])
+    moments = game.distribution.abs_moment_array(locs[..., None], lo, hi)
     terms = np.where(weights != 0.0, weights * moments, 0.0)
-    return np.cumsum(terms.reshape(len(locs), -1), axis=1)[:, -1]
+    return np.cumsum(terms.transpose(1, 2, 0).reshape(locs.shape[1], -1), axis=1)[:, -1]
 
 
 def _payoff_rows(game, locs):
-    """Payoffs of every row of a ``(B, n)`` array, bitwise equal to
-    :func:`_payoff_locs` on each row: the masses of the runs, summed piece by
-    piece for every player."""
-    weights, lo, hi = _runs(game, _snap_rows(locs, game.piis))
-    mass = game.distribution.mass_array(lo, hi)[..., None]
-    terms = np.where(weights != 0.0, weights * mass, 0.0)
-    return np.cumsum(terms, axis=1)[:, -1]
+    """Payoffs of every row of a ``(B, n)`` array, shape ``(B, n)``, bitwise
+    equal to :func:`_payoff_locs` on each row: the masses of the runs,
+    summed piece by piece for every player.  The kernel holds the profiles
+    player-major, so the result is the transpose of its ``(n, B)`` sums."""
+    weights, lo, hi = _runs(game, _snap_rows(np.transpose(locs), game.piis))
+    terms = np.where(weights != 0.0, weights * game.distribution.mass_array(lo, hi), 0.0)
+    return np.cumsum(terms, axis=-1)[..., -1].T
 
 
 def _gap_rows(game, rows):
@@ -155,9 +162,10 @@ def _gap_rows(game, rows):
     :func:`_gap_locs` on each row.
 
     The mediator and its no-intervention twin are each priced on their own
-    candidate set, exactly as the scalar path prices them.
+    candidate set, exactly as the scalar path prices them, on one
+    player-major ``(n, B)`` copy of the snapped rows.
     """
-    locs = _snap_rows(rows, game.piis)
+    locs = _snap_rows(np.transpose(rows), game.piis)
     return _rows_cost(game, locs) - _rows_cost(_nime_twin(game), locs)
 
 

@@ -7,6 +7,8 @@ bitwise, sign of zero included, so ic_search and pne_enumerate return
 exactly what pricing one row at a time does.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,26 @@ def test_row_alone_equals_row_in_block(density):
             block = _gap_rows(game, rows)
             for k in range(len(rows)):
                 assert _bitwise(_gap_rows(game, rows[k : k + 1])[0], block[k]), (name, k)
+
+
+@pytest.mark.parametrize("density", sorted(DENSITIES))
+@pytest.mark.parametrize("n", [2, 3])
+def test_signed_zero_profiles_price_as_scalar(n, density):
+    # Every profile over {-0.0, 0.0, the least subnormal, an interval
+    # endpoint, 0.5, 1.0}, each game priced as one block: the sign of a zero
+    # must survive the reductions over players and pieces.
+    for name, mediator in {**_mediators(n), "dict-custom": _custom_dictator(n)}.items():
+        game = GameSpec(n, mediator, DENSITIES[density])
+        end = game.piis[0][0] if game.piis else 0.25
+        profiles = list(itertools.product((-0.0, 0.0, 5e-324, end, 0.5, 1.0), repeat=n))
+        rows = np.array(profiles)
+        payoffs, gaps = _payoff_rows(game, rows), _gap_rows(game, rows)
+        twin = _nime_twin(game)
+        for k, profile in enumerate(profiles):
+            want = _payoff_locs(game, profile)
+            assert all(_bitwise(a, b) for a, b in zip(payoffs[k], want)), (name, profile, payoffs[k], want)
+            want = _gap_locs(game, twin, profile)
+            assert _bitwise(gaps[k], want), (name, profile, gaps[k], want)
 
 
 @pytest.mark.parametrize("kind", sorted(DENSITIES))

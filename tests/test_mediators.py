@@ -34,6 +34,7 @@ from hotelling_mediators import mediators, metrics
 from hotelling_mediators.core import _MEDIATORS
 from hotelling_mediators.mediators import _compiled_pieces, _snap_rows, _snap_to_endpoints
 
+from test_metrics import _counting_prefixes
 from test_policy_reference import COORDS, PROPERTY_GAMES, ZIGZAG, anchored
 
 TOL = 1e-12
@@ -280,6 +281,22 @@ class TestCompileMemo:
         assert len(calls) == 1
         _compiled_pieces(second, locs)
         assert len(calls) == 2
+
+    def test_a_gap_first_keeps_the_mediator_compile(self, monkeypatch):
+        # The no-intervention twin is compiled outside the kept compile, so
+        # a gap asked for first leaves the mediator's compile, and its
+        # prefix memo, for the payoff and social cost that follow.
+        game = GameSpec(4, Lime(), ZIGZAG)
+        profile = (0.1, 0.3, 0.6, 0.9)
+        calls = _counting_binds(monkeypatch)
+        seen = _counting_prefixes(monkeypatch)
+        for order in ((payoff, social_cost, intervention_gap), (intervention_gap, payoff, social_cost)):
+            _cleared(monkeypatch)
+            calls.clear()
+            seen.clear()
+            for query in order:
+                query(game, profile)
+            assert len(calls) == 2 and len(seen) == len(set(seen)) == 12, (order, calls, seen)
 
     def test_the_memo_holds_one_compile(self, monkeypatch):
         game = GameSpec(3, Glime(), RAMP)
