@@ -42,10 +42,15 @@ adjacent distinct eligible sites, the interval endpoints, and per interval
 one midpoint across it (see :func:`_policy_breakpoints`).  The bound rule
 scans O(n) facilities once per piece, so a profile compiles in O(n^2) time.
 
-:func:`_compiled_rows` is the same compiler over a ``(B, n)`` array of
-profiles, used to price many random profiles at once.  Its candidates are
-padded to one width with duplicates, and every non-empty piece it yields is
-bitwise the scalar compiler's.
+:func:`_compiled_rows` is the same compiler over many profiles at once, used
+to price random profiles, grid waves and deviation lines in blocks.  It
+holds them player-major: the profiles as an ``(n, B)`` array and the rule's
+weights as ``(n, B, pieces)``, so every reduction over the players (the
+nearest distance, the tie count, whether a side is occupied) runs over the
+leading axis, elementwise across profiles and pieces, at any n, and every
+protected interval's candidates are found in one pass over all intervals.
+Its candidates are padded to one width with duplicates, and every non-empty
+piece it yields is bitwise the scalar compiler's.
 """
 
 from __future__ import annotations
@@ -403,7 +408,8 @@ def _compiled_rows(game, locs):
         above = sites[:, None] >= his
         # Per interval, the last site <= lo and the first site >= hi (0.0
         # and 1.0 when absent), shape (intervals, B).
-        mid = 0.5 * (np.where(below, sites[:, None], 0.0).max(axis=0) + np.where(above, sites[:, None], 1.0).min(axis=0))
+        last_below = np.where(below, sites[:, None], 0.0).max(axis=0)
+        mid = 0.5 * (last_below + np.where(above, sites[:, None], 1.0).min(axis=0))
         ok = below.any(axis=0) & above.any(axis=0) & (los < mid) & (mid < his)
         # Per interval lo, hi and the midpoint (or lo again), in that order.
         ends = np.broadcast_to(np.stack([los, his]), (2, len(los), rows))

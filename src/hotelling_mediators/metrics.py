@@ -17,17 +17,19 @@ coordinate ascent) next to the analytic bounds from
 Single profiles are priced by the scalar path (compile, then sum piece by
 piece).  The compiler keeps its last compile, so repeated calls on the same
 game object and the same profile (payoff, social cost and gap of one
-profile) compile it once; the results are bitwise those of a fresh compile.
-Under a piecewise-linear density every mass and absolute moment is
-a difference of (cdf, first-moment) prefixes.  One memo of prefixes lives
-beside each kept compile and dies with it, so the calls on one compiled
-profile compute each point's prefixes once in total and share them between
-pieces, facilities, calls and both sides of a gap; every value stays
-bitwise what the density's public methods give.  The random phase of :func:`ic_search`, equilibrium
-enumeration and the exhaustive equilibrium check's deviation lines price
-their rows in blocks through the array compiler and one row integrator
-instead; every row's gap and payoffs are bitwise equal to the scalar
-path's, so both return the same answers either way.
+profile, in any order) compile it once; the gap's no-intervention side is
+compiled beside it, never in its place.  The results are bitwise those of
+a fresh compile.  Under a piecewise-linear density every mass and absolute
+moment is a difference of (cdf, first-moment) prefixes.  One memo of
+prefixes lives beside each kept compile and dies with it, so the calls on
+one compiled profile compute each point's prefixes once in total and share
+them between pieces, facilities, calls and both sides of a gap; every value
+stays bitwise what the density's public methods give.  The random phase of
+:func:`ic_search`, equilibrium enumeration and the exhaustive equilibrium
+check's deviation lines price their rows in blocks through the array
+compiler and one row integrator instead, with the players on the leading
+axis of every array; every row's gap and payoffs are bitwise equal to the
+scalar path's, so both return the same answers either way.
 """
 
 from __future__ import annotations
@@ -266,7 +268,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _block_rows(game):
-    """Rows per block, so one block's ``(rows, pieces, n)`` weight arrays
+    """Rows per block, so one block's ``(n, rows, pieces)`` weight arrays
     hold about ``_BLOCK_ELEMENTS`` entries; a row has n + 3 * intervals
     pieces."""
     pieces = game.n + 3 * len(game.piis)

@@ -1,9 +1,11 @@
 """The row integrator against the scalar path.
 
 ``_gap_rows`` (ic_search's random phase) and ``_payoff_rows`` (equilibrium
-enumeration) price a block of profiles with one array computation; the
-scalar ``_gap_locs`` and ``_payoff_locs`` stay the oracles.  Agreement is
-bitwise, sign of zero included, so ic_search and pne_enumerate return
+enumeration's waves, the exhaustive equilibrium check's deviation lines and
+``best_response_gain``) price a block of profiles with one array
+computation, held player-major; the scalar ``_gap_locs`` and
+``_payoff_locs`` stay the oracles.  Agreement is bitwise, sign of zero
+included, so ic_search, pne_enumerate, is_pne and best_response_gain return
 exactly what pricing one row at a time does.
 """
 
