@@ -13,13 +13,16 @@ Subcommands::
 Numbers print with 12 significant digits; ``--format json`` emits the
 documented JSON schemas instead of CSV.  Exit codes: 0 on success (and on a
 matching ``--expect`` verdict), 1 when an ``--expect`` verdict mismatches,
-2 on usage errors.  Every randomized command is reproducible from its seed,
+2 on usage errors, among them an ``--expect`` verdict the mode never gives
+(``empty``/``nonempty`` with ``--profile``, ``pne``/``no-pne`` with
+``--enumerate``).  Every randomized command is reproducible from its seed,
 independent of ``--threads``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -98,8 +101,17 @@ def _check_expect(expect, verdict_name):
     return 0 if expect == verdict_name else 1
 
 
+# The ``--expect`` verdicts each mode of ``pne`` can give, keyed by
+# ``--enumerate``.
+_VERDICTS = {False: ("pne", "no-pne"), True: ("empty", "nonempty")}
+
+
 def _cmd_pne(args):
     _integer("threads", args.threads, 1)
+    verdicts = _VERDICTS[args.enumerate]
+    if args.expect is not None and args.expect not in verdicts:
+        mode = "--enumerate" if args.enumerate else "--profile"
+        raise ValueError(f"--expect {args.expect} never matches {mode}, which expects one of {', '.join(verdicts)}")
     game = _build_game(args)
     if args.enumerate:
         if args.grid_step is None:
@@ -186,7 +198,10 @@ def _add_common_flags(p, seed=False, threads=False):
         p.add_argument("--threads", type=int, default=1)
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and every call of :func:`main` reuses it."""
     parser = argparse.ArgumentParser(
         prog="hotelling-mediators",
         description="Mediated facility-location games on the unit segment.",

@@ -17,7 +17,9 @@ the wire format, the fixtures and the command line.  The direction rules and
 their compilers live in :mod:`hotelling_mediators.mediators`.
 
 Everything here is immutable and purely functional; values can be shared
-freely across threads.
+freely across threads.  The one slot filled after construction is a game's
+``plan_arrays``, written once with arrays that depend only on the game, so
+two threads racing to fill it only build the same arrays twice.
 """
 
 from __future__ import annotations
@@ -829,16 +831,23 @@ class GameSpec:
     """A game is the number of players, the mediator, and the user density.
 
     The mediator is bound to the player count at construction, and its
-    protected intervals for this game are worked out once into ``piis``.
-    ``nime_twin`` is the same game under no intervention, built once here
-    for every intervention gap; a no-intervention game is its own twin.
+    protected intervals for this game are worked out once into ``piis``,
+    and beside them into ``pii_arrays``, the read-only arrays the row
+    compiler reads: ``(ends, bounds)``, the sorted interval endpoints between
+    -inf and inf, and the lower ends over the upper ends, shape ``(2,
+    intervals)``.  ``nime_twin`` is the same game under no intervention,
+    built once here for every intervention gap; a no-intervention game is
+    its own twin.  ``plan_arrays`` is None until the game's first grid
+    enumeration keeps its probe plan there as arrays, for every later one.
     """
 
     n: int
     mediator: Mediator
     distribution: UserDistribution = UNIFORM
     piis: tuple = field(init=False, repr=False, compare=False)
+    pii_arrays: tuple = field(init=False, repr=False, compare=False)
     nime_twin: GameSpec = field(init=False, repr=False, compare=False)
+    plan_arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", _players(self.n))
@@ -847,6 +856,12 @@ class GameSpec:
         if not isinstance(self.distribution, _Density):
             raise TypeError(f"not a user distribution: {self.distribution!r}")
         object.__setattr__(self, "mediator", self.mediator.bind(self.n))
-        object.__setattr__(self, "piis", self.mediator.intervals(self.n, self.distribution))
+        piis = self.mediator.intervals(self.n, self.distribution)
+        object.__setattr__(self, "piis", piis)
+        ends = np.array([-math.inf, *(e for pii in piis for e in pii), math.inf])
+        arrays = (ends, np.array(piis).reshape(-1, 2).T)
+        for array in arrays:
+            array.flags.writeable = False
+        object.__setattr__(self, "pii_arrays", arrays)
         twin = self if isinstance(self.mediator, Nime) else GameSpec(self.n, Nime(), self.distribution)
         object.__setattr__(self, "nime_twin", twin)

@@ -23,8 +23,12 @@ refutation needs only one improving deviation, which the set supplies; a
 profile the set does not refute is certified against that set only.
 :func:`_refute_fast` is the single-profile path: it walks the plan one
 scalar payoff at a time.  Grid enumeration refutes blocks of profiles in
-waves instead, pricing every wave's deviations as one block of rows; each
-row is priced bitwise as the scalar path prices it, so the verdicts agree.
+waves instead, pricing every wave's deviations as one block of rows, and a
+block's base payoffs with its first wave; each row is priced bitwise as the
+scalar path prices it, so the verdicts agree.  Enumeration pays its fixed
+costs once: a game keeps the plan as arrays from its first enumeration on
+(:func:`_plan_arrays`), and the grid's sorted profiles come out directly as
+integer arrays, block by block (:func:`_grid_blocks`).
 The order moves only which deviation refutes a profile first, never
 whether one does.  :func:`candidate_deviations` lists one player's entries,
 and better-response dynamics reads the same plan without the one-sided
@@ -38,7 +42,6 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -472,38 +475,66 @@ def _unrank_combo(rank, top, n):
     return combo
 
 
-def _combos(top, n, start, stop):
+def _grid_blocks(top, n, start, stop, size):
     """Entries ``start`` to ``stop - 1`` of
-    ``combinations_with_replacement(range(top + 1), n)``, without iterating
-    past the first ``start``."""
+    ``combinations_with_replacement(range(top + 1), n)``, in order, as
+    integer arrays of ``size`` rows (the last may hold fewer), without
+    iterating past the first ``start``.  The rows are written as runs of the
+    last coordinate: each run keeps the other coordinates and counts the last
+    one up to ``top``, and the next run raises the rightmost coordinate below
+    ``top`` by one and copies it into every later coordinate."""
     idx = _unrank_combo(start, top, n)
-    for _ in range(stop - start):
-        yield tuple(idx)
-        i = n - 1
-        while i >= 0 and idx[i] == top:
-            i -= 1
-        if i < 0:
-            return
-        idx[i:] = [idx[i] + 1] * (n - i)
+    for first in range(start, stop, size):
+        block = np.empty((min(size, stop - first), n), dtype=np.int64)
+        k = 0
+        while k < len(block):
+            run = min(top + 1 - idx[-1], len(block) - k)
+            block[k : k + run, :-1] = idx[:-1]
+            block[k : k + run, -1] = np.arange(idx[-1], idx[-1] + run)
+            k += run
+            idx[-1] += run
+            if idx[-1] > top:
+                i = n - 2
+                while i >= 0 and idx[i] == top:
+                    i -= 1
+                # i < 0 only after the grid's last entry.
+                if i >= 0:
+                    idx[i:] = [idx[i] + 1] * (n - i)
+        yield block
+
+
+def _plan_arrays(game):
+    """:func:`_probe_plan` as four read-only arrays (player, col, scale,
+    offset), built on the game's first enumeration and kept on the game
+    (``game.plan_arrays``) for every later one."""
+    plan = game.plan_arrays
+    if plan is None:
+        plan = tuple(np.array(v) for v in zip(*_probe_plan(game)))
+        for array in plan:
+            array.flags.writeable = False
+        object.__setattr__(game, "plan_arrays", plan)
+    return plan
 
 
 def _refute_rows(game, locs, gain_tol, plan):
     """:func:`_refute_fast` over the rows of a ``(B, n)`` array at once.
 
     ``plan`` is :func:`_probe_plan` as four arrays (player, col, scale,
-    offset).  The base payoffs are priced as one row block; then the live
-    profiles take their next probes in doubling waves (1, 2, 4, ... probes
-    each), and each profile drops out at its first hit.  A wave is capped at
-    ``_block_rows(game)`` rows, so with B at most that the arrays stay one
-    block in size.  Every row is priced bitwise as :func:`_refute_fast`
-    prices it, so the verdicts are the scalar scan's; survivors take every
+    offset), as :func:`_plan_arrays` keeps them.  The live profiles take
+    their probes in doubling waves (1, 2, 4, ... probes each), and each
+    profile drops out at its first hit; the base payoffs are priced in the
+    same :func:`_payoff_rows` call as the first wave.  A wave is capped at
+    ``_block_rows(game)`` rows, so with B at most that the first call holds
+    at most two blocks of rows and every later one at most one.  Every row
+    is priced bitwise as :func:`_refute_fast` prices it, whatever else its
+    call holds, so the verdicts are the scalar scan's; survivors take every
     probe.  Returns ``(survivors, waves, rows)``: the indices of the rows no
-    probe refuted, the probe waves and the rows priced.
+    probe refuted, the probe waves and the rows priced, base rows included.
     """
     player, col, scale, offset = plan
     n = game.n
     block = _block_rows(game)
-    threshold = _payoff_rows(game, locs) + gain_tol
+    threshold = None
     live = np.arange(len(locs))
     waves, rows = 0, len(locs)
     k, want = 0, 1
@@ -513,8 +544,13 @@ def _refute_rows(game, locs, gain_tol, plan):
         at = np.arange(width)
         trial = np.repeat(locs[live][:, None, :], width, axis=1)
         trial[:, at, player[j]] = np.minimum(np.maximum(scale[j] * locs[live][:, col[j]] + offset[j], 0.0), 1.0)
-        value = _payoff_rows(game, trial.reshape(-1, n)).reshape(live.size, width, n)
-        hit = value[:, at, player[j]] > threshold[live][:, player[j]]
+        if threshold is None:
+            value = _payoff_rows(game, np.concatenate([locs, trial.reshape(-1, n)]))
+            threshold = value[: len(locs)] + gain_tol
+            value = value[len(locs) :]
+        else:
+            value = _payoff_rows(game, trial.reshape(-1, n))
+        hit = value.reshape(live.size, width, n)[:, at, player[j]] > threshold[live][:, player[j]]
         live = live[~hit.any(axis=1)]
         waves += 1
         rows += trial.shape[0] * width
@@ -525,15 +561,15 @@ def _refute_rows(game, locs, gain_tol, plan):
 
 def _enumerate_chunk(args):
     """Grid profiles ``start`` to ``stop - 1`` that pass the candidate
-    certification, as ``(found, waves, rows, seconds)``: the profiles are
-    refuted by :func:`_refute_rows` one block of rows at a time."""
+    certification, as ``(found, waves, rows, seconds)``: the game's kept
+    probe-plan arrays (:func:`_plan_arrays`) refute the profiles, one block
+    of rows from :func:`_grid_blocks` at a time, with :func:`_refute_rows`."""
     game, grid_n, start, stop, gain_tol = args
     began = time.perf_counter()
-    plan = [np.array(v) for v in zip(*_probe_plan(game))]
-    combos = _combos(grid_n, game.n, start, stop)
+    plan = _plan_arrays(game)
     found, waves, rows = [], 0, 0
-    while chunk := list(islice(combos, _block_rows(game))):
-        locs = np.array(chunk) / grid_n
+    for grid in _grid_blocks(grid_n, game.n, start, stop, _block_rows(game)):
+        locs = grid / grid_n
         survivors, block_waves, block_rows = _refute_rows(game, locs, gain_tol, plan)
         found.extend(tuple(row) for row in locs[survivors].tolist())
         waves += block_waves

@@ -49,7 +49,9 @@ weights as ``(n, B, pieces)``, so every reduction over the players (the
 nearest distance, the tie count, whether a side is occupied) runs over the
 leading axis, elementwise across profiles and pieces, at any n, and every
 protected interval's candidates are found in one pass over all intervals.
-Its candidates are padded to one width with duplicates, and every non-empty
+It reads the intervals as the arrays a game builds once beside its
+``piis`` (``game.pii_arrays``), never rebuilding them per call.  Its
+candidates are padded to one width with duplicates, and every non-empty
 piece it yields is bitwise the scalar compiler's.
 """
 
@@ -355,14 +357,14 @@ def compile_policy(game, profile, include_point_dists=True):
 # ---------------------------------------------------------------------------
 
 
-def _snap_rows(locs, piis):
-    """:func:`_snap_to_endpoints` applied elementwise to an array of
-    locations, bitwise, as a new C-contiguous array of its shape; the row
-    kernel passes its profiles player-major, ``(n, B)``."""
+def _snap_rows(game, locs):
+    """:func:`_snap_to_endpoints` against ``game.piis`` applied elementwise
+    to an array of locations, bitwise, as a new C-contiguous array of its
+    shape; the row kernel passes its profiles player-major, ``(n, B)``."""
     out = np.array(locs, dtype=float, order="C")
-    if not piis:
+    if not game.piis:
         return out
-    ends = np.array([-np.inf, *(e for pii in piis for e in pii), np.inf])
+    ends = game.pii_arrays[0]
     k = np.searchsorted(ends, out, side="left")
     e = np.where(out - ends[k - 1] <= ends[k] - out, ends[k - 1], ends[k])
     return np.where(np.abs(out - e) <= _PII_FACILITY_SNAP, e, out)
@@ -403,7 +405,8 @@ def _compiled_rows(game, locs):
     rows = locs.shape[1]
     parts = [np.zeros((rows, 1)), np.ones((rows, 1)), (0.5 * (sites[:-1] + sites[1:])).T]
     if game.piis:
-        los, his = np.array(game.piis).T[..., None]
+        bounds = game.pii_arrays[1][..., None]
+        los, his = bounds
         below = sites[:, None] <= los
         above = sites[:, None] >= his
         # Per interval, the last site <= lo and the first site >= hi (0.0
@@ -412,7 +415,7 @@ def _compiled_rows(game, locs):
         mid = 0.5 * (last_below + np.where(above, sites[:, None], 1.0).min(axis=0))
         ok = below.any(axis=0) & above.any(axis=0) & (los < mid) & (mid < his)
         # Per interval lo, hi and the midpoint (or lo again), in that order.
-        ends = np.broadcast_to(np.stack([los, his]), (2, len(los), rows))
+        ends = np.broadcast_to(bounds, (2, len(los), rows))
         parts.append(np.concatenate([ends, np.where(ok, mid, los)[None]]).T.reshape(rows, -1))
     cands = np.sort(np.concatenate(parts, axis=1), axis=1)
     return cands, _rule_rows(game, locs, eligible, 0.5 * (cands[:, :-1] + cands[:, 1:]))
@@ -431,8 +434,7 @@ def _rule_rows(game, locs, eligible, t):
     if not piis:
         weights = _nearest_rows(dists, every)
     else:
-        los = np.array([lo for lo, _ in piis])
-        his = np.array([hi for _, hi in piis])
+        los, his = game.pii_arrays[1]
         k = np.searchsorted(los, t, side="left") - 1  # the last interval with lo < t
         k0 = np.maximum(k, 0)
         inside = (k >= 0) & (t < his[k0])

@@ -154,7 +154,7 @@ def _payoff_rows(game, locs):
     equal to :func:`_payoff_locs` on each row: the masses of the runs,
     summed piece by piece for every player.  The kernel holds the profiles
     player-major, so the result is the transpose of its ``(n, B)`` sums."""
-    weights, lo, hi = _runs(game, _snap_rows(np.transpose(locs), game.piis))
+    weights, lo, hi = _runs(game, _snap_rows(game, np.transpose(locs)))
     terms = np.where(weights != 0.0, weights * game.distribution.mass_array(lo, hi), 0.0)
     return np.cumsum(terms, axis=-1)[..., -1].T
 
@@ -167,7 +167,7 @@ def _gap_rows(game, rows):
     candidate set, exactly as the scalar path prices them, on one
     player-major ``(n, B)`` copy of the snapped rows.
     """
-    locs = _snap_rows(np.transpose(rows), game.piis)
+    locs = _snap_rows(game, np.transpose(rows))
     return _rows_cost(game, locs) - _rows_cost(_nime_twin(game), locs)
 
 

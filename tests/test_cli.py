@@ -108,6 +108,26 @@ class TestPne:
         assert run_cli(capsys, *args, "--expect", "pne")[0] == 0
         assert run_cli(capsys, *args, "--expect", "no-pne")[0] == 1
 
+    def test_expect_of_the_other_mode_is_a_usage_error(self, capsys):
+        # A profile check never reads "empty", an enumeration never "pne".
+        profile = ["pne", "--mediator", "nime", "--n", "2", "--profile", "0.5,0.5"]
+        grid = ["pne", "--mediator", "nime", "--n", "2", "--enumerate", "--grid-step", "0.25"]
+        for argv, expect in [(profile, "empty"), (profile, "nonempty"), (grid, "pne"), (grid, "no-pne")]:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--expect", expect])
+            assert exc.value.code == 2, (argv, expect)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"--expect {expect} never matches" in captured.err
+
+    def test_flags_do_not_outlive_their_call(self, capsys):
+        # The parser is built once per process; one call's flags must not
+        # reach the next.
+        args = ["pne", "--mediator", "nime", "--n", "2", "--profile", "0.5,0.5"]
+        assert run_cli(capsys, *args, "--expect", "no-pne", "--format", "json")[0] == 1
+        code, out = run_cli(capsys, *args)
+        assert code == 0 and out.startswith("isPne,")
+
     def test_expect_empty_enumeration(self, capsys):
         code, _ = run_cli(
             capsys,

@@ -418,6 +418,19 @@ class TestMediatorRecords:
         with pytest.raises(TypeError):
             GameSpec(3, "lime")
 
+    def test_game_keeps_interval_arrays_beside_piis(self):
+        for kind in _MEDIATORS:
+            for m in SAMPLES[kind]:
+                # Dictated targets fix the player count.
+                for n in (2,) if m.targets else (2, 3, 5):
+                    game = GameSpec(n, m, ZIGZAG)
+                    ends, bounds = game.pii_arrays
+                    assert ends.tolist() == [-math.inf, *(e for pii in game.piis for e in pii), math.inf]
+                    assert bounds.shape == (2, len(game.piis))
+                    assert list(zip(*bounds.tolist())) == list(game.piis)
+                    assert not ends.flags.writeable and not bounds.flags.writeable
+                    assert game.plan_arrays is None
+
     def test_nime_equilibrium_costs(self):
         # Table 1's no-intervention rows; n = 3 has no equilibrium.
         costs = {n: Nime().pne_costs(n) for n in range(2, 7)}

@@ -32,8 +32,8 @@ from hotelling_mediators import (
 )
 from hotelling_mediators import equilibrium
 from hotelling_mediators.equilibrium import (
-    _combos,
     _enumerate_chunk,
+    _grid_blocks,
     _line_kinks,
     _lines_max,
     _player_candidates,
@@ -423,9 +423,39 @@ class TestEnumeration:
         rng = np.random.default_rng(n)
         for _ in range(30):
             start, stop = sorted(int(v) for v in rng.choice(len(full) + 1, 2, replace=False))
-            assert list(_combos(grid_n, n, start, stop)) == full[start:stop], (start, stop)
+            size = int(rng.integers(1, 2 * (stop - start) + 1))
+            assert _grid_rows(grid_n, n, start, stop, size) == full[start:stop], (start, stop, size)
         cuts = [0, *sorted(int(v) for v in rng.choice(range(1, len(full)), 6, replace=False)), len(full)]
-        assert [c for a, b in zip(cuts, cuts[1:]) for c in _combos(grid_n, n, a, b)] == full
+        assert [c for a, b in zip(cuts, cuts[1:]) for c in _grid_rows(grid_n, n, a, b, 50)] == full
+
+    @pytest.mark.parametrize("n, grid_n", [(2, 1), (2, 64), (3, 40), (4, 5), (5, 3)])
+    def test_grid_walker_matches_itertools(self, n, grid_n):
+        # The first and the last profile, and every one-profile shard of the
+        # first and last 40, come out alone and right.
+        total = math.comb(grid_n + n, n)
+        want = list(combinations_with_replacement(range(grid_n + 1), n))
+        assert len(want) == total
+        assert _grid_rows(grid_n, n, 0, 1, 1) == [(0,) * n]
+        assert _grid_rows(grid_n, n, total - 1, total, 1) == [(grid_n,) * n]
+        for start in [*range(min(40, total)), *range(max(0, total - 40), total)]:
+            assert _grid_rows(grid_n, n, start, start + 1, 7) == want[start : start + 1], start
+        # The whole grid in blocks of one row, a prime count and all at once.
+        for size in (1, 13, total):
+            blocks = list(_grid_blocks(grid_n, n, 0, total, size))
+            assert all(b.dtype == np.int64 and b.shape[1] == n for b in blocks)
+            assert [len(b) for b in blocks] == [min(size, total - a) for a in range(0, total, size)]
+            assert [tuple(r) for b in blocks for r in b.tolist()] == want
+
+    def test_grid_runs_cross_several_prefixes(self):
+        # At n = 4 on the 1/5 grid the run after (0, 0, 4, 5) ... (0, 0, 5, 5)
+        # raises the second coordinate, and the one after (0, 5, 5, 5) the
+        # first: a block spanning both, starting and ending inside runs.
+        want = list(combinations_with_replacement(range(6), 4))
+        start = want.index((0, 0, 4, 4)) + 1
+        stop = want.index((1, 1, 1, 3))
+        assert len({w[:3] for w in want[start:stop]}) > 10
+        for size in (1, 2, 5, stop - start):
+            assert _grid_rows(5, 4, start, stop, size) == want[start:stop], size
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):
@@ -531,10 +561,16 @@ def _reference_probes(game, locs, offsets=True):
     return out
 
 
+def _grid_rows(top, n, start, stop, size):
+    """The grid walker's profiles ``start`` to ``stop - 1`` as tuples of
+    Python ints, walked in blocks of ``size`` rows."""
+    return [tuple(row) for block in _grid_blocks(top, n, start, stop, size) for row in block.tolist()]
+
+
 def _scalar_scan(game, grid_n, start, stop, gain_tol=1e-9):
     """Grid profiles of a shard that ``_refute_fast`` does not refute."""
     found = []
-    for combo in _combos(grid_n, game.n, start, stop):
+    for combo in _grid_rows(grid_n, game.n, start, stop, 1):
         locs = tuple(k / grid_n for k in combo)
         if _refute_fast(game, locs, gain_tol)[1] is None:
             found.append(locs)
@@ -626,6 +662,55 @@ class TestProbeWaves:
         assert survivors.tolist() == [0]
         assert rows == 2 + 2 + (len(plan[0]) - 1)
         assert waves > 2
+
+    def test_base_payoffs_ride_with_the_first_wave(self, monkeypatch):
+        # One _payoff_rows call per wave: the base rows go out with the
+        # first wave, so the first call holds up to two blocks of rows.
+        calls = []
+
+        def counting(game, rows):
+            calls.append(len(rows))
+            return _payoff_rows(game, rows)
+
+        monkeypatch.setattr(equilibrium, "_payoff_rows", counting)
+        game = GameSpec(3, Clime(lam=1 / 12, epsilon=1e-3))
+        block = _block_rows(game)
+        locs = np.array(_grid_rows(120, 3, 100_000, 100_000 + block, block)) / 120
+        survivors, waves, rows = _refute_rows(game, locs, 1e-9, _plan_arrays(game))
+        assert len(calls) == waves and sum(calls) == rows
+        assert calls[0] == 2 * block and max(calls[1:]) <= block
+        want = [k for k, p in enumerate(locs.tolist()) if _refute_fast(game, tuple(p), 1e-9)[1] is None]
+        assert survivors.tolist() == want
+        # A shard of several blocks makes one call per wave in total.
+        calls.clear()
+        _, waves, rows, _ = _enumerate_chunk((game, 120, 5_000, 5_000 + 3 * block + 7, 1e-9))
+        assert len(calls) == waves and sum(calls) == rows
+
+    def test_sharding_one_game_builds_its_plan_once(self, monkeypatch):
+        builds = []
+
+        def counting(game, *args):
+            builds.append(game)
+            return _probe_plan(game, *args)
+
+        monkeypatch.setattr(equilibrium, "_probe_plan", counting)
+        game = GameSpec(3, Clime(lam=1 / 12, epsilon=1e-3))
+        assert game.plan_arrays is None and not builds
+        total = math.comb(24 + 3, 3)
+        parts = []
+        for a in range(0, total, 97):
+            parts += pne_enumerate(game, 1 / 24, shard=(a, min(a + 97, total)))
+        assert builds == [game] and len(builds) == 1
+        assert sorted(parts) == pne_enumerate(game, 1 / 24) == []
+        assert all(not a.flags.writeable for a in game.plan_arrays)
+        for want, got in zip(_plan_arrays(game), game.plan_arrays):
+            assert want.dtype == got.dtype and want.tolist() == got.tolist()
+        # The kept arrays change neither equality nor hashing, and an equal
+        # but distinct game builds its own.
+        twin = GameSpec(3, Clime(lam=1 / 12, epsilon=1e-3))
+        assert twin == game and hash(twin) == hash(game) and twin.plan_arrays is None
+        pne_enumerate(twin, 1 / 24, shard=(0, 10))
+        assert builds == [game, twin]
 
     def test_pwl_survivor_matches_scalar_scan(self):
         # Under the zigzag the dictated targets still certify, and the 1/12

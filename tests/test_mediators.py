@@ -477,7 +477,7 @@ class TestSnapping:
             profile = near_ends(game, coords)
             once = _snap_to_endpoints(profile, game.piis)
             assert _snap_to_endpoints(once, game.piis) == once, (game, profile)
-            rows = _snap_rows(np.array([profile, once]), game.piis)
+            rows = _snap_rows(game, np.array([profile, once]))
             assert rows.tolist() == [list(once), list(once)], (game, profile)
 
     def test_nearest_endpoint_wins(self):
