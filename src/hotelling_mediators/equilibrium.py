@@ -20,15 +20,21 @@ locations, and the uniform grid of step 1/100.  The plan takes the players
 round-robin, first over their opponent entries and then over the static
 points, since any one player's improving deviation refutes the profile.  A
 refutation needs only one improving deviation, which the set supplies; a
-profile the set does not refute is certified against that set only.
+profile the set does not refute is certified against that set only.  The
+opponent entries run from the last player to the first, and each player
+takes its nearest opponent first, approached from the player's own side: on
+a sorted profile the first probe is the last player's inward undercut,
+which alone refutes most grid profiles, and its row does not read the last
+coordinate, the one the grid walk counts up fastest.
 :func:`_refute_fast` is the single-profile path: it walks the plan one
 scalar payoff at a time.  Grid enumeration refutes blocks of profiles in
 waves instead, pricing every wave's deviations as one block of rows, and a
-block's base payoffs with its first wave; each row is priced bitwise as the
-scalar path prices it, so the verdicts agree.  Enumeration pays its fixed
-costs once: a game keeps the plan as arrays from its first enumeration on
-(:func:`_plan_arrays`), and the grid's sorted profiles come out directly as
-integer arrays, block by block (:func:`_grid_blocks`).
+block's base payoffs with its first wave; a wave holds one probe's rows
+together, so a run of equal rows is priced once.  Each row is priced
+bitwise as the scalar path prices it, so the verdicts agree.  Enumeration
+pays its fixed costs once: a game keeps the plan as arrays from its first
+enumeration on (:func:`_plan_arrays`), and the grid's sorted profiles come
+out directly as integer arrays, block by block (:func:`_grid_blocks`).
 The order moves only which deviation refutes a profile first, never
 whether one does.  :func:`candidate_deviations` lists one player's entries,
 and better-response dynamics reads the same plan without the one-sided
@@ -77,40 +83,50 @@ _log = logging.getLogger("hotelling_mediators")
 
 def _probe_plan(game, side=_SIDE_DELTA):
     """The finite candidate set, one entry per probe, in probe order: the
-    players' opponent entries (the historically strongest refutations),
-    round-robin over the players, then the static entries, round-robin over
-    the players.  Any player's improving deviation refutes a profile, and a
+    players' opponent entries, round-robin over the players from the last to
+    the first, then the static entries, round-robin over the players from
+    the first.  Any player's improving deviation refutes a profile, and a
     profile usually falls to whichever player sits worst, so entry k of every
     player comes before entry k + 1 of any; each player's own entries keep
     their order.
 
     An entry ``(player, col, scale, offset)`` stands for the deviation
     ``clip(scale * locs[col] + offset, 0, 1)`` of ``player`` (see
-    :func:`_probe`).  Each opponent z gives z - side, z + side and z, then
-    each interval endpoint e gives the reflections 2e - z (where a moving
-    basin boundary can change slope); under IEEE rounding ``1.0 * z - d`` is
-    ``z - d``, ``1.0 * z + (-0.0)`` is ``z`` with its sign of zero, and
+    :func:`_probe`).  A player takes its opponents nearest index first, the
+    higher index first on a tie, and approaches each opponent z from its own
+    side first: z + side, z - side, z when the opponent's index is lower,
+    z - side, z + side, z when it is higher.  Then each interval endpoint e
+    gives the reflections 2e - z in the same opponent order (where a moving
+    basin boundary can change slope).  Under IEEE rounding ``1.0 * z - d``
+    is ``z - d``, ``1.0 * z + (-0.0)`` is ``z`` with its sign of zero, and
     ``-1.0 * z + 2e`` is ``2e - z``.  Every player has the same number of
-    opponent entries.  A static entry has scale zero and the point as offset:
-    each endpoint e, e - side and e + side, the reference locations, the
-    dictated targets, 0, 1 and the grid of step 1/100.  With ``side=0.0``
-    each one-sided entry repeats its anchor.  The plan is lazy, so an early
-    exit builds only what it probes: the static points are worked out only
-    once every opponent entry has been taken.
+    opponent entries.  On a sorted profile the first entry is the inward
+    undercut of the last player, just right of its neighbour, which refutes
+    most grid profiles; its deviation does not read the last coordinate, so
+    along a run of the grid walk, which counts that coordinate up, its rows
+    repeat (see :func:`_refute_rows`).
+
+    A static entry has scale zero and the point as offset: each endpoint e,
+    e - side and e + side, the reference locations, the dictated targets, 0,
+    1 and the grid of step 1/100.  With ``side=0.0`` each one-sided entry
+    repeats its anchor.  The plan is lazy, so an early exit builds only what
+    it probes: the static points are worked out only once every opponent
+    entry has been taken.
     """
 
     def opponent_entries(player):
-        opponents = [j for j in range(game.n) if j != player]
+        opponents = sorted((j for j in range(game.n) if j != player), key=lambda j: (abs(j - player), -j))
         for j in opponents:
-            yield player, j, 1.0, -side
-            yield player, j, 1.0, side
+            toward = side if j < player else -side
+            yield player, j, 1.0, toward
+            yield player, j, 1.0, -toward
             yield player, j, 1.0, -0.0
         for lo, hi in game.piis:
             for e in (lo, hi):
                 for j in opponents:
                     yield player, j, -1.0, 2.0 * e
 
-    for entries in zip(*map(opponent_entries, range(game.n))):
+    for entries in zip(*map(opponent_entries, reversed(range(game.n)))):
         yield from entries
     static = [p for pii in game.piis for e in pii for p in (e, e - side, e + side)]
     static += quantile_locations(game.n, game.distribution)
@@ -142,9 +158,9 @@ def candidate_deviations(game, profile, player):
     protected-interval endpoints, the endpoints and their offsets, the
     distribution's reference locations (plus dictated targets), the segment
     ends, and the uniform grid of step 1/100; clipped to [0, 1] and
-    deduplicated in probe order, so that the player's historically strongest
-    probes come first.  The plan interleaves the players, but each player's
-    own entries keep this order.
+    deduplicated in probe order, so that the nearest opponent, approached
+    from the player's own side, comes first.  The plan interleaves the
+    players, but each player's own entries keep this order.
     """
     locs = validate_profile(profile, game.n)
     player = _integer("player", player, 0)
@@ -402,9 +418,12 @@ def is_pne(game, profile, gain_tol=_DEFAULT_GAIN_TOL, exhaustive=True):
     first beneficial deviation; ``witness`` is that deviation, ``worst_gain``
     is then the gain found rather than the supremum, which is all a
     refutation needs, and ``candidate_count`` counts the probes made up to
-    it.
+    it.  An ``exhaustive`` that is no bool raises ValueError, as does a
+    ``gain_tol`` that is not a positive finite number.
     """
     gain_tol = _real("gain_tol", gain_tol, 0.0)
+    if not isinstance(exhaustive, (bool, np.bool_)):
+        raise ValueError(f"exhaustive must be a bool, got {exhaustive!r}")
     locs = validate_profile(profile, game.n)
     worst_gain, witness, count = -math.inf, None, 0
     if not exhaustive:
@@ -516,6 +535,21 @@ def _plan_arrays(game):
     return plan
 
 
+def _price_runs(game, rows):
+    """:func:`_payoff_rows` of a ``(B, n)`` array, each run of consecutive
+    rows that are equal bit for bit priced once, as ``(payoffs, priced)``.
+
+    Rows are compared through an int64 view, so rows that differ only in the
+    sign of a zero are priced apart.  The kernel prices every row bitwise as
+    it prices that row alone, so the payoffs are those of pricing every
+    row."""
+    bits = rows.view(np.int64)
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    value = _payoff_rows(game, rows[new])
+    return value[np.cumsum(new) - 1], len(value)
+
+
 def _refute_rows(game, locs, gain_tol, plan):
     """:func:`_refute_fast` over the rows of a ``(B, n)`` array at once.
 
@@ -523,58 +557,71 @@ def _refute_rows(game, locs, gain_tol, plan):
     offset), as :func:`_plan_arrays` keeps them.  The live profiles take
     their probes in doubling waves (1, 2, 4, ... probes each), and each
     profile drops out at its first hit; the base payoffs are priced in the
-    same :func:`_payoff_rows` call as the first wave.  A wave is capped at
-    ``_block_rows(game)`` rows, so with B at most that the first call holds
-    at most two blocks of rows and every later one at most one.  Every row
-    is priced bitwise as :func:`_refute_fast` prices it, whatever else its
-    call holds, so the verdicts are the scalar scan's; survivors take every
-    probe.  Returns ``(survivors, waves, rows)``: the indices of the rows no
-    probe refuted, the probe waves and the rows priced, base rows included.
+    same :func:`_payoff_rows` call as the first wave.  A wave is built
+    probe-major, ``(width, live, n)``, so one probe's rows are consecutive
+    and, on sorted grid blocks, follow the grid's runs: a probe that does
+    not read the last coordinate (the plan's first, on a sorted profile)
+    repeats its row along each run, and :func:`_price_runs` prices every run
+    of equal rows once.  A wave is capped at ``_block_rows(game)`` rows, so
+    with B at most that the first call holds at most two blocks of rows and
+    every later one at most one.  Every row is priced bitwise as
+    :func:`_refute_fast` prices it, whatever else its call holds, so the
+    verdicts are the scalar scan's; survivors take every probe.  Returns
+    ``(survivors, waves, rows, priced)``: the indices of the rows no probe
+    refuted, the probe waves, the rows judged (base rows plus every probe of
+    every live profile) and the distinct rows actually priced.
     """
     player, col, scale, offset = plan
     n = game.n
     block = _block_rows(game)
     threshold = None
     live = np.arange(len(locs))
-    waves, rows = 0, len(locs)
+    waves, rows, priced = 0, len(locs), 0
     k, want = 0, 1
     while live.size and k < len(player):
         width = min(want, len(player) - k, max(1, block // live.size))
         j = np.arange(k, k + width)
         at = np.arange(width)
-        trial = np.repeat(locs[live][:, None, :], width, axis=1)
-        trial[:, at, player[j]] = np.minimum(np.maximum(scale[j] * locs[live][:, col[j]] + offset[j], 0.0), 1.0)
+        profiles = locs[live]
+        trial = np.repeat(profiles[None], width, axis=0)
+        moved = scale[j, None] * profiles[:, col[j]].T + offset[j, None]
+        trial[at, :, player[j]] = np.minimum(np.maximum(moved, 0.0), 1.0)
+        trial = trial.reshape(-1, n)
         if threshold is None:
-            value = _payoff_rows(game, np.concatenate([locs, trial.reshape(-1, n)]))
+            value, count = _price_runs(game, np.concatenate([locs, trial]))
             threshold = value[: len(locs)] + gain_tol
             value = value[len(locs) :]
         else:
-            value = _payoff_rows(game, trial.reshape(-1, n))
-        hit = value.reshape(live.size, width, n)[:, at, player[j]] > threshold[live][:, player[j]]
-        live = live[~hit.any(axis=1)]
+            value, count = _price_runs(game, trial)
+        hit = value.reshape(width, live.size, n)[at, :, player[j]] > threshold[live][:, player[j]].T
+        live = live[~hit.any(axis=0)]
         waves += 1
-        rows += trial.shape[0] * width
+        rows += len(trial)
+        priced += count
         k += width
         want *= 2
-    return live, waves, rows
+    return live, waves, rows, priced
 
 
 def _enumerate_chunk(args):
     """Grid profiles ``start`` to ``stop - 1`` that pass the candidate
-    certification, as ``(found, waves, rows, seconds)``: the game's kept
-    probe-plan arrays (:func:`_plan_arrays`) refute the profiles, one block
-    of rows from :func:`_grid_blocks` at a time, with :func:`_refute_rows`."""
+    certification, as ``(found, waves, rows, priced, seconds)``: the game's
+    kept probe-plan arrays (:func:`_plan_arrays`) refute the profiles, one
+    block of rows from :func:`_grid_blocks` at a time, with
+    :func:`_refute_rows`, whose waves, rows judged and rows priced are
+    summed."""
     game, grid_n, start, stop, gain_tol = args
     began = time.perf_counter()
     plan = _plan_arrays(game)
-    found, waves, rows = [], 0, 0
+    found, waves, rows, priced = [], 0, 0, 0
     for grid in _grid_blocks(grid_n, game.n, start, stop, _block_rows(game)):
         locs = grid / grid_n
-        survivors, block_waves, block_rows = _refute_rows(game, locs, gain_tol, plan)
+        survivors, block_waves, block_rows, block_priced = _refute_rows(game, locs, gain_tol, plan)
         found.extend(tuple(row) for row in locs[survivors].tolist())
         waves += block_waves
         rows += block_rows
-    return found, waves, rows, time.perf_counter() - began
+        priced += block_priced
+    return found, waves, rows, priced, time.perf_counter() - began
 
 
 def pne_enumerate(game, grid_step, gain_tol=_DEFAULT_GAIN_TOL, shard=None, threads=1):
@@ -613,12 +660,12 @@ def pne_enumerate(game, grid_step, gain_tol=_DEFAULT_GAIN_TOL, shard=None, threa
     chunk = stop - start if threads == 1 else max(1, math.ceil((stop - start) / (threads * 8)))
     jobs = [(game, grid_n, a, min(a + chunk, stop), gain_tol) for a in range(start, stop, chunk)]
     found = []
-    for job, (part, waves, rows, seconds) in zip(jobs, _pool_map(_enumerate_chunk, jobs, threads)):
+    for job, (part, waves, rows, priced, seconds) in zip(jobs, _pool_map(_enumerate_chunk, jobs, threads)):
         found.extend(part)
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug(
-                "pne_enumerate shard [%d, %d): %d profiles in %.3f s, %d waves, %d rows priced, %d survivors",
-                job[2], job[3], job[3] - job[2], seconds, waves, rows, len(part),
+                "pne_enumerate shard [%d, %d): %d profiles in %.3f s, %d waves, %d rows judged, %d rows priced, %d survivors",
+                job[2], job[3], job[3] - job[2], seconds, waves, rows, priced, len(part),
             )
     return sorted(set(found))
 

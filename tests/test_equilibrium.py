@@ -37,6 +37,7 @@ from hotelling_mediators.equilibrium import (
     _line_kinks,
     _lines_max,
     _player_candidates,
+    _price_runs,
     _probe,
     _probe_plan,
     _refute_fast,
@@ -150,12 +151,26 @@ class TestIsPne:
         assert report.candidate_count == len(calls) - 1
 
     def test_fast_check_tries_every_player_before_a_second_probe(self):
-        # Player 0's first probe misses and player 1's refutes the profile;
-        # walked player by player, the plan took 15 probes to reach it.
+        # Players 2, 1 and 0 miss with their first probe and player 2 with
+        # its second; player 1's second refutes the profile.  Walked player
+        # by player, the plan takes 15 probes to reach a refutation.
         report = is_pne(GameSpec(3, Lime(epsilon=1e-3)), (0.153, 0.713, 0.809), exhaustive=False)
         assert not report.is_pne
-        assert report.witness == (1, 0.153 - DELTA)
-        assert report.candidate_count == 2
+        assert report.witness == (1, 0.809 + DELTA)
+        assert report.candidate_count == 5
+
+    @pytest.mark.parametrize("exhaustive", ["False", "no", 1, 0, None, 1.0, np.int64(0)])
+    def test_exhaustive_must_be_a_bool(self, exhaustive):
+        # A truthy string or 1 used to run the exhaustive check, and None or
+        # 0 the early exit.
+        with pytest.raises(ValueError, match="exhaustive"):
+            is_pne(GameSpec(2, Nime()), (0.5, 0.5), exhaustive=exhaustive)
+
+    def test_numpy_bools_choose_the_mode(self):
+        game = GameSpec(3, Lime(epsilon=1e-3))
+        profile = (0.153, 0.713, 0.809)
+        for flag in (True, False):
+            assert is_pne(game, profile, exhaustive=np.bool_(flag)) == is_pne(game, profile, exhaustive=flag)
 
     @pytest.mark.parametrize(
         "game, profile, gain_tol",
@@ -533,19 +548,29 @@ class TestEnumeration:
 
 def _reference_probes(game, locs, offsets=True):
     """The ``(player, deviation)`` list ``_refute_fast`` probes, written out:
-    every player's opponent points, point k of each player in turn before
-    point k + 1 of any, then each static point for every player in turn;
-    without ``offsets``, the macroscopic candidates better-response dynamics
-    moves to."""
+    every player's opponent points, point k of each player in turn, from the
+    last player to the first, before point k + 1 of any, then each static
+    point for every player in turn, from the first; without ``offsets``, the
+    macroscopic candidates better-response dynamics moves to.  A player
+    takes the opponents one index away, then two, and so on, the higher index
+    first, and approaches each from its own side first: a lower opponent z
+    from above (z + DELTA, then z - DELTA), a higher one from below."""
     per_player = []
-    for player in range(game.n):
-        opponents = [locs[j] for j in range(game.n) if j != player]
+    for player in range(game.n - 1, -1, -1):
+        by_distance = [j for d in range(1, game.n) for j in (player + d, player - d)]
+        opponents = [j for j in by_distance if 0 <= j < game.n]
         pts = []
-        for z in opponents:
-            pts += [z - DELTA, z + DELTA, z] if offsets else [z]
+        for j in opponents:
+            z = locs[j]
+            if not offsets:
+                pts += [z]
+            elif j < player:
+                pts += [z + DELTA, z - DELTA, z]
+            else:
+                pts += [z - DELTA, z + DELTA, z]
         for lo, hi in game.piis:
             for e in (lo, hi):
-                pts += [2.0 * e - z for z in opponents]
+                pts += [2.0 * e - locs[j] for j in opponents]
         per_player.append([(player, min(max(p, 0.0), 1.0)) for p in pts])
     out = [entry for k in range(len(per_player[0])) for entry in (pts[k] for pts in per_player)]
     static = []
@@ -630,14 +655,16 @@ class TestProbeWaves:
         for _ in range(shards):
             start = int(rng.integers(total - 400))
             stop = start + int(rng.integers(1, 401))
-            got, waves, rows, _ = _enumerate_chunk((game, grid_n, start, stop, 1e-9))
+            got, waves, rows, priced, _ = _enumerate_chunk((game, grid_n, start, stop, 1e-9))
             assert got == _scalar_scan(game, grid_n, start, stop), (start, stop)
             assert rows >= 2 * (stop - start) and waves >= 1
+            assert stop - start <= priced <= rows
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_opponent_entries_leave_the_static_tail_unbuilt(self, n, monkeypatch):
-        # The opponent entries come first, round-robin over the players; an
-        # early exit among them never works out the static points.
+        # The opponent entries come first, round-robin over the players from
+        # the last to the first; an early exit among them never works out the
+        # static points.
         game = GameSpec(n, Lime(epsilon=1e-3))
 
         def unbuilt(*args):
@@ -647,7 +674,7 @@ class TestProbeWaves:
         count = n * (n - 1) * (3 + 2 * len(game.piis))
         plan = _probe_plan(game)
         head = list(islice(plan, count))
-        assert [e[0] for e in head] == [k % n for k in range(count)]
+        assert [e[0] for e in head] == [n - 1 - k % n for k in range(count)]
         assert all(e[2] != 0.0 for e in head)
         with pytest.raises(RuntimeError, match="static tail built"):
             next(plan)
@@ -658,14 +685,16 @@ class TestProbeWaves:
         game = GameSpec(2, Nime())
         plan = _plan_arrays(game)
         locs = np.array([(0.5, 0.5), (0.25, 0.75)])
-        survivors, waves, rows = _refute_rows(game, locs, 1e-9, plan)
+        survivors, waves, rows, priced = _refute_rows(game, locs, 1e-9, plan)
         assert survivors.tolist() == [0]
         assert rows == 2 + 2 + (len(plan[0]) - 1)
+        assert priced <= rows
         assert waves > 2
 
     def test_base_payoffs_ride_with_the_first_wave(self, monkeypatch):
         # One _payoff_rows call per wave: the base rows go out with the
-        # first wave, so the first call holds up to two blocks of rows.
+        # first wave, so the first call holds the block and the first wave's
+        # distinct rows, one per run of the last coordinate.
         calls = []
 
         def counting(game, rows):
@@ -676,15 +705,72 @@ class TestProbeWaves:
         game = GameSpec(3, Clime(lam=1 / 12, epsilon=1e-3))
         block = _block_rows(game)
         locs = np.array(_grid_rows(120, 3, 100_000, 100_000 + block, block)) / 120
-        survivors, waves, rows = _refute_rows(game, locs, 1e-9, _plan_arrays(game))
-        assert len(calls) == waves and sum(calls) == rows
-        assert calls[0] == 2 * block and max(calls[1:]) <= block
+        survivors, waves, rows, priced = _refute_rows(game, locs, 1e-9, _plan_arrays(game))
+        assert len(calls) == waves and sum(calls) == priced < rows
+        runs = len({tuple(p[:2]) for p in locs.tolist()})
+        assert 1 < runs < block
+        assert calls[0] == block + runs and max(calls[1:]) <= block
         want = [k for k, p in enumerate(locs.tolist()) if _refute_fast(game, tuple(p), 1e-9)[1] is None]
         assert survivors.tolist() == want
         # A shard of several blocks makes one call per wave in total.
         calls.clear()
-        _, waves, rows, _ = _enumerate_chunk((game, 120, 5_000, 5_000 + 3 * block + 7, 1e-9))
-        assert len(calls) == waves and sum(calls) == rows
+        _, waves, rows, priced, _ = _enumerate_chunk((game, 120, 5_000, 5_000 + 3 * block + 7, 1e-9))
+        assert len(calls) == waves and sum(calls) == priced < rows
+
+    def test_first_wave_prices_one_row_per_run(self, monkeypatch):
+        # On sorted grid rows the plan's first probe moves the last player
+        # just right of its neighbour, a row that does not read the last
+        # coordinate: one row per run of it, priced after the base rows.
+        calls = []
+
+        def counting(game, rows):
+            calls.append(rows.copy())
+            return _payoff_rows(game, rows)
+
+        monkeypatch.setattr(equilibrium, "_payoff_rows", counting)
+        game = GameSpec(3, Clime(lam=1 / 12, epsilon=1e-3))
+        locs = np.array(_grid_rows(120, 3, 7_000, 7_300, 300)) / 120
+        _refute_rows(game, locs, 1e-9, _plan_arrays(game))
+        prefixes = list(dict.fromkeys(tuple(p[:2]) for p in locs.tolist()))
+        assert len(prefixes) > 2
+        first = calls[0]
+        assert first[: len(locs)].tolist() == locs.tolist()
+        assert first[len(locs) :].tolist() == [[a, b, min(b + DELTA, 1.0)] for a, b in prefixes]
+
+    def test_runs_of_equal_rows_are_priced_once(self, monkeypatch):
+        calls = []
+
+        def counting(game, rows):
+            calls.append(rows.copy())
+            return _payoff_rows(game, rows)
+
+        monkeypatch.setattr(equilibrium, "_payoff_rows", counting)
+        game = GameSpec(2, Lime(epsilon=1e-3))
+        rows = np.array(
+            [(0.2, 0.7), (0.2, 0.7), (0.2, 0.7), (0.3, 0.7), (0.2, 0.7), (-0.0, 0.5), (0.0, 0.5), (0.0, 0.5)]
+        )
+        value, priced = _price_runs(game, rows)
+        want = [(0.2, 0.7), (0.3, 0.7), (0.2, 0.7), (-0.0, 0.5), (0.0, 0.5)]
+        assert len(calls) == 1 and priced == len(want)
+        assert [tuple(r) for r in calls[0].tolist()] == want
+        assert np.signbit(calls[0][:, 0]).tolist() == [False, False, False, True, False]
+        assert value.view(np.int64).tolist() == _payoff_rows(game, rows).view(np.int64).tolist()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_repeated_rows_keep_the_scalar_verdicts(self, n):
+        # Repeats next to each other and apart, unsorted profiles, and rows
+        # that differ only in the sign of a zero.
+        rng = np.random.default_rng(n)
+        for name, mediator in _mediators(n).items():
+            game = GameSpec(n, mediator)
+            profiles = [tuple(p) for p in _profiles(rng, game, 6)]
+            profiles += [optimal_locations(n)[::-1], (0.0,) * n, (-0.0,) * n, (-0.0, *optimal_locations(n)[1:])]
+            profiles += [(0.0, *optimal_locations(n)[1:]), profiles[0], profiles[0], profiles[3], profiles[1]]
+            locs = np.array(profiles, dtype=float)
+            survivors, _, rows, priced = _refute_rows(game, locs, 1e-9, _plan_arrays(game))
+            want = [k for k, p in enumerate(profiles) if _refute_fast(game, p, 1e-9)[1] is None]
+            assert survivors.tolist() == want, name
+            assert priced < rows
 
     def test_sharding_one_game_builds_its_plan_once(self, monkeypatch):
         builds = []
@@ -733,7 +819,7 @@ class TestProbeWaves:
         profiles += known_pne(game) or []
         gain_tol = data.draw(st.sampled_from([1e-9, 1e-3, 0.05]))
         locs = np.array(profiles, dtype=float)
-        survivors, _, _ = _refute_rows(game, locs, gain_tol, _plan_arrays(game))
+        survivors, _, _, _ = _refute_rows(game, locs, gain_tol, _plan_arrays(game))
         want = [k for k, p in enumerate(profiles) if _refute_fast(game, tuple(p), gain_tol)[1] is None]
         assert survivors.tolist() == want
         assert np.all(np.abs(_payoff_rows(game, locs).sum(axis=1) - 1.0) <= 1e-12)
@@ -756,6 +842,8 @@ class TestProbeWaves:
             assert sum(r.args[2] for r in records) == 1000
             assert sum(r.args[-1] for r in records) == len(found)
             assert all(r.args[5] >= 2 * r.args[2] for r in records)
+            # Rows judged, then rows priced: every profile's own row at least.
+            assert all(r.args[2] <= r.args[6] <= r.args[5] for r in records)
 
 
 class TestKnownPne:
