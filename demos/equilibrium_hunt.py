@@ -3,8 +3,9 @@
 The exhaustive check is exact over the continuum of deviations: between the
 kinks of a player's payoff line (opponents, interval edges, their
 reflections) the payoff is a polynomial, so a few priced points per piece
-give its supremum.  Grid enumeration certifies against a finite candidate
-set (opponent undercuts, interval edges, reference locations, a grid).
+give its supremum.  Grid enumeration first refutes most profiles fast with
+a finite candidate set (opponent undercuts, interval edges, reference
+locations), and the exact check decides every profile that set leaves.
 This script certifies the known equilibria, enumerates whole grids, lets
 better-response dynamics walk to a rest point, and shows the neutrality test
 telling the dictator apart from the symmetric rules.

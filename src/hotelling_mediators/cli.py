@@ -123,8 +123,8 @@ def _cmd_pne(args):
         raise ValueError("pne needs --profile or --enumerate")
     report = is_pne(game, _parse_locations("--profile", args.profile), gain_tol=args.gain_tol)
     player, deviation = report.witness or (None, None)
-    row = [report.is_pne, report.worst_gain, player, deviation, report.candidate_count, report.gain_tol, report.grid_step]
-    header = "isPne,worstGain,witnessPlayer,witnessDeviation,candidateCount,gainTol,gridStep"
+    row = [report.is_pne, report.worst_gain, player, deviation, report.candidate_count, report.gain_tol]
+    header = "isPne,worstGain,witnessPlayer,witnessDeviation,candidateCount,gainTol"
     _emit(args, report.to_json(), [row], header)
     return _check_expect(args.expect, "pne" if report.is_pne else "no-pne")
 

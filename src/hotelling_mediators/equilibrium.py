@@ -1,44 +1,42 @@
 """Pure Nash equilibrium verification, enumeration, and related diagnostics.
 
-Deviations live in a continuum.  The exhaustive check is exact over it: fix
-the opponents and move one player's location y.  Between consecutive
-*kinks* (see :func:`_line_kinks`) the player's payoff is a polynomial in y,
-of degree at most 1 under the uniform density and at most 2 under a
-piecewise-linear one, so a few priced points per piece give the exact
-supremum of the payoff along the whole line (see :func:`_lines_max`).  One
-check prices every player's line at once: all players' kinks and interior
+Deviations live in a continuum, and every verdict is exact over it (see
+:func:`_exact_check`): fix the opponents and move one player's location y.
+Between consecutive *kinks* (see :func:`_line_kinks`) the player's payoff is
+a polynomial in y, of degree at most 1 under the uniform density and at most
+2 under a piecewise-linear one, so a few priced points per piece give the
+exact supremum of the payoff along the whole line (see :func:`_lines_max`).
+One check prices every player's line at once: all players' kinks and interior
 points go out as one stream of (player, y) rows in blocks, then all their
 stationary points as a second stream, each row bitwise as pricing its
 deviation alone.
 
-The early-exit refutation and grid enumeration still probe a finite
-candidate set, in one fixed order, the probe plan (:func:`_probe_plan`, its
-only builder): opponent locations (with one-sided offsets standing in for
-one-sided limits), the reflections of opponents through protected-interval
-endpoints, the endpoints themselves, the distribution's reference
-locations, and the uniform grid of step 1/100.  The plan takes the players
-round-robin, first over their opponent entries and then over the static
-points, since any one player's improving deviation refutes the profile.  A
-refutation needs only one improving deviation, which the set supplies; a
-profile the set does not refute is certified against that set only.  The
-opponent entries run from the last player to the first, and each player
-takes its nearest opponent first, approached from the player's own side: on
-a sorted profile the first probe is the last player's inward undercut,
-which alone refutes most grid profiles, and its row does not read the last
-coordinate, the one the grid walk counts up fastest.
-:func:`_refute_fast` is the single-profile path: it walks the plan one
-scalar payoff at a time.  Grid enumeration refutes blocks of profiles in
-waves instead, pricing every wave's deviations as one block of rows, and a
-block's base payoffs with its first wave; a wave holds one probe's rows
-together, so a run of equal rows is priced once.  Each row is priced
-bitwise as the scalar path prices it, so the verdicts agree.  Enumeration
-pays its fixed costs once: a game keeps the plan as arrays from its first
-enumeration on (:func:`_plan_arrays`), and the grid's sorted profiles come
-out directly as integer arrays, block by block (:func:`_grid_blocks`).
-The order moves only which deviation refutes a profile first, never
-whether one does.  :func:`candidate_deviations` lists one player's entries,
-and better-response dynamics reads the same plan without the one-sided
-offsets.
+The early-exit check and grid enumeration first probe a finite candidate set
+in one fixed order, the probe plan (:func:`_probe_plan`, its only builder):
+opponent locations (with one-sided offsets standing in for one-sided limits),
+the reflections of opponents through protected-interval endpoints, the
+endpoints themselves and the distribution's reference locations.  The plan is
+a fast refuter only: any one player's improving deviation refutes a profile,
+so the plan takes the players round-robin, first over their opponent entries
+and then over the static points, and a profile it does not refute goes on to
+the exact check.  The opponent entries run from the last player to the first,
+and each player takes its nearest opponent first, approached from the
+player's own side: on a sorted profile the first probe is the last player's
+inward undercut, which alone refutes most grid profiles, and its row does not
+read the last coordinate, the one the grid walk counts up fastest.
+:func:`_refute_fast` is the single-profile path: it walks the plan one scalar
+payoff at a time.  Grid enumeration refutes blocks of profiles in waves
+instead, pricing every wave's deviations as one block of rows, and a block's
+base payoffs with its first wave; a wave holds one probe's rows together, so
+a run of equal rows is priced once.  Each row is priced bitwise as the scalar
+path prices it, so the verdicts agree.  Enumeration pays its fixed costs once:
+a game keeps the plan as arrays from its first enumeration on
+(:func:`_plan_arrays`), and the grid's sorted profiles come out directly as
+integer arrays, block by block (:func:`_grid_blocks`).  The order moves only
+which deviation refutes a profile first, never whether one does.
+:func:`candidate_deviations` lists one player's entries, and better-response
+dynamics reads the same plan without the one-sided offsets, plus a grid of
+its own.
 """
 
 from __future__ import annotations
@@ -72,8 +70,6 @@ __all__ = [
 _SIDE_DELTA = 1e-6
 
 _DEFAULT_GAIN_TOL = 1e-9
-# The uniform grid of every candidate set: steps of 1/100 over [0, 1].
-_GRID_POINTS = 101
 
 # Enumeration refuses grids with more sorted profiles than this.
 _MAX_GRID_PROFILES = 10**8
@@ -107,11 +103,10 @@ def _probe_plan(game, side=_SIDE_DELTA):
     repeat (see :func:`_refute_rows`).
 
     A static entry has scale zero and the point as offset: each endpoint e,
-    e - side and e + side, the reference locations, the dictated targets, 0,
-    1 and the grid of step 1/100.  With ``side=0.0`` each one-sided entry
-    repeats its anchor.  The plan is lazy, so an early exit builds only what
-    it probes: the static points are worked out only once every opponent
-    entry has been taken.
+    e - side and e + side, the reference locations, the dictated targets, 0
+    and 1.  With ``side=0.0`` each one-sided entry repeats its anchor.  The
+    plan is lazy, so an early exit builds only what it probes: the static
+    points are worked out only once every opponent entry has been taken.
     """
 
     def opponent_entries(player):
@@ -132,7 +127,6 @@ def _probe_plan(game, side=_SIDE_DELTA):
     static += quantile_locations(game.n, game.distribution)
     static += game.mediator.targets
     static += [0.0, 1.0]
-    static += [k * (1.0 / (_GRID_POINTS - 1)) for k in range(_GRID_POINTS)]
     for p in static:
         for player in range(game.n):
             yield player, 0, 0.0, p
@@ -151,16 +145,16 @@ def _player_candidates(plan, locs, player):
 
 
 def candidate_deviations(game, profile, player):
-    """Finite certificate set of deviation locations for one player.
+    """One player's finite set of deviations that refutes most profiles fast.
 
     The player's entries of the probe plan (:func:`_probe_plan`): opponent
     locations and one-sided offsets, reflections of opponents through the
     protected-interval endpoints, the endpoints and their offsets, the
-    distribution's reference locations (plus dictated targets), the segment
-    ends, and the uniform grid of step 1/100; clipped to [0, 1] and
-    deduplicated in probe order, so that the nearest opponent, approached
-    from the player's own side, comes first.  The plan interleaves the
-    players, but each player's own entries keep this order.
+    distribution's reference locations (plus dictated targets) and the
+    segment ends; clipped to [0, 1] and deduplicated in probe order, so that
+    the nearest opponent, approached from the player's own side, comes
+    first.  The plan interleaves the players, but each player's own entries
+    keep this order.
     """
     locs = validate_profile(profile, game.n)
     player = _integer("player", player, 0)
@@ -369,20 +363,43 @@ def _toward(kink, y):
         yield y
 
 
+def _exact_check(game, locs, gain_tol, base):
+    """The exact verdict on one profile whose own payoffs are ``base``, the
+    one rule behind every equilibrium verdict, as ``(worst_gain, witness,
+    priced)``: the largest supremum gain along the players' deviation lines
+    (:func:`_lines_max`); None when it is at most ``gain_tol``, else a priced
+    deviation ``(player, y)`` of the worst player; and the payoffs priced.
+    When the supremum is a one-sided limit and no priced point beats
+    ``gain_tol``, points halving the distance from the limit's piece towards
+    its kink are priced until one does."""
+    worst_gain, priced = -math.inf, 0
+    for player, (sup, best, limit, count) in enumerate(_lines_max(game, locs, range(game.n))):
+        priced += count
+        if sup - base[player] > worst_gain:
+            worst_gain, worst = sup - base[player], (player, best, limit)
+    if worst_gain <= gain_tol:
+        return worst_gain, None, priced
+    player, (y, value), limit = worst
+    if value - base[player] <= gain_tol and limit is not None:
+        for _, t, value in _deviation_payoffs(game, locs, ((player, t) for t in _toward(*limit))):
+            priced += 1
+            if value - base[player] > gain_tol:
+                y = t
+                break
+    return worst_gain, (player, y), priced
+
+
 @dataclass(frozen=True)
 class PneReport:
-    """Equilibrium verdict.
+    """Equilibrium verdict, exact over the continuum.
 
-    An exhaustive report is exact over the continuum: ``is_pne`` means no
-    deviation of any player, anywhere on [0, 1], improves its payoff by more
-    than ``gain_tol``, and ``worst_gain`` is the supremum of the gains (it
-    may be a one-sided limit no single deviation attains).  An early-exit
-    report (``is_pne(..., exhaustive=False)``) certifies against the finite
-    candidate set of the probe plan, whose grid has step ``grid_step``;
-    ``grid_step`` is None for exhaustive reports.  When the verdict is
-    negative, ``witness`` holds one priced deviation ``(player, y)`` whose own
-    gain exceeds ``gain_tol``.  ``candidate_count`` is the number of
-    deviation payoffs priced.
+    ``is_pne`` means no deviation of any player, anywhere on [0, 1], improves
+    its payoff by more than ``gain_tol``.  ``worst_gain`` is the supremum of
+    the gains (it may be a one-sided limit no single deviation attains),
+    except in an early-exit refutation, where it is the gain of the witness.
+    When the verdict is negative, ``witness`` holds one priced deviation
+    ``(player, y)`` whose own gain exceeds ``gain_tol``.  ``candidate_count``
+    is the number of deviation payoffs priced.
     """
 
     is_pne: bool
@@ -390,7 +407,6 @@ class PneReport:
     witness: tuple | None
     candidate_count: int
     gain_tol: float
-    grid_step: float | None
 
     def to_json(self):
         return {
@@ -401,74 +417,52 @@ class PneReport:
             else {"player": self.witness[0], "deviation": self.witness[1]},
             "candidateCount": self.candidate_count,
             "gainTol": self.gain_tol,
-            "gridStep": self.grid_step,
         }
 
 
 def is_pne(game, profile, gain_tol=_DEFAULT_GAIN_TOL, exhaustive=True):
-    """Check a profile against the deviations of every player.
+    """Check a profile against the deviations of every player, exactly.
 
-    The exhaustive check is exact: it takes every player's supremum payoff
-    along its deviation line (:func:`_lines_max`), and ``worst_gain`` is the
-    largest supremum gain.  When that gain is a one-sided limit and no priced
-    point beats ``gain_tol``, points halving the distance from the limit's
-    piece towards its kink are priced until one does; they count in
-    ``candidate_count``.  With ``exhaustive=False`` the probe plan's
-    candidates are scanned in plan order, the players round-robin, up to the
-    first beneficial deviation; ``witness`` is that deviation, ``worst_gain``
-    is then the gain found rather than the supremum, which is all a
-    refutation needs, and ``candidate_count`` counts the probes made up to
-    it.  An ``exhaustive`` that is no bool raises ValueError, as does a
-    ``gain_tol`` that is not a positive finite number.
+    The verdict is :func:`_exact_check`'s in both modes.  With
+    ``exhaustive=False`` the probe plan's candidates are scanned first, in
+    plan order, the players round-robin, up to the first beneficial
+    deviation: ``witness`` is that deviation, ``worst_gain`` is then the gain
+    found rather than the supremum, which is all a refutation needs, and
+    ``candidate_count`` counts the probes made up to it.  A profile the plan
+    does not refute goes on to the exact check, and its report is the
+    exhaustive one, with the plan's probes added to ``candidate_count``.  An
+    ``exhaustive`` that is no bool raises ValueError, as does a ``gain_tol``
+    that is not a positive finite number.
     """
     gain_tol = _real("gain_tol", gain_tol, 0.0)
     if not isinstance(exhaustive, (bool, np.bool_)):
         raise ValueError(f"exhaustive must be a bool, got {exhaustive!r}")
     locs = validate_profile(profile, game.n)
-    worst_gain, witness, count = -math.inf, None, 0
-    if not exhaustive:
-        count, hit = _refute_fast(game, locs, gain_tol)
-        if hit is not None:
-            player, y, worst_gain = hit
-            witness = (player, y)
+    if exhaustive:
+        count, hit, base = 0, None, _payoff_locs(game, locs)
     else:
-        base = _payoff_locs(game, locs)
-        for player, (sup, best, limit, priced) in enumerate(_lines_max(game, locs, range(game.n))):
-            count += priced
-            if sup - base[player] > worst_gain:
-                worst_gain = sup - base[player]
-                worst = player, best, limit
-        player, (y, value), limit = worst
-        if worst_gain > gain_tol and value - base[player] <= gain_tol and limit is not None:
-            approach = ((player, t) for t in _toward(*limit))
-            for _, t, value in _deviation_payoffs(game, locs, approach):
-                count += 1
-                if value - base[player] > gain_tol:
-                    y = t
-                    break
-        witness = (player, y)
-    ok = worst_gain <= gain_tol
+        count, hit, base = _refute_fast(game, locs, gain_tol)
+    if hit is None:
+        worst_gain, witness, priced = _exact_check(game, locs, gain_tol, base)
+        count += priced
+    else:
+        worst_gain, witness = hit[2], hit[:2]
     return PneReport(
-        is_pne=ok,
-        worst_gain=worst_gain,
-        witness=None if ok else witness,
-        candidate_count=count,
-        gain_tol=gain_tol,
-        grid_step=1.0 / (_GRID_POINTS - 1) if not exhaustive else None,
+        is_pne=witness is None, worst_gain=worst_gain, witness=witness, candidate_count=count, gain_tol=gain_tol
     )
 
 
 def _refute_fast(game, locs, gain_tol):
-    """Early-exit equilibrium check of one profile.
+    """Early-exit refutation of one profile.
 
-    Returns ``(probes, hit)``: the number of deviations priced, and None when
-    no candidate beats the profile, otherwise the first witness found as
-    ``(player, deviation, gain)``.  Walks :func:`_probe_plan` one scalar
-    payoff at a time, the players round-robin, so the first hit is usually
-    within the first pass over the players' opponent entries; the static
-    tail is built only when every opponent entry misses.  Skips
-    deduplication: a duplicate only costs one redundant evaluation.
-    Enumeration walks the same plan in waves of rows.
+    Returns ``(probes, hit, base)``: the deviations priced; None when no
+    candidate beats the profile, else the first witness found as ``(player,
+    deviation, gain)``; and the profile's own payoffs.  Walks
+    :func:`_probe_plan` one scalar payoff at a time, the players
+    round-robin, so the first hit is usually within the first pass over the
+    players' opponent entries; the static tail is built only when every
+    opponent entry misses.  Skips deduplication: a duplicate only costs one
+    redundant evaluation.  Enumeration walks the same plan in waves of rows.
     """
     base = _payoff_locs(game, locs)
     deviations = ((e[0], _probe(locs, e)) for e in _probe_plan(game))
@@ -476,8 +470,8 @@ def _refute_fast(game, locs, gain_tol):
     for player, y, value in _deviation_payoffs(game, locs, deviations):
         probes += 1
         if value > base[player] + gain_tol:
-            return probes, (player, y, value - base[player])
-    return probes, None
+            return probes, (player, y, value - base[player]), base
+    return probes, None, base
 
 
 def _unrank_combo(rank, top, n):
@@ -604,45 +598,49 @@ def _refute_rows(game, locs, gain_tol, plan):
 
 
 def _enumerate_chunk(args):
-    """Grid profiles ``start`` to ``stop - 1`` that pass the candidate
-    certification, as ``(found, waves, rows, priced, seconds)``: the game's
-    kept probe-plan arrays (:func:`_plan_arrays`) refute the profiles, one
-    block of rows from :func:`_grid_blocks` at a time, with
-    :func:`_refute_rows`, whose waves, rows judged and rows priced are
-    summed."""
+    """Grid profiles ``start`` to ``stop - 1`` that are equilibria, as
+    ``(found, waves, rows, priced, checked, seconds)``: the game's kept
+    probe-plan arrays (:func:`_plan_arrays`) refute the profiles, one block
+    of rows from :func:`_grid_blocks` at a time, with :func:`_refute_rows`,
+    whose waves, rows judged and rows priced are summed, and the ``checked``
+    profiles they leave go through :func:`_exact_check`."""
     game, grid_n, start, stop, gain_tol = args
     began = time.perf_counter()
     plan = _plan_arrays(game)
-    found, waves, rows, priced = [], 0, 0, 0
+    found, waves, rows, priced, checked = [], 0, 0, 0, 0
     for grid in _grid_blocks(grid_n, game.n, start, stop, _block_rows(game)):
         locs = grid / grid_n
         survivors, block_waves, block_rows, block_priced = _refute_rows(game, locs, gain_tol, plan)
-        found.extend(tuple(row) for row in locs[survivors].tolist())
+        checks = map(tuple, locs[survivors].tolist())
+        found += [p for p in checks if _exact_check(game, p, gain_tol, _payoff_locs(game, p))[1] is None]
         waves += block_waves
         rows += block_rows
         priced += block_priced
-    return found, waves, rows, priced, time.perf_counter() - began
+        checked += len(survivors)
+    return found, waves, rows, priced, checked, time.perf_counter() - began
 
 
 def pne_enumerate(game, grid_step, gain_tol=_DEFAULT_GAIN_TOL, shard=None, threads=1):
-    """All sorted grid profiles that pass the candidate certification.
+    """All sorted grid profiles that are pure equilibria.
 
     Profiles are canonicalized by sorting (equilibria are reported up to
     renaming the players), so the grid of sorted profiles is searched.
     ``shard=(start, stop)`` restricts the scan to a range of grid indices so
     long runs can be split and resumed; results of disjoint shards union to
-    the full answer.  Profiles are refuted in waves of rows (see
-    :func:`_refute_rows`), with verdicts identical to the single-profile
-    :func:`_refute_fast`; every chunk of the scan logs one DEBUG record to
-    the ``hotelling_mediators`` logger.  A non-positive or non-finite
-    ``grid_step`` and a shard that is no pair of integers ``0 <= start <
-    stop <= total`` raise ValueError, as do a ``gain_tol`` that is not a
-    positive finite number and ``threads`` that is no integer >= 1.
+    the full answer.  The probe plan refutes profiles in waves of rows (see
+    :func:`_refute_rows`), and the exact check decides every profile it
+    leaves, so each verdict is that of :func:`is_pne`.  Every chunk of the
+    scan logs one DEBUG record of its counts to the ``hotelling_mediators``
+    logger.  A non-positive, subnormal or non-finite ``grid_step`` and a
+    shard that is no pair of integers ``0 <= start < stop <= total`` raise
+    ValueError, as do a ``gain_tol`` that is not a positive finite number
+    and ``threads`` that is no integer >= 1.
     """
     gain_tol = _real("gain_tol", gain_tol, 0.0)
     threads = _integer("threads", threads, 1)
     grid_step = _real("grid_step", grid_step, 0.0)
-    grid_n = round(1.0 / grid_step)
+    # A subnormal step has no finite reciprocal to round, and no grid.
+    grid_n = round(1.0 / grid_step) if math.isfinite(1.0 / grid_step) else 0
     if abs(grid_n * grid_step - 1.0) > 1e-9 or grid_n < 1:
         raise ValueError(f"1/grid_step must be an integer, got {grid_step!r}")
     total = math.comb(grid_n + game.n, game.n)
@@ -660,12 +658,13 @@ def pne_enumerate(game, grid_step, gain_tol=_DEFAULT_GAIN_TOL, shard=None, threa
     chunk = stop - start if threads == 1 else max(1, math.ceil((stop - start) / (threads * 8)))
     jobs = [(game, grid_n, a, min(a + chunk, stop), gain_tol) for a in range(start, stop, chunk)]
     found = []
-    for job, (part, waves, rows, priced, seconds) in zip(jobs, _pool_map(_enumerate_chunk, jobs, threads)):
+    for job, (part, waves, rows, priced, checked, seconds) in zip(jobs, _pool_map(_enumerate_chunk, jobs, threads)):
         found.extend(part)
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug(
-                "pne_enumerate shard [%d, %d): %d profiles in %.3f s, %d waves, %d rows judged, %d rows priced, %d survivors",
-                job[2], job[3], job[3] - job[2], seconds, waves, rows, priced, len(part),
+                "pne_enumerate shard [%d, %d): %d profiles in %.3f s, %d waves, %d rows judged, %d rows priced, "
+                "%d checked exactly, %d equilibria found",
+                job[2], job[3], job[3] - job[2], seconds, waves, rows, priced, checked, len(part),
             )
     return sorted(set(found))
 
@@ -700,13 +699,13 @@ def better_response_dynamics(game, start, max_steps, seed=0, gain_tol=_DEFAULT_G
 
     Each step picks one player uniformly at random among those with an
     improving candidate and applies its best candidate.  The candidates are
-    the player's entries of the probe plan read with ``side=0.0``,
-    deduplicated in plan order, so moves are restricted to macroscopic
-    candidates (grid, opponents, reference locations, interval endpoints and
-    reflections): the one-sided offset probes used for certification would
-    produce microscopic undercutting steps and no observable convergence.
-    A ``max_steps`` that is no integer >= 1 or a ``seed`` that is no integer
-    >= 0 raises ValueError.
+    the player's entries of the probe plan read with ``side=0.0``, then the
+    uniform grid of step 1/100, dynamics' own, deduplicated in that order,
+    so moves are restricted to macroscopic candidates (opponents, interval
+    endpoints and reflections, reference locations, grid): the one-sided
+    offset probes of the plan would produce microscopic undercutting steps
+    and no observable convergence.  A ``max_steps`` that is no integer >= 1
+    or a ``seed`` that is no integer >= 0 raises ValueError.
     """
     max_steps = _integer("max_steps", max_steps, 1)
     gain_tol = _real("gain_tol", gain_tol, 0.0)
@@ -714,8 +713,9 @@ def better_response_dynamics(game, start, max_steps, seed=0, gain_tol=_DEFAULT_G
     current = validate_profile(start, game.n)
     states = [current]
     plan = list(_probe_plan(game, side=0.0))
-    # Each player's own entries, in plan order, split out once.
-    plans = [[e for e in plan if e[0] == player] for player in range(game.n)]
+    # Each player's own entries, in plan order, then the grid, split out once.
+    grid = [k * 0.01 for k in range(101)]
+    plans = [[e for e in plan if e[0] == i] + [(i, 0, 0.0, y) for y in grid] for i in range(game.n)]
     while True:
         improvers = []
         for player, own in enumerate(plans):

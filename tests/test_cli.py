@@ -1,11 +1,15 @@
 """Command-line interface: outputs, exit codes, schemas, determinism."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hotelling_mediators.cli import main
 
@@ -378,3 +382,49 @@ class TestDeterminism:
         code_b, out_b = run_subprocess(*args)
         assert code_a == code_b == 0
         assert out_a == out_b
+
+
+# Valid commands on small inputs, one per command and mode; ``--threads`` is
+# always 1, and the one grid holds 153 sorted profiles.
+_FUZZ_COMMANDS = [
+    ["payoff", "--mediator", "clime", "--lambda", "0.1", "--n", "3", "--profile", "0.2,0.5,0.8"],
+    ["social-cost", "--mediator", "dict", "--targets", "0.1,0.5,0.9", "--n", "3", "--profile", "0.2,0.5,0.8"],
+    ["pne", "--mediator", "lime", "--epsilon", "0.001", "--n", "3", "--profile", "0.2,0.5,0.8", "--threads", "1"],
+    [
+        "pne", "--mediator", "nime", "--n", "2", "--enumerate", "--grid-step", "0.0625", "--gain-tol", "1e-9",
+        "--expect", "nonempty", "--threads", "1",
+    ],
+    ["ic", "--mediator", "glime", "--n", "3", "--budget", "30", "--seed", "4", "--threads", "1"],
+]
+_BAD_VALUES = [
+    "nan", "inf", "-inf", "-0.0", "0", "-1", "1", "2", "2.5", "5e-324", "1e-310", "1e308", "", "x", "0.3",
+    "0.2,0.5", "0.2,0.5,0.8,0.9", "0.2,nan,0.8", "0.2,inf,0.8", "-0.0,0.5,1", "0.2,0.5,1.5", "pne", "empty",
+]
+
+
+class TestExitCodeProperty:
+    """Any valid small command with one flag's value swapped for a bad or
+    extreme one exits 0, 1 or 2, and an exit 2 prints one ``error:`` line,
+    never a traceback."""
+
+    @settings(max_examples=600)
+    @given(st.data())
+    def test_one_bad_flag_never_escapes_the_exit_codes(self, data):
+        argv = list(data.draw(st.sampled_from(_FUZZ_COMMANDS)))
+        flags = [k for k, a in enumerate(argv) if a.startswith("--") and a != "--threads" and k + 1 < len(argv)]
+        flags = [k for k in flags if not argv[k + 1].startswith("--")]
+        argv[data.draw(st.sampled_from(flags)) + 1] = data.draw(st.sampled_from(_BAD_VALUES))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+        if code == 2:
+            assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+            assert out.getvalue() == "", argv
+        else:
+            assert out.getvalue() and not err.getvalue(), argv
+            assert "nan" not in out.getvalue().lower() and "inf" not in out.getvalue().lower(), argv

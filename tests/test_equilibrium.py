@@ -1,5 +1,6 @@
 """Equilibrium certification, enumeration, dynamics, and neutrality."""
 
+import json
 import logging
 import math
 from itertools import combinations_with_replacement, islice
@@ -138,16 +139,23 @@ class TestIsPne:
     @pytest.mark.parametrize("profile", [optimal_locations(5), (0.1, 0.3, 0.5, 0.7, 0.95)])
     def test_fast_check_counts_its_probes(self, profile, monkeypatch):
         calls = []
-        payoff_locs = equilibrium._payoff_locs
+        payoff_locs, payoff_rows = equilibrium._payoff_locs, equilibrium._payoff_rows
 
         def counting(game, locs):
             calls.append(locs)
             return payoff_locs(game, locs)
 
+        def counting_rows(game, rows):
+            calls.extend(tuple(row) for row in rows.tolist())
+            return payoff_rows(game, rows)
+
         monkeypatch.setattr(equilibrium, "_payoff_locs", counting)
+        monkeypatch.setattr(equilibrium, "_payoff_rows", counting_rows)
         report = is_pne(GameSpec(5, Lime(epsilon=1e-3)), profile, exhaustive=False)
         assert report.is_pne == (profile == optimal_locations(5))
-        # One call prices the profile itself; every other one is a probe.
+        # One call prices the profile itself; every other one is a probe,
+        # and every row a deviation of the exact check the optimum goes on
+        # to after the plan.
         assert report.candidate_count == len(calls) - 1
 
     def test_fast_check_tries_every_player_before_a_second_probe(self):
@@ -208,8 +216,40 @@ class TestIsPne:
         blob = report.to_json()
         assert blob["isPne"] is False
         assert set(blob["witness"]) == {"player", "deviation"}
-        assert blob["gridStep"] is None
-        assert is_pne(GameSpec(2, Nime()), (0.4, 0.9), exhaustive=False).grid_step == 0.01
+        # Every verdict is exact, so no report names a grid.
+        assert "gridStep" not in blob
+        assert "gridStep" not in is_pne(GameSpec(2, Nime()), (0.4, 0.9), exhaustive=False).to_json()
+        assert not hasattr(report, "grid_step")
+
+    def test_early_exit_reports_the_exact_supremum_of_an_equilibrium(self):
+        # The plan does not refute the centre pair, so the exact check
+        # decides it.  The early exit used to report worst_gain=-inf, which
+        # to_json wrote as -Infinity, no strict JSON.
+        game = GameSpec(2, Nime())
+        fast = is_pne(game, (0.5, 0.5), exhaustive=False)
+        full = is_pne(game, (0.5, 0.5))
+        assert fast.is_pne and math.isfinite(fast.worst_gain)
+        assert fast.worst_gain == full.worst_gain
+        json.dumps(fast.to_json(), allow_nan=False)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_early_exit_agrees_with_the_exhaustive_check(self, n):
+        # The same verdict; a profile the plan does not refute gets the
+        # exhaustive report bit for bit but for the probes it counts, and a
+        # refutation's witness really gains more than gain_tol.
+        rng = np.random.default_rng([n, 22])
+        for name, mediator in _mediators(n).items():
+            game = GameSpec(n, mediator)
+            profiles = [tuple(p) for p in _profiles(rng, game, 4)] + (known_pne(game) or [])
+            for profile in profiles:
+                fast, full = is_pne(game, profile, exhaustive=False), is_pne(game, profile)
+                assert fast.is_pne == full.is_pne, (name, profile)
+                probes, hit, _ = _refute_fast(game, profile, 1e-9)
+                if hit is None:
+                    assert fast.worst_gain == full.worst_gain and fast.witness == full.witness
+                    assert fast.candidate_count == probes + full.candidate_count
+                else:
+                    assert _gain(game, profile, *fast.witness) > fast.gain_tol
 
 
 def _payoff_at(game, profile, player, y):
@@ -480,6 +520,13 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             pne_enumerate(GameSpec(2, Nime()), 0.3)
 
+    @pytest.mark.parametrize("step", [5e-324, 1e-310])
+    def test_subnormal_grid_step_is_a_value_error(self, step):
+        # Its reciprocal overflows to inf, which round() turned into an
+        # OverflowError.
+        with pytest.raises(ValueError, match="grid_step"):
+            pne_enumerate(GameSpec(2, Nime()), step)
+
     @pytest.mark.parametrize("step", [0.0, -0.25, math.inf, math.nan])
     def test_grid_step_must_be_positive_and_finite(self, step):
         with pytest.raises(ValueError):
@@ -581,7 +628,6 @@ def _reference_probes(game, locs, offsets=True):
     if isinstance(game.mediator, Dictator):
         static += game.mediator.targets
     static += [0.0, 1.0]
-    static += [k * (1 / 100) for k in range(101)]
     out += [(player, min(max(p, 0.0), 1.0)) for p in static for player in range(game.n)]
     return out
 
@@ -593,11 +639,12 @@ def _grid_rows(top, n, start, stop, size):
 
 
 def _scalar_scan(game, grid_n, start, stop, gain_tol=1e-9):
-    """Grid profiles of a shard that ``_refute_fast`` does not refute."""
+    """Grid profiles of a shard that the single-profile early-exit check
+    certifies: ``_refute_fast``, then the exact check."""
     found = []
     for combo in _grid_rows(grid_n, game.n, start, stop, 1):
         locs = tuple(k / grid_n for k in combo)
-        if _refute_fast(game, locs, gain_tol)[1] is None:
+        if is_pne(game, locs, gain_tol, exhaustive=False).is_pne:
             found.append(locs)
     return found
 
@@ -655,8 +702,9 @@ class TestProbeWaves:
         for _ in range(shards):
             start = int(rng.integers(total - 400))
             stop = start + int(rng.integers(1, 401))
-            got, waves, rows, priced, _ = _enumerate_chunk((game, grid_n, start, stop, 1e-9))
+            got, waves, rows, priced, checked, _ = _enumerate_chunk((game, grid_n, start, stop, 1e-9))
             assert got == _scalar_scan(game, grid_n, start, stop), (start, stop)
+            assert len(got) <= checked
             assert rows >= 2 * (stop - start) and waves >= 1
             assert stop - start <= priced <= rows
 
@@ -714,7 +762,7 @@ class TestProbeWaves:
         assert survivors.tolist() == want
         # A shard of several blocks makes one call per wave in total.
         calls.clear()
-        _, waves, rows, priced, _ = _enumerate_chunk((game, 120, 5_000, 5_000 + 3 * block + 7, 1e-9))
+        _, waves, rows, priced, _, _ = _enumerate_chunk((game, 120, 5_000, 5_000 + 3 * block + 7, 1e-9))
         assert len(calls) == waves and sum(calls) == priced < rows
 
     def test_first_wave_prices_one_row_per_run(self, monkeypatch):
@@ -798,6 +846,35 @@ class TestProbeWaves:
         pne_enumerate(twin, 1 / 24, shard=(0, 10))
         assert builds == [game, twin]
 
+    @pytest.mark.parametrize(
+        "build, grid_n",
+        [
+            (lambda: GameSpec(2, Lime(epsilon=1e-3)), 64),
+            (lambda: GameSpec(2, Nime()), 64),
+            (lambda: GameSpec(2, Clime(lam=1 / 8, epsilon=1e-3)), 80),
+        ],
+        ids=["lime2", "nime2", "clime2-1/8"],
+    )
+    def test_plan_survivors_go_through_the_exact_check(self, build, grid_n, monkeypatch, caplog):
+        # Cut to its first entry, the plan leaves 33 to 615 profiles that
+        # are mostly no equilibria; the exact check must still leave only the
+        # criterion lists.  Each game is built fresh, so no kept plan arrays
+        # hide the cut.
+        want = sorted({tuple(sorted(p)) for p in known_pne(build())})
+        probe_plan = equilibrium._probe_plan
+        monkeypatch.setattr(equilibrium, "_probe_plan", lambda game, *args: islice(probe_plan(game, *args), 1))
+        for threads in (1, 2):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="hotelling_mediators"):
+                assert pne_enumerate(build(), 1 / grid_n, threads=threads) == want
+            records = [r for r in caplog.records if r.name == "hotelling_mediators"]
+            assert sum(r.args[-2] for r in records) > 10 * len(want)
+        game = build()
+        profiles = [tuple(k / grid_n for k in combo) for combo in _grid_rows(grid_n, 2, 0, math.comb(grid_n + 2, 2), 512)]
+        survivors = [p for p in profiles if _refute_fast(game, p, 1e-9)[1] is None]
+        for profile in survivors[:: max(1, len(survivors) // 8)] + want:
+            assert is_pne(game, profile, exhaustive=False).is_pne == is_pne(game, profile).is_pne == (profile in want)
+
     def test_pwl_survivor_matches_scalar_scan(self):
         # Under the zigzag the dictated targets still certify, and the 1/12
         # grid holds them.
@@ -844,6 +921,8 @@ class TestProbeWaves:
             assert all(r.args[5] >= 2 * r.args[2] for r in records)
             # Rows judged, then rows priced: every profile's own row at least.
             assert all(r.args[2] <= r.args[6] <= r.args[5] for r in records)
+            # Every equilibrium found was checked exactly.
+            assert all(r.args[-1] <= r.args[-2] for r in records)
 
 
 class TestKnownPne:
