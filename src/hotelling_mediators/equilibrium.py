@@ -603,7 +603,7 @@ def _enumerate_chunk(args):
     probe-plan arrays (:func:`_plan_arrays`) refute the profiles, one block
     of rows from :func:`_grid_blocks` at a time, with :func:`_refute_rows`,
     whose waves, rows judged and rows priced are summed, and the ``checked``
-    profiles they leave go through :func:`_exact_check`."""
+    profiles they leave go through exhaustive :func:`is_pne`."""
     game, grid_n, start, stop, gain_tol = args
     began = time.perf_counter()
     plan = _plan_arrays(game)
@@ -612,7 +612,7 @@ def _enumerate_chunk(args):
         locs = grid / grid_n
         survivors, block_waves, block_rows, block_priced = _refute_rows(game, locs, gain_tol, plan)
         checks = map(tuple, locs[survivors].tolist())
-        found += [p for p in checks if _exact_check(game, p, gain_tol, _payoff_locs(game, p))[1] is None]
+        found += [p for p in checks if is_pne(game, p, gain_tol).is_pne]
         waves += block_waves
         rows += block_rows
         priced += block_priced

@@ -639,14 +639,15 @@ def _grid_rows(top, n, start, stop, size):
 
 
 def _scalar_scan(game, grid_n, start, stop, gain_tol=1e-9):
-    """Grid profiles of a shard that the single-profile early-exit check
-    certifies: ``_refute_fast``, then the exact check."""
-    found = []
+    """Grid profiles of a shard that ``_refute_fast`` does not refute, and
+    those of them the single-profile early-exit check certifies, which sends
+    them on to the exact check."""
+    survivors = []
     for combo in _grid_rows(grid_n, game.n, start, stop, 1):
         locs = tuple(k / grid_n for k in combo)
-        if is_pne(game, locs, gain_tol, exhaustive=False).is_pne:
-            found.append(locs)
-    return found
+        if _refute_fast(game, locs, gain_tol)[1] is None:
+            survivors.append(locs)
+    return survivors, [p for p in survivors if is_pne(game, p, gain_tol, exhaustive=False).is_pne]
 
 
 def _plan_arrays(game):
@@ -703,8 +704,11 @@ class TestProbeWaves:
             start = int(rng.integers(total - 400))
             stop = start + int(rng.integers(1, 401))
             got, waves, rows, priced, checked, _ = _enumerate_chunk((game, grid_n, start, stop, 1e-9))
-            assert got == _scalar_scan(game, grid_n, start, stop), (start, stop)
-            assert len(got) <= checked
+            # The waves leave exactly the scalar refuter's survivors, and the
+            # exact check keeps exactly the early exit's equilibria of them.
+            survivors, certified = _scalar_scan(game, grid_n, start, stop)
+            assert checked == len(survivors), (start, stop)
+            assert got == certified, (start, stop)
             assert rows >= 2 * (stop - start) and waves >= 1
             assert stop - start <= priced <= rows
 
@@ -880,8 +884,12 @@ class TestProbeWaves:
         # grid holds them.
         game = GameSpec(3, Dictator(), ZIGZAG)
         total = math.comb(12 + 3, 3)
-        got = _enumerate_chunk((game, 12, 0, total, 1e-9))[0]
-        assert got == _scalar_scan(game, 12, 0, total) == [optimal_locations(3)]
+        got, _, _, _, checked, _ = _enumerate_chunk((game, 12, 0, total, 1e-9))
+        survivors, certified = _scalar_scan(game, 12, 0, total)
+        # The static tail refutes everything else, so only the targets reach
+        # the exact check.
+        assert checked == 1 and survivors == [optimal_locations(3)]
+        assert got == certified == [optimal_locations(3)]
 
     @settings(max_examples=25)
     @given(st.data())
