@@ -242,16 +242,17 @@ class PiecewiseLinearDensity(_Density):
 
     breakpoints: tuple
     values: tuple
-    # Per-breakpoint prefix integrals of g and of t*g, filled in __post_init__.
-    _cum_mass: tuple = field(default=(), repr=False, compare=False)
-    _cum_fm: tuple = field(default=(), repr=False, compare=False)
-    # The scalar segment table, built once in __post_init__: the left ends
-    # of the segments, and per segment the constants of :meth:`_prefix`.
+    # Built in __post_init__ by one loop over the segments: the prefix
+    # integrals of g and of t*g at every breakpoint, the left ends of the
+    # segments, and the segment table, per segment the constants of
+    # :meth:`_prefix` and the segment's width.  ``_columns`` is the same
+    # table as a read-only array for the ``*_array`` methods: row j holds
+    # the j-th constant of every segment.
+    _cum_mass: tuple = field(init=False, repr=False, compare=False)
+    _cum_fm: tuple = field(init=False, repr=False, compare=False)
     _starts: tuple = field(init=False, repr=False, compare=False)
     _segments: tuple = field(init=False, repr=False, compare=False)
-    # The breakpoints, values and both prefix tuples as read-only numpy
-    # arrays for the ``*_array`` methods, built once in __post_init__.
-    _arrays: tuple = field(init=False, repr=False, compare=False)
+    _columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     kind: ClassVar[str] = "pwl"
 
@@ -275,45 +276,33 @@ class PiecewiseLinearDensity(_Density):
             raise ValueError("breakpoints must start at 0 and end at 1")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        cum_mass = [0.0]
-        cum_fm = [0.0]
+        cum_mass, cum_fm, segments = [0.0], [0.0], []
         for k in range(len(xs) - 1):
-            h = xs[k + 1] - xs[k]
-            cum_mass.append(cum_mass[-1] + 0.5 * h * (gs[k] + gs[k + 1]))
-            cum_fm.append(cum_fm[-1] + self._segment_fm(k, xs[k + 1], xs, gs))
+            # Each constant by the expression the segment's formulas use; the
+            # cube is spelled as products because numpy's ``x ** 3`` and
+            # Python's ``pow`` can differ by an ulp.
+            x0, x1 = xs[k], xs[k + 1]
+            h = x1 - x0
+            m = (gs[k + 1] - gs[k]) / h
+            half_c = 0.5 * (gs[k] - m * x0)
+            x0_sq = x0 * x0
+            x0_cube = x0_sq * x0
+            segments.append((x0, gs[k], 0.5 * m, cum_mass[k], cum_fm[k], half_c, m, x0_sq, x0_cube, h))
+            cum_mass.append(cum_mass[k] + 0.5 * h * (gs[k] + gs[k + 1]))
+            cum_fm.append(cum_fm[k] + (half_c * (x1 * x1 - x0_sq) + m * (x1 * x1 * x1 - x0_cube) / 3.0))
         if abs(cum_mass[-1] - 1.0) > _NORMALIZATION_TOL:
             raise ValueError(
                 f"density integrates to {cum_mass[-1]!r}, expected 1 within {_NORMALIZATION_TOL}"
             )
+        columns = np.array(segments).T
+        columns.flags.writeable = False
         object.__setattr__(self, "breakpoints", xs)
         object.__setattr__(self, "values", gs)
         object.__setattr__(self, "_cum_mass", tuple(cum_mass))
         object.__setattr__(self, "_cum_fm", tuple(cum_fm))
-        arrays = tuple(np.array(v) for v in (xs, gs, self._cum_mass, self._cum_fm))
-        for array in arrays:
-            array.flags.writeable = False
-        object.__setattr__(self, "_arrays", arrays)
-        segments = []
-        for k in range(len(xs) - 1):
-            # Each constant by the expression the segment's formulas use.
-            x0 = xs[k]
-            m = (gs[k + 1] - gs[k]) / (xs[k + 1] - x0)
-            c = gs[k] - m * x0
-            x0_sq = x0 * x0
-            segments.append((x0, gs[k], 0.5 * m, cum_mass[k], cum_fm[k], 0.5 * c, m, x0_sq, x0_sq * x0))
         object.__setattr__(self, "_starts", xs[:-1])
         object.__setattr__(self, "_segments", tuple(segments))
-
-    @staticmethod
-    def _segment_fm(k, x, xs, gs):
-        # Closed form of the integral of t*g(t) from xs[k] to x within segment k.
-        # Scalars or numpy arrays alike; the cube is spelled as products
-        # because numpy's ``x ** 3`` and Python's ``pow`` can differ by an ulp.
-        x0 = xs[k]
-        h = xs[k + 1] - x0
-        m = (gs[k + 1] - gs[k]) / h
-        c = gs[k] - m * x0
-        return 0.5 * c * (x * x - x0 * x0) + m * (x * x * x - x0 * x0 * x0) / 3.0
+        object.__setattr__(self, "_columns", columns)
 
     def _density(self, t):
         k = bisect_right(self._starts, t) - 1
@@ -322,16 +311,13 @@ class PiecewiseLinearDensity(_Density):
         return gs[k] + w * (gs[k + 1] - gs[k])
 
     def _cdf(self, t):
-        x0, g0, half_m, cum_mass = self._segments[bisect_right(self._starts, t) - 1][:4]
-        u = t - x0
-        return cum_mass + u * (g0 + half_m * u)
+        return self._prefix(t)[0]
 
     def _prefix(self, x):
         # (cdf(x), integral of t*g(t) from 0 to x) for an x in [0, 1],
         # unchecked: one lookup in the segment table, then the formula of
-        # cdf and the closed form of the segment's first moment, with the
-        # operations in the order of _segment_fm.
-        x0, g0, half_m, cum_mass, cum_fm, half_c, m, x0_sq, x0_cube = self._segments[
+        # cdf and the closed form of the segment's first moment.
+        x0, g0, half_m, cum_mass, cum_fm, half_c, m, x0_sq, x0_cube, _ = self._segments[
             bisect_right(self._starts, x) - 1
         ]
         u = x - x0
@@ -348,8 +334,8 @@ class PiecewiseLinearDensity(_Density):
         kept in ``memo``, a dict from point to prefixes, for every later use:
         a piece's upper end serves as the next piece's lower end, and a
         facility's prefixes are computed only when a piece straddles it.
-        The integrators pass the memo of the compiled profile they price
-        (see :func:`hotelling_mediators.mediators._prefix_memo`), so payoff,
+        The integrators pass the memo that the compile they price carries
+        (see :func:`hotelling_mediators.mediators._compile`), so payoff,
         social cost and gap on one profile share it."""
 
         def prefix(x):
@@ -373,20 +359,20 @@ class PiecewiseLinearDensity(_Density):
         return mass, abs_moment
 
     def _cdf_array(self, t):
-        # Arrays of cdf(t), by the scalar formula of cdf, and of the segment
-        # index of t.
-        xs, gs, cum, _ = self._arrays
-        k = np.minimum(np.maximum(np.searchsorted(xs, t, side="right") - 1, 0), len(xs) - 2)
-        u = t - xs[k]
-        m = (gs[k + 1] - gs[k]) / (xs[k + 1] - xs[k])
-        return cum[k] + u * (gs[k] + 0.5 * m * u), k
+        # Arrays of cdf(t), by the formula of _prefix, and of the segment
+        # index of t, the lookup of _prefix.
+        k = np.maximum(np.searchsorted(self._columns[0], t, side="right") - 1, 0)
+        x0, g0, half_m, cum_mass = self._columns[:4].take(k, axis=1)
+        u = t - x0
+        return cum_mass + u * (g0 + half_m * u), k
 
     def _prefixes_array(self, t):
         # Arrays of cdf(t) and of the first-moment prefix at t, by the
-        # scalar formulas of _prefix.
+        # formulas of _prefix.
         cdf, k = self._cdf_array(t)
-        xs, gs, _, cum_fm = self._arrays
-        return cdf, cum_fm[k] + self._segment_fm(k, t, xs, gs)
+        cum_fm, half_c, m, x0_sq, x0_cube = self._columns[4:9].take(k, axis=1)
+        t_sq = t * t
+        return cdf, cum_fm + (half_c * (t_sq - x0_sq) + m * (t_sq * t - x0_cube) / 3.0)
 
     def mass_array(self, a, b):
         """:meth:`mass` elementwise over broadcast arrays, bitwise equal."""
@@ -409,17 +395,17 @@ class PiecewiseLinearDensity(_Density):
         """:meth:`quantile` elementwise over an array of levels, in the
         input's shape, unchecked: per-segment quadratic inversion."""
         p = np.asarray(p, dtype=float)
-        xs, gs, cum, _ = self._arrays
-        j = np.searchsorted(cum, p, side="left")
-        k = np.minimum(np.maximum(j - 1, 0), len(xs) - 2)
-        r = np.maximum(p - cum[k], 0.0)
-        h = xs[k + 1] - xs[k]
-        m = (gs[k + 1] - gs[k]) / h
-        disc = np.maximum(gs[k] * gs[k] + 2.0 * m * r, 0.0)
-        denom = gs[k] + np.sqrt(disc)
+        # Levels are searched among the segments' mass prefixes, so one past
+        # the last of them (1 when the mass rounds below it) falls in the
+        # last segment.
+        j = np.searchsorted(self._columns[3], p, side="left")
+        x0, g0, _, cum_mass, _, _, m, _, _, h = self._columns.take(np.maximum(j - 1, 0), axis=1)
+        r = np.maximum(p - cum_mass, 0.0)
+        disc = np.maximum(g0 * g0 + 2.0 * m * r, 0.0)
+        denom = g0 + np.sqrt(disc)
         with np.errstate(divide="ignore", invalid="ignore"):
             u = np.where(denom > 0.0, 2.0 * r / np.where(denom > 0.0, denom, 1.0), 0.0)
-        q = np.where(j == 0, 0.0, xs[k] + np.minimum(np.maximum(u, 0.0), h))
+        q = np.where(j == 0, 0.0, x0 + np.minimum(np.maximum(u, 0.0), h))
         return np.clip(q, 0.0, 1.0)
 
     def to_json(self):

@@ -643,11 +643,11 @@ def pne_enumerate(game, grid_step, gain_tol=_DEFAULT_GAIN_TOL, shard=None, threa
     grid_n = round(1.0 / grid_step) if math.isfinite(1.0 / grid_step) else 0
     if abs(grid_n * grid_step - 1.0) > 1e-9 or grid_n < 1:
         raise ValueError(f"1/grid_step must be an integer, got {grid_step!r}")
-    total = math.comb(grid_n + game.n, game.n)
+    # A grid of grid_n steps holds more than grid_n sorted profiles, so one
+    # past the budget in grid_n alone is refused before they are counted.
+    total = math.comb(grid_n + game.n, game.n) if grid_n < _MAX_GRID_PROFILES else math.inf
     if total > _MAX_GRID_PROFILES:
-        raise ValueError(
-            f"grid holds {total} sorted profiles, over the {_MAX_GRID_PROFILES} budget"
-        )
+        raise ValueError(f"grid_step {grid_step!r} gives over the {_MAX_GRID_PROFILES} sorted profiles of the budget")
     # Anything but a pair of integers fails the range test below.
     try:
         start, stop = (0, total) if shard is None else (_integer("shard", v, 0) for v in shard)

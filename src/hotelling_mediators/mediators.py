@@ -270,10 +270,10 @@ def _policy_breakpoints(sites, piis):
     return sorted(points)
 
 
-# The last compile, as ``(game, input locations, (result, prefix memo))``;
-# see :func:`_compiled_pieces` and :func:`_prefix_memo`.  One entry in total,
-# read and replaced as one tuple, so a caller in another thread never pairs
-# one key with another compile's result.
+# The last compile, as ``(game, input locations, compile)``; see
+# :func:`_compiled_pieces`.  One entry in total, read and replaced as one
+# tuple, so a caller in another thread never pairs one key with another
+# compile's result.
 _last_compile = (None, None, None)
 
 
@@ -287,15 +287,21 @@ def _same_floats(a, b):
 
 
 def _compile(game, locs):
-    """Canonicalized locations plus (lo, hi, distribution) pieces over (0, 1),
-    compiled afresh from the location tuple ``locs``.
+    """``(locations, breakpoints, pieces, rule, memo)``, compiled afresh
+    from the location tuple ``locs``: the canonicalized locations, and the
+    (lo, hi, distribution) pieces over (0, 1).
 
     Facilities are snapped onto interval endpoints once, here, and the rule
     is bound to the snapped profile once.  Adjacent pieces with identical
     distributions are coalesced; the returned breakpoint tuple still holds
     every candidate switch point, where the rule may deviate pointwise
-    (ties, interval endpoints).  The result is made of tuples and a rule
-    that keeps no state, so callers may share it.
+    (ties, interval endpoints).  ``memo`` is a fresh dict for the density
+    prefixes of the points this compile is priced at (see the density's
+    ``_integrals``), so every integration over one compile computes a
+    point's prefixes once; it lives and dies with the compile.  The rest is
+    made of tuples and a rule that keeps no state, and a memo entry depends
+    only on its point and the game's density, so callers may share the
+    compile.
     """
     piis = game.piis
     snapped = _snap_to_endpoints(locs, piis)
@@ -308,7 +314,7 @@ def _compile(game, locs):
             pieces[-1] = (pieces[-1][0], hi, d)
         else:
             pieces.append((lo, hi, d))
-    return (snapped, tuple(bps), tuple(pieces), rule)
+    return (snapped, tuple(bps), tuple(pieces), rule, {})
 
 
 def _compiled_pieces(game, locs):
@@ -316,34 +322,23 @@ def _compiled_pieces(game, locs):
 
     A call with the same ``game`` object and the same input floats bit for
     bit (see :func:`_same_floats`) returns the kept compile again, so
-    payoff, social cost and gap on one profile compile it once.  Any other
-    call compiles and replaces it, with an empty prefix memo beside it (see
-    :func:`_prefix_memo`).
+    payoff, social cost and gap on one profile compile it once and share
+    its prefix memo.  Any other call compiles and replaces it.
     """
     global _last_compile
     last_game, last_locs, last = _last_compile
     if game is last_game and _same_floats(locs, last_locs):
-        return last[0]
+        return last
     locs = tuple(locs)
     result = _compile(game, locs)
-    _last_compile = (game, locs, (result, {}))
+    _last_compile = (game, locs, result)
     return result
-
-
-def _prefix_memo(result):
-    """The density-prefix memo to price the compile ``result`` with: the
-    dict kept beside it when it is the last compile, so every integration
-    over one compiled profile computes a point's prefixes once, else a fresh
-    dict.  The memo lives and dies with the compile: a new profile, another
-    game object or an emptied slot starts a fresh one."""
-    last = _last_compile[2]
-    return last[1] if last is not None and last[0] is result else {}
 
 
 def compile_policy(game, profile, include_point_dists=True):
     """Compile the game's mediator and a profile into an exact policy."""
     locs = validate_profile(profile, game.n)
-    _, bps, pieces, rule = _compiled_pieces(game, locs)
+    _, bps, pieces, rule, _ = _compiled_pieces(game, locs)
     point_dists = {b: rule(b) for b in bps} if include_point_dists else {}
     return PiecewisePolicy(
         breakpoints=tuple(p[0] for p in pieces) + (1.0,),

@@ -20,16 +20,17 @@ game object and the same profile (payoff, social cost and gap of one
 profile, in any order) compile it once; the gap's no-intervention side is
 compiled beside it, never in its place.  The results are bitwise those of
 a fresh compile.  Under a piecewise-linear density every mass and absolute
-moment is a difference of (cdf, first-moment) prefixes.  One memo of
-prefixes lives beside each kept compile and dies with it, so the calls on
-one compiled profile compute each point's prefixes once in total and share
-them between pieces, facilities, calls and both sides of a gap; every value
-stays bitwise what the density's public methods give.  The random phase of
-:func:`ic_search`, equilibrium enumeration and the exhaustive equilibrium
-check's deviation lines price their rows in blocks through the array
-compiler and one row integrator instead, with the players on the leading
-axis of every array; every row's gap and payoffs are bitwise equal to the
-scalar path's, so both return the same answers either way.
+moment is a difference of (cdf, first-moment) prefixes.  Each compile
+carries its own memo of prefixes, which lives and dies with it, so the
+calls on one compiled profile compute each point's prefixes once in total
+and share them between pieces, facilities, calls and both sides of a gap;
+every value stays bitwise what the density's public methods give.  The
+random phase of :func:`ic_search`, equilibrium enumeration and the
+exhaustive equilibrium check's deviation lines price their rows in blocks
+through the array compiler and one row integrator instead, with the
+players on the leading axis of every array; every row's gap and payoffs
+are bitwise equal to the scalar path's, so both return the same answers
+either way.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _MEDIATORS, Dictator, Nime, _integer, _players, validate_profile
-from .mediators import _compile, _compiled_pieces, _compiled_rows, _prefix_memo, _snap_rows, _snap_to_endpoints
+from .mediators import _compile, _compiled_pieces, _compiled_rows, _snap_rows, _snap_to_endpoints
 
 __all__ = [
     "payoff",
@@ -58,7 +59,7 @@ __all__ = [
 
 def _payoff_locs(game, locs):
     compiled = _compiled_pieces(game, locs)
-    mass, _ = game.distribution._integrals(_prefix_memo(compiled))
+    mass, _ = game.distribution._integrals(compiled[4])
     out = [0.0] * game.n
     for lo, hi, w in compiled[2]:
         m = mass(lo, hi)
@@ -77,7 +78,7 @@ def _cost(compiled, abs_moment):
     """Social cost of a compile of :func:`_compiled_pieces`, its facilities
     as the compiler canonicalized them, priced by ``abs_moment`` from the
     density's ``_integrals``."""
-    locs, _, pieces, _ = compiled
+    locs, _, pieces, _, _ = compiled
     total = 0.0
     for lo, hi, w in pieces:
         for i, wi in enumerate(w):
@@ -89,20 +90,20 @@ def _cost(compiled, abs_moment):
 def social_cost(game, profile):
     """Expected distance a user travels to her assigned facility."""
     compiled = _compiled_pieces(game, validate_profile(profile, game.n))
-    _, abs_moment = game.distribution._integrals(_prefix_memo(compiled))
+    _, abs_moment = game.distribution._integrals(compiled[4])
     return _cost(compiled, abs_moment)
 
 
-def _gap_locs(game, nime_game, locs):
-    # The mediator is compiled once.  The no-intervention side prices the
-    # facilities as the mediator's compiler canonicalized them, so both
-    # sides see the same positions, and both sides share the mediator's
-    # compile's density prefixes.  The twin is compiled outside the kept
-    # compile, so it never evicts the mediator's; a no-intervention game is
-    # its own twin and reuses its compile.
+def _gap_locs(game, locs):
+    # The mediator is compiled once.  Its no-intervention twin
+    # (``game.nime_twin``) prices the facilities as the mediator's compiler
+    # canonicalized them, so both sides see the same positions, and both
+    # sides share the prefix memo of the mediator's compile.  The twin is
+    # compiled outside the kept compile, so it never evicts the mediator's;
+    # a no-intervention game is its own twin and reuses its compile.
     compiled = _compiled_pieces(game, locs)
-    _, abs_moment = game.distribution._integrals(_prefix_memo(compiled))
-    twin = compiled if nime_game is game else _compile(nime_game, compiled[0])
+    _, abs_moment = game.distribution._integrals(compiled[4])
+    twin = compiled if game.nime_twin is game else _compile(game.nime_twin, compiled[0])
     return _cost(compiled, abs_moment) - _cost(twin, abs_moment)
 
 
@@ -168,7 +169,7 @@ def _gap_rows(game, rows):
     player-major ``(n, B)`` copy of the snapped rows.
     """
     locs = _snap_rows(game, np.transpose(rows))
-    return _rows_cost(game, locs) - _rows_cost(_nime_twin(game), locs)
+    return _rows_cost(game, locs) - _rows_cost(game.nime_twin, locs)
 
 
 def intervention_gap(game, profile):
@@ -177,14 +178,7 @@ def intervention_gap(game, profile):
     Nonnegative for every profile (up to float noise), since no direction rule
     can beat sending each user to her nearest facility.
     """
-    locs = validate_profile(profile, game.n)
-    return _gap_locs(game, _nime_twin(game), locs)
-
-
-def _nime_twin(game):
-    """The game under no intervention, kept on the game (see
-    :class:`GameSpec`)."""
-    return game.nime_twin
+    return _gap_locs(game, validate_profile(profile, game.n))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +348,6 @@ def ic_search(game, budget, seed=0, threads=1):
     budget = _integer("budget", budget, 1)
     threads = _integer("threads", threads, 1)
     seed = _integer("seed", seed, 0)
-    nime_game = _nime_twin(game)
     n = game.n
 
     best_gap, best_locs = -math.inf, None
@@ -364,7 +357,7 @@ def ic_search(game, budget, seed=0, threads=1):
             locs = game.mediator.fixture(n, delta)
         except ValueError:
             break
-        gap = _gap_locs(game, nime_game, locs)
+        gap = _gap_locs(game, locs)
         if fixture_lower is None or gap > fixture_lower:
             fixture_lower = gap
         if _better(gap, locs, best_gap, best_locs):
@@ -393,7 +386,7 @@ def ic_search(game, budget, seed=0, threads=1):
             def line(y, i=i):
                 trial = current.copy()
                 trial[i] = y
-                return _gap_locs(game, nime_game, tuple(trial))
+                return _gap_locs(game, tuple(trial))
 
             y, fy = _golden_max(line)
             if fy > current_gap + 1e-12:

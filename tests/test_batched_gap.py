@@ -17,7 +17,7 @@ from hypothesis import given, settings
 
 from hotelling_mediators import GameSpec, Lime, ic_search
 from hotelling_mediators import metrics
-from hotelling_mediators.metrics import _gap_locs, _gap_rows, _nime_twin, _payoff_locs, _payoff_rows
+from hotelling_mediators.metrics import _gap_locs, _gap_rows, _payoff_locs, _payoff_rows
 
 from test_policy_reference import COORDS, DENSITIES, PROPERTY_GAMES, _custom_dictator, _mediators, _profiles, anchored
 
@@ -36,9 +36,8 @@ def test_rows_equal_scalar_gap(n, density):
         game = GameSpec(n, mediator, DENSITIES[density])
         rows = np.array(_profiles(rng, game, 48 if n <= 8 else 12))
         got = _gap_rows(game, rows)
-        twin = _nime_twin(game)
         for k in range(len(rows)):
-            want = _gap_locs(game, twin, tuple(rows[k]))
+            want = _gap_locs(game, tuple(rows[k]))
             assert _bitwise(got[k], want), (name, tuple(rows[k]), got[k], want)
 
 
@@ -50,7 +49,7 @@ def test_scalar_and_row_paths_agree(coords):
         row = np.array([profile])
         got, want = _payoff_rows(game, row)[0], _payoff_locs(game, profile)
         assert all(_bitwise(a, b) for a, b in zip(got, want)), (game, profile, got, want)
-        got, want = _gap_rows(game, row)[0], _gap_locs(game, _nime_twin(game), profile)
+        got, want = _gap_rows(game, row)[0], _gap_locs(game, profile)
         assert _bitwise(got, want), (game, profile, got, want)
 
 
@@ -78,11 +77,10 @@ def test_signed_zero_profiles_price_as_scalar(n, density):
         profiles = list(itertools.product((-0.0, 0.0, 5e-324, end, 0.5, 1.0), repeat=n))
         rows = np.array(profiles)
         payoffs, gaps = _payoff_rows(game, rows), _gap_rows(game, rows)
-        twin = _nime_twin(game)
         for k, profile in enumerate(profiles):
             want = _payoff_locs(game, profile)
             assert all(_bitwise(a, b) for a, b in zip(payoffs[k], want)), (name, profile, payoffs[k], want)
-            want = _gap_locs(game, twin, profile)
+            want = _gap_locs(game, profile)
             assert _bitwise(gaps[k], want), (name, profile, gaps[k], want)
 
 
@@ -137,8 +135,7 @@ def test_mass_array_equals_scalar(kind):
 
 
 def _scalar_gap_rows(game, rows):
-    twin = _nime_twin(game)
-    return np.array([_gap_locs(game, twin, tuple(row)) for row in rows])
+    return np.array([_gap_locs(game, tuple(row)) for row in rows])
 
 
 @pytest.mark.parametrize("n", [3, 6])

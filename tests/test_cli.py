@@ -204,6 +204,7 @@ class TestUsageErrorsExitTwo:
             ["ic", "--mediator", "lime", "--n", "3", "--budget", "50", "--threads", "0"],
             ["pne", "--mediator", "nime", "--n", "2", "--enumerate", "--grid-step", "0.25", "--threads", "-2"],
             ["pne", "--mediator", "nime", "--n", "2", "--profile", "0.5,0.5", "--threads", "-5"],
+            ["pne", "--mediator", "nime", "--n", "2", "--enumerate"],
         ],
         ids=[
             "ic-budget-0",
@@ -214,6 +215,7 @@ class TestUsageErrorsExitTwo:
             "ic-threads-0",
             "enumerate-threads-negative",
             "pne-profile-threads-negative",
+            "enumerate-without-grid-step",
         ],
     )
     def test_exits_two_with_error_line(self, argv, capsys):

@@ -1,5 +1,6 @@
 """Distribution primitives, reference locations, and parameter records."""
 
+import inspect
 import json
 import math
 from bisect import bisect_right
@@ -21,6 +22,7 @@ from hotelling_mediators import (
     adversarial_profile,
     best_response_gain,
     better_response_dynamics,
+    candidate_deviations,
     compile_policy,
     direct,
     distribution_from_json,
@@ -125,6 +127,17 @@ class TestRampDensity:
             PiecewiseLinearDensity((0.0, 0.5, 0.5, 1.0), (1.0, 1.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             PiecewiseLinearDensity((0.0, 1.0), (2.0, -0.0000001))
+        with pytest.raises(ValueError, match="equal length"):
+            PiecewiseLinearDensity((0.0, 0.5, 1.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="at least two breakpoints"):
+            PiecewiseLinearDensity((0.0,), (1.0,))
+
+    def test_constructor_takes_the_knots_only(self):
+        # The prefix tuples used to be hidden constructor parameters, and a
+        # third argument was accepted and silently overwritten.
+        assert list(inspect.signature(PiecewiseLinearDensity).parameters) == ["breakpoints", "values"]
+        with pytest.raises(TypeError):
+            PiecewiseLinearDensity((0.0, 1.0), (1.0, 1.0), (9.0,))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -139,6 +152,7 @@ class TestMoments:
     def test_uniform_abs_moment_split(self):
         # Integral of |0.5 - t| over [0, 1] is 1/4.
         assert abs(UNIFORM.abs_moment(0.5, 0.0, 1.0) - 0.25) <= TOL
+        assert UNIFORM.first_moment(0.5, 1.0) == 0.375
 
     def test_pwl_mass_and_first_moment(self):
         # For g = 2t: mass over [a,b] is b^2-a^2, first moment 2(b^3-a^3)/3.
@@ -195,31 +209,44 @@ def _table_points(dist, randoms):
 
 def _assert_table_matches_reference(dist, points):
     bits = float.hex
+    masses = []
     for x in points:
         density, cdf, fm = _reference_segment(dist, x)
         assert tuple(map(bits, dist._prefix(x))) == (bits(cdf), bits(fm)), (dist, x)
         assert bits(dist.cdf(x)) == bits(cdf), (dist, x)
         assert bits(dist.density(x)) == bits(density), (dist, x)
         _, cdf_0, fm_0 = _reference_segment(dist, 0.0)
-        assert bits(dist.mass(0.0, x)) == bits(cdf - cdf_0), (dist, x)
+        masses.append(cdf - cdf_0)
+        assert bits(dist.mass(0.0, x)) == bits(masses[-1]), (dist, x)
         assert bits(dist.first_moment(0.0, x)) == bits(fm - fm_0), (dist, x)
+    got = dist.mass_array(np.zeros(len(points)), np.array(points))
+    assert list(map(bits, got.tolist())) == list(map(bits, masses)), dist
     # Every ordered pair (a, b) of a sample of the points, with c below,
     # inside and above it.
     sample = points[:: max(1, len(points) // 12)] + [points[-1]]
+    pairs, triples, masses, moments = [], [], [], []
     for i, a in enumerate(sample):
         for b in sample[i:]:
             _, cdf_a, fm_a = _reference_segment(dist, a)
             _, cdf_b, fm_b = _reference_segment(dist, b)
-            assert bits(dist.mass(a, b)) == bits(cdf_b - cdf_a), (dist, a, b)
+            pairs.append((a, b))
+            masses.append(cdf_b - cdf_a)
+            assert bits(dist.mass(a, b)) == bits(masses[-1]), (dist, a, b)
             assert bits(dist.first_moment(a, b)) == bits(fm_b - fm_a), (dist, a, b)
             for c in sample:
-                want = _reference_abs_moment(dist, c, a, b)
-                assert bits(dist.abs_moment(c, a, b)) == bits(want), (dist, c, a, b)
+                triples.append((c, a, b))
+                moments.append(_reference_abs_moment(dist, c, a, b))
+                assert bits(dist.abs_moment(c, a, b)) == bits(moments[-1]), (dist, c, a, b)
+    got = dist.mass_array(*map(np.array, zip(*pairs)))
+    assert list(map(bits, got.tolist())) == list(map(bits, masses)), dist
+    got = dist.abs_moment_array(*map(np.array, zip(*triples)))
+    assert list(map(bits, got.tolist())) == list(map(bits, moments)), dist
 
 
 class TestSegmentTable:
-    """The scalar density methods read one per-segment table of constants;
-    every value is bitwise what the formulas gave before the table."""
+    """The scalar and the array density methods read one per-segment table
+    of constants; every value is bitwise what the formulas gave before the
+    table."""
 
     @pytest.mark.parametrize("dist", [RAMP, TENT, ZIGZAG], ids=["ramp", "tent", "zigzag"])
     def test_fixed_densities_match_the_formulas(self, dist):
@@ -444,9 +471,12 @@ class TestMediatorRecords:
 
     def test_distribution_json_roundtrip(self):
         assert distribution_from_json({"kind": "uniform"}) == UNIFORM
+        assert distribution_from_json(UNIFORM.to_json()) == UNIFORM
         again = distribution_from_json(RAMP.to_json())
         assert again.breakpoints == RAMP.breakpoints
         assert again.values == RAMP.values
+        with pytest.raises(ValueError, match="unknown distribution kind 'beta'"):
+            distribution_from_json({"kind": "beta"})
 
 
 NIME2 = GameSpec(2, Nime())
@@ -474,13 +504,14 @@ class TestArgumentCheckers:
             lambda: Dictator(equality_tol=True),
             lambda: best_response_gain(NIME2, (0.1, 0.9), True, [0.5]),
             lambda: Dictator(equality_tol=math.inf),
+            lambda: candidate_deviations(NIME2, (0.1, 0.9), 2),
         ],
         ids=[
             "is_pne-gain_tol-bool", "dynamics-gain_tol-bool", "enumerate-grid_step-bool",
             "is_pne-gain_tol-str", "enumerate-grid_step-str", "shard-float", "shard-str",
             "adversarial-delta-str", "lime-epsilon-str", "clime-lambda-str",
             "dict-equality_tol-str", "dict-equality_tol-bool", "best_response-player-bool",
-            "dict-equality_tol-inf",
+            "dict-equality_tol-inf", "candidates-player-past-end",
         ],
     )
     def test_bad_value_raises_value_error(self, call):

@@ -88,8 +88,15 @@ class TestCandidates:
 class TestBestResponse:
     @pytest.mark.parametrize(
         "player, candidates",
-        [(-1, [0.5]), (3, [0.5]), (1.0, [0.5]), (0, [0.5, math.nan]), (0, [0.5, 1.5])],
-        ids=["player-negative", "player-past-end", "player-not-integer", "candidate-nan", "candidate-outside-segment"],
+        [(-1, [0.5]), (3, [0.5]), (1.0, [0.5]), (0, [0.5, math.nan]), (0, [0.5, 1.5]), (0, [])],
+        ids=[
+            "player-negative",
+            "player-past-end",
+            "player-not-integer",
+            "candidate-nan",
+            "candidate-outside-segment",
+            "candidates-empty",
+        ],
     )
     def test_bad_input_raises(self, player, candidates):
         with pytest.raises(ValueError):
@@ -515,6 +522,10 @@ class TestEnumeration:
     def test_budget_guard(self):
         with pytest.raises(ValueError):
             pne_enumerate(GameSpec(6, Nime()), 1e-4)
+        # The message used to hold every digit of the grid's profile count.
+        with pytest.raises(ValueError) as error:
+            pne_enumerate(GameSpec(2, Nime()), 1e-300)
+        assert len(str(error.value)) < 200
 
     def test_grid_step_must_divide(self):
         with pytest.raises(ValueError):

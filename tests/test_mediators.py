@@ -249,7 +249,7 @@ class TestCompileMemo:
 
     def _fresh(self, monkeypatch, game, locs):
         _cleared(monkeypatch)
-        locs, bps, pieces, _ = _compiled_pieces(game, locs)
+        locs, bps, pieces, _, _ = _compiled_pieces(game, locs)
         return locs, bps, pieces
 
     @pytest.mark.parametrize("game", [GameSpec(3, Nime()), GameSpec(3, Lime(epsilon=0.1)), GameSpec(3, Dictator())])
@@ -267,7 +267,7 @@ class TestCompileMemo:
         calls = _counting_binds(monkeypatch)
         _cleared(monkeypatch)
         _compiled_pieces(game, (0.1, 0.5, 0.9))
-        locs, _, _, _ = _compiled_pieces(game, tuple(np.array([0.1, 0.5, 0.9])))
+        locs, _, _, _, _ = _compiled_pieces(game, tuple(np.array([0.1, 0.5, 0.9])))
         assert len(calls) == 2 and all(type(x) is np.float64 for x in locs)
 
     def test_equal_games_do_not_share_a_compile(self, monkeypatch):
@@ -320,7 +320,7 @@ class TestCompileMemo:
 
     def test_the_shared_result_is_immutable(self, monkeypatch):
         _cleared(monkeypatch)
-        locs, bps, pieces, _ = _compiled_pieces(GameSpec(3, Lime()), [0.1, 0.5, 0.9])
+        locs, bps, pieces, _, _ = _compiled_pieces(GameSpec(3, Lime()), [0.1, 0.5, 0.9])
         assert type(locs) is tuple and type(bps) is tuple and type(pieces) is tuple
 
     def test_threads_never_share_a_result(self, monkeypatch):
@@ -369,7 +369,7 @@ class TestCompileMemo:
         def interleaved(game, locs):
             result = compile_(game, locs)
             other = games[game is games[0]]
-            mass, _ = other.distribution._integrals(mediators._prefix_memo(compile_(other, locs)))
+            mass, _ = other.distribution._integrals(compile_(other, locs)[4])
             for lo, hi, _ in result[2]:
                 mass(lo, hi)
             return result

@@ -177,7 +177,7 @@ class TestSharedPrefixes:
                     snapped = _snap_to_endpoints(profile, game.piis)
                     ends = set(compile_policy(game, profile).breakpoints)
                     if price is intervention_gap:
-                        ends |= set(compile_policy(metrics._nime_twin(game), snapped).breakpoints)
+                        ends |= set(compile_policy(game.nime_twin, snapped).breakpoints)
                     if price is payoff:
                         assert set(seen) == ends, (mediator, profile, seen)
                     else:
@@ -225,6 +225,7 @@ class TestAdversarialProfiles:
 
     def test_lime_construction(self):
         assert adversarial_profile("lime", 4, 0.01) == (0.135, 0.135, 0.865, 0.865)
+        assert adversarial_profile(Lime(), 4, 0.01) == (0.135, 0.135, 0.865, 0.865)
 
     def test_glime_construction(self):
         assert adversarial_profile("glime", 4) == (1 / 8, 1 / 8, 7 / 8, 7 / 8)
@@ -258,6 +259,8 @@ class TestAdversarialProfiles:
             adversarial_profile("clime", 3)
         with pytest.raises(ValueError):
             adversarial_profile("lime", 4, delta=0.2)
+        with pytest.raises(ValueError, match="no adversarial fixture for mediator kind 'beta'"):
+            adversarial_profile("beta", 4)
 
 
 class TestAnalyticBounds:
