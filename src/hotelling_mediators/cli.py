@@ -62,7 +62,11 @@ def _build_game(args):
     dist = UNIFORM
     if args.distribution:
         with open(args.distribution) as fh:
-            dist = distribution_from_json(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{args.distribution}: JSON nested too deeply") from None
+        dist = distribution_from_json(obj)
     wire = {"kind": args.mediator, "epsilon": args.epsilon, "equalityTol": args.equality_tol}
     if args.lam is not None:
         wire["lambda"] = args.lam

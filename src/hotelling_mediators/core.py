@@ -242,14 +242,12 @@ class PiecewiseLinearDensity(_Density):
 
     breakpoints: tuple
     values: tuple
-    # Built in __post_init__ by one loop over the segments: the prefix
-    # integrals of g and of t*g at every breakpoint, the left ends of the
-    # segments, and the segment table, per segment the constants of
-    # :meth:`_prefix` and the segment's width.  ``_columns`` is the same
-    # table as a read-only array for the ``*_array`` methods: row j holds
-    # the j-th constant of every segment.
-    _cum_mass: tuple = field(init=False, repr=False, compare=False)
-    _cum_fm: tuple = field(init=False, repr=False, compare=False)
+    # Built in __post_init__ by one loop over the segments: the left ends of
+    # the segments, and the segment table, per segment the constants of
+    # :meth:`_prefix` (the prefix integrals of g and of t*g at its left end
+    # among them) and the segment's width.  ``_columns`` is the same table
+    # as a read-only array for the ``*_array`` methods: row j holds the j-th
+    # constant of every segment.
     _starts: tuple = field(init=False, repr=False, compare=False)
     _segments: tuple = field(init=False, repr=False, compare=False)
     _columns: np.ndarray = field(init=False, repr=False, compare=False)
@@ -298,11 +296,13 @@ class PiecewiseLinearDensity(_Density):
         columns.flags.writeable = False
         object.__setattr__(self, "breakpoints", xs)
         object.__setattr__(self, "values", gs)
-        object.__setattr__(self, "_cum_mass", tuple(cum_mass))
-        object.__setattr__(self, "_cum_fm", tuple(cum_fm))
         object.__setattr__(self, "_starts", xs[:-1])
         object.__setattr__(self, "_segments", tuple(segments))
         object.__setattr__(self, "_columns", columns)
+
+    def __reduce__(self):
+        # A copy is rebuilt from the knots, its derived fields read-only.
+        return type(self), (self.breakpoints, self.values)
 
     def _density(self, t):
         k = bisect_right(self._starts, t) - 1
@@ -526,6 +526,11 @@ class Mediator:
         player is eligible in every profile."""
         return None
 
+    def switch_points(self, locs, player):
+        """The locations where :meth:`eligible` can change for ``player`` as
+        it moves, the others fixed at ``locs``: none by default."""
+        return ()
+
     def to_json(self):
         return {"kind": self.kind}
 
@@ -617,6 +622,10 @@ class Dictator(Mediator):
 
     def eligible_rows(self, locs):
         return np.abs(locs - np.asarray(self.targets)[:, None]) <= self.equality_tol
+
+    def switch_points(self, locs, player):
+        t = self.targets[player]
+        return (t - self.equality_tol, t, t + self.equality_tol)
 
     def ic_bounds(self, n):
         return (0.5 - 3.0 / (4 * n) + 1.0 / (4 * n * n), None)
@@ -851,3 +860,8 @@ class GameSpec:
         object.__setattr__(self, "pii_arrays", arrays)
         twin = self if isinstance(self.mediator, Nime) else GameSpec(self.n, Nime(), self.distribution)
         object.__setattr__(self, "nime_twin", twin)
+
+    def __reduce__(self):
+        # A copy is rebuilt from the constructor's arguments: its arrays are
+        # read-only again, and it keeps no probe plan.
+        return type(self), (self.n, self.mediator, self.distribution)

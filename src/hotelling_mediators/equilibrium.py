@@ -2,14 +2,15 @@
 
 Deviations live in a continuum, and every verdict is exact over it (see
 :func:`_exact_check`): fix the opponents and move one player's location y.
-Between consecutive *kinks* (see :func:`_line_kinks`) the player's payoff is
-a polynomial in y, of degree at most 1 under the uniform density and at most
-2 under a piecewise-linear one, so a few priced points per piece give the
-exact supremum of the payoff along the whole line (see :func:`_lines_max`).
-One check prices every player's line at once: all players' kinks and interior
-points go out as one stream of (player, y) rows in blocks, then all their
-stationary points as a second stream, each row bitwise as pricing its
-deviation alone.
+Between consecutive *kinks*, which the compiler module works out (see
+:func:`~hotelling_mediators.mediators._line_kinks`; this module only prices
+the lines), the player's payoff is a polynomial in y, of degree at most 1
+under the uniform density and at most 2 under a piecewise-linear one, so a
+few priced points per piece give the exact supremum of the payoff along the
+whole line (see :func:`_lines_max`).  One check prices every player's line
+at once: all players' kinks and interior points go out as one stream of
+(player, y) rows in blocks, then all their stationary points as a second
+stream, each row bitwise as pricing its deviation alone.
 
 The early-exit check and grid enumeration first probe a finite candidate set
 in one fixed order, the probe plan (:func:`_probe_plan`, its only builder):
@@ -44,13 +45,12 @@ from __future__ import annotations
 import logging
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import _integer, _real, quantile_locations, validate_profile
-from .mediators import _PII_FACILITY_SNAP, _snap_to_endpoints
+from .mediators import _line_kinks
 from .metrics import _block_rows, _payoff_locs, _payoff_rows, _pool_map
 
 __all__ = [
@@ -195,32 +195,6 @@ def best_response_gain(game, profile, player, candidates):
     return best_gain, best_y
 
 
-def _line_kinks(game, locs, i):
-    """The sorted kinks of player ``i``'s payoff along its deviation line.
-
-    With the opponents fixed, the compiled policy changes shape only where
-    the deviation y crosses an opponent, an interval endpoint, the edge of an
-    endpoint's snap band or of a dictated target's obedience band, and where
-    a moving piece end (y + z) / 2 crosses an interval endpoint or a density
-    breakpoint c, at y = 2c - z.  The set also holds 0, 1 and the density
-    breakpoints, and is clipped to [0, 1].  Between consecutive kinks the
-    payoff is a polynomial in y.
-    """
-    locs = _snap_to_endpoints(locs, game.piis)
-    opponents = [z for j, z in enumerate(locs) if j != i]
-    breaks, _ = game.distribution.line_shape
-    ends = [e for pii in game.piis for e in pii]
-    kinks = {0.0, 1.0, *opponents, *breaks}
-    for e in ends:
-        kinks.update((e - _PII_FACILITY_SNAP, e, e + _PII_FACILITY_SNAP))
-    m = game.mediator
-    if m.targets:
-        t = m.targets[i]
-        kinks.update((t - m.equality_tol, t, t + m.equality_tol))
-    kinks.update(2.0 * c - z for c in (*ends, *breaks) for z in opponents)
-    return sorted(k for k in kinks if 0.0 <= k <= 1.0)
-
-
 def _newton(xs, fs):
     """Divided-difference coefficients of the polynomial through (xs, fs)."""
     coef = list(fs)
@@ -264,18 +238,13 @@ def _price_streams(game, locs, streams):
     return [{y: next(values) for y in line} for _, line in streams]
 
 
-def _line_plan(game, locs, i, deg, lows, highs):
-    """Player ``i``'s kinks and pieces ``(a, b, inner)`` between consecutive
-    kinks, each with up to deg + 1 interior points to price.  A piece inside
-    an endpoint's snap band, ``lows[j] <= a`` and ``b <= highs[j]`` for some
-    band j, is left out: the bands are sorted, so the band with the last low
-    at or below ``a`` reaches furthest."""
-    kinks = _line_kinks(game, locs, i)
+def _line_plan(game, locs, i, deg):
+    """Player ``i``'s kinks and pieces ``(a, b, inner)``, one per span to
+    price of :func:`~hotelling_mediators.mediators._line_kinks`, each with
+    up to deg + 1 interior points."""
+    kinks, spans = _line_kinks(game, locs, i)
     pieces = []
-    for a, b in zip(kinks, kinks[1:]):
-        j = bisect_right(lows, a) - 1
-        if j >= 0 and b <= highs[j]:
-            continue
+    for a, b in spans:
         inner = []
         for k in range(1, deg + 2):
             y = a + (b - a) * (k / (deg + 2))
@@ -289,19 +258,18 @@ def _lines_max(game, locs, players):
     """Exact supremum of each player's payoff along its deviation line, for
     the players of ``players``, as one list entry per player.
 
-    Prices every kink of :func:`_line_kinks`, then deg + 1 interior points of
-    every piece between consecutive kinks, whose payoffs fix the piece's
-    polynomial; then the stationary point of each concave quadratic piece,
-    where the polynomial rises above the piece's priced points.  The
-    supremum is the largest of the priced payoffs and of both one-sided
-    limits of every fitted piece, the polynomial at its ends.  A piece inside
-    an endpoint's snap band needs no points: every deviation there snaps onto
-    the endpoint, a kink.  A piece too narrow for deg + 1 distinct interior
-    points prices the ones it has and is not fitted.  Each of the two passes
-    (every player's kinks and interior points, then every player's
-    stationary points) is priced as one stream of (player, y) rows by
-    :func:`_price_streams`, bitwise as pricing one deviation at a
-    time would; the fits run on the payoffs as plain floats.
+    Prices every kink of :func:`~hotelling_mediators.mediators._line_kinks`,
+    then deg + 1 interior points of every span it gives to price, whose
+    payoffs fix the piece's polynomial; then the stationary point of each
+    concave quadratic piece, where the polynomial rises above the piece's
+    priced points.  The supremum is the largest of the priced payoffs and of
+    both one-sided limits of every fitted piece, the polynomial at its ends.
+    A piece too narrow for deg + 1 distinct interior points prices the ones
+    it has and is not fitted.  Each of the two passes (every player's kinks
+    and interior points, then every player's stationary points) is priced as
+    one stream of (player, y) rows by :func:`_price_streams`, bitwise as
+    pricing one deviation at a time would; the fits run on the payoffs as
+    plain floats.
 
     Each entry is ``(sup, best, limit, priced)``: the supremum; the best
     priced ``(y, payoff)``; ``(kink, y)`` when the supremum is a one-sided
@@ -309,10 +277,7 @@ def _lines_max(game, locs, players):
     point of its piece, else None; and the number of payoffs priced.
     """
     _, deg = game.distribution.line_shape
-    ends = [e for pii in game.piis for e in pii]
-    lows = [e - _PII_FACILITY_SNAP for e in ends]
-    highs = [e + _PII_FACILITY_SNAP for e in ends]
-    plans = [(i, *_line_plan(game, locs, i, deg, lows, highs)) for i in players]
+    plans = [(i, *_line_plan(game, locs, i, deg)) for i in players]
     points = [(i, kinks + [y for _, _, inner in pieces for y in inner]) for i, kinks, pieces in plans]
     lines = _price_streams(game, locs, points)
     fitted = [_fit_pieces(pieces, values, deg) for (_, _, pieces), values in zip(plans, lines)]

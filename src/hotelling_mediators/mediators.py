@@ -42,6 +42,11 @@ adjacent distinct eligible sites, the interval endpoints, and per interval
 one midpoint across it (see :func:`_policy_breakpoints`).  The bound rule
 scans O(n) facilities once per piece, so a profile compiles in O(n^2) time.
 
+This module also owns the kinks of one player's deviation line, between
+which the exact equilibrium check prices it (see :func:`_line_kinks`): the
+candidates above as the player moves, the snap bands' edges, and the
+record's ``switch_points``, where the player's eligibility flips.
+
 :func:`_compiled_rows` is the same compiler over many profiles at once, used
 to price random profiles, grid waves and deviation lines in blocks.  It
 holds them player-major: the profiles as an ``(n, B)`` array and the rule's
@@ -268,6 +273,35 @@ def _policy_breakpoints(sites, piis):
             if lo < mid < hi:
                 points.add(mid)
     return sorted(points)
+
+
+def _line_kinks(game, locs, i):
+    """``(kinks, spans)`` of player ``i``'s deviation line, the opponents
+    fixed at ``locs``: the sorted kinks, and the pairs of consecutive kinks
+    to price, all but those inside an endpoint's snap band, where every
+    deviation snaps onto the endpoint, a kink.
+
+    A kink is where the compiled policy can change shape as the player moves
+    to y: where y crosses an opponent, an interval endpoint or the edge of
+    its snap band, or one of the record's switch points (where the player's
+    eligibility flips), and where a moving candidate (y + z) / 2 of
+    :func:`_policy_breakpoints` crosses an interval endpoint or a density
+    breakpoint c, at y = 2c - z.  The set also holds 0, 1 and the density
+    breakpoints, and is clipped to [0, 1].  Between consecutive kinks the
+    payoff is a polynomial in y.
+    """
+    locs = _snap_to_endpoints(locs, game.piis)
+    opponents = [z for j, z in enumerate(locs) if j != i]
+    breaks, _ = game.distribution.line_shape
+    ends = [e for pii in game.piis for e in pii]
+    # The snap bands, sorted, after a sentinel that holds no span.
+    lows = [-math.inf] + [e - _PII_FACILITY_SNAP for e in ends]
+    highs = [-math.inf] + [e + _PII_FACILITY_SNAP for e in ends]
+    kinks = {0.0, 1.0, *opponents, *breaks, *ends, *lows[1:], *highs[1:], *game.mediator.switch_points(locs, i)}
+    kinks.update([2.0 * c - z for c in (*ends, *breaks) for z in opponents])
+    kinks = sorted([k for k in kinks if 0.0 <= k <= 1.0])
+    # The band with the last low at or below a reaches furthest.
+    return kinks, [(a, b) for a, b in zip(kinks, kinks[1:]) if b > highs[bisect_right(lows, a) - 1]]
 
 
 # The last compile, as ``(game, input locations, compile)``; see

@@ -356,7 +356,7 @@ def ic_search(game, budget, seed=0, threads=1):
         try:
             locs = game.mediator.fixture(n, delta)
         except ValueError:
-            break
+            continue
         gap = _gap_locs(game, locs)
         if fixture_lower is None or gap > fixture_lower:
             fixture_lower = gap

@@ -264,8 +264,12 @@ class TestMalformedDistribution:
             '{"kind": "pwl", "values": [1.0, 1.0]}',
             '{"kind": "pwl", "breakpoints": [0.0, 1.0], "values": ["a", "b"]}',
             '{"kind": "pwl", "breakpoints": [0.0, 1.0], "values": [1.0, 3.0]}',
+            "[" * 1000,
         ],
-        ids=["missing-file", "invalid-json", "json-list", "no-breakpoints", "non-numeric", "mass-not-one"],
+        ids=[
+            "missing-file", "invalid-json", "json-list", "no-breakpoints", "non-numeric", "mass-not-one",
+            "deep-nesting",
+        ],
     )
     def test_exits_two_with_error_line(self, text, tmp_path, capsys):
         path = tmp_path / "dist.json"

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import pickle
 from bisect import bisect_right
 
 import numpy as np
@@ -37,6 +38,7 @@ from hotelling_mediators import (
     validate_profile,
 )
 from hotelling_mediators.core import _MEDIATORS
+from hotelling_mediators.equilibrium import _plan_arrays
 
 from test_mediators import SAMPLES
 from test_policy_reference import ZIGZAG
@@ -178,13 +180,13 @@ def _reference_segment(dist, x):
     density = gs[k] + w * (gs[k + 1] - gs[k])
     u = x - xs[k]
     m = (gs[k + 1] - gs[k]) / (xs[k + 1] - xs[k])
-    cdf = dist._cum_mass[k] + u * (gs[k] + 0.5 * m * u)
+    cdf = dist._segments[k][3] + u * (gs[k] + 0.5 * m * u)
     x0 = xs[k]
     h = xs[k + 1] - x0
     m = (gs[k + 1] - gs[k]) / h
     c = gs[k] - m * x0
     fm = 0.5 * c * (x * x - x0 * x0) + m * (x * x * x - x0 * x0 * x0) / 3.0
-    return density, cdf, dist._cum_fm[k] + fm
+    return density, cdf, dist._segments[k][4] + fm
 
 
 def _reference_abs_moment(dist, c, a, b):
@@ -306,7 +308,10 @@ class TestQuantileCdfIdentity:
         # The cumulative mass is 0.9999999999999999: no breakpoint reaches
         # level 1, and the quantile used to index past the last segment.
         dist = PiecewiseLinearDensity((0.0, 0.1, 1.0), (0.4, 0.7, 1.4))
-        assert dist._cum_mass[-1] < 1.0
+        # The total, as the constructor sums it: the last segment's prefix
+        # plus its mass.
+        last = dist._segments[-1]
+        assert last[3] + 0.5 * last[9] * (dist.values[-2] + dist.values[-1]) < 1.0
         assert dist.quantile(1.0) == 1.0
 
     @settings(max_examples=200)
@@ -457,6 +462,21 @@ class TestMediatorRecords:
                     assert list(zip(*bounds.tolist())) == list(game.piis)
                     assert not ends.flags.writeable and not bounds.flags.writeable
                     assert game.plan_arrays is None
+
+    def test_pickled_game_rebuilds_read_only_arrays(self):
+        # Worker processes receive their games pickled: the copy keeps every
+        # array read-only and carries no probe plan, which it builds anew.
+        for game in (GameSpec(3, Lime(), ZIGZAG), GameSpec(2, Dictator(), RAMP), GameSpec(3, Nime())):
+            _plan_arrays(game)
+            copy = pickle.loads(pickle.dumps(game))
+            assert copy == game and hash(copy) == hash(game)
+            assert copy.plan_arrays is None and game.plan_arrays is not None
+            assert (copy.nime_twin is copy) == (game.nime_twin is game)
+            for got, want in zip(copy.pii_arrays + copy.nime_twin.pii_arrays, game.pii_arrays + game.nime_twin.pii_arrays):
+                assert not got.flags.writeable and np.array_equal(got, want)
+            if game.distribution != UNIFORM:
+                columns = copy.distribution._columns
+                assert not columns.flags.writeable and np.array_equal(columns, game.distribution._columns)
 
     def test_nime_equilibrium_costs(self):
         # Table 1's no-intervention rows; n = 3 has no equilibrium.

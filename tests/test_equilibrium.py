@@ -3,7 +3,9 @@
 import json
 import logging
 import math
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, islice
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -32,10 +34,10 @@ from hotelling_mediators import (
     social_cost,
 )
 from hotelling_mediators import equilibrium
+from hotelling_mediators.core import Mediator
 from hotelling_mediators.equilibrium import (
     _enumerate_chunk,
     _grid_blocks,
-    _line_kinks,
     _lines_max,
     _player_candidates,
     _price_runs,
@@ -44,6 +46,7 @@ from hotelling_mediators.equilibrium import (
     _refute_fast,
     _refute_rows,
 )
+from hotelling_mediators.mediators import _line_kinks
 from hotelling_mediators.metrics import _block_rows, _payoff_locs, _payoff_rows
 
 from test_core import RANDOM_DENSITIES
@@ -53,6 +56,54 @@ RAMP = PiecewiseLinearDensity((0.0, 1.0), (0.0, 2.0))
 DELTA = 1e-6
 # A zigzag under which the old finite candidate set missed deviations.
 NIME_ZIGZAG = PiecewiseLinearDensity((0.0, 0.3, 0.6, 1.0), tuple(v / 0.935 for v in (0.5, 1.6, 0.4, 1.2)))
+
+
+@dataclass(frozen=True)
+class Zoned(Mediator):
+    """A record written to the protocol alone: player i may serve only while
+    it stands in its zone [i/n, i/n + 1/2]."""
+
+    kind: ClassVar[str] = "zoned"
+
+    def eligible(self, locs):
+        n = len(locs)
+        return [i for i, s in enumerate(locs) if i / n <= s <= i / n + 0.5]
+
+    def eligible_rows(self, locs):
+        lo = np.arange(len(locs))[:, None] / len(locs)
+        return (lo <= locs) & (locs <= lo + 0.5)
+
+    def switch_points(self, locs, player):
+        return (player / len(locs), player / len(locs) + 0.5)
+
+
+@dataclass(frozen=True)
+class Banded(Mediator):
+    """Dictated targets, the socially optimal locations, with an obedience
+    band of its own width and no ``equality_tol``."""
+
+    targets: tuple | None = None
+    width: float = 0.1
+
+    kind: ClassVar[str] = "banded"
+
+    def bind(self, n):
+        return replace(self, targets=optimal_locations(n))
+
+    def eligible(self, locs):
+        return [i for i, s in enumerate(locs) if abs(s - self.targets[i]) <= self.width]
+
+    def eligible_rows(self, locs):
+        return np.abs(locs - np.asarray(self.targets)[:, None]) <= self.width
+
+    def switch_points(self, locs, player):
+        t = self.targets[player]
+        return (t - self.width, t, t + self.width)
+
+
+def _switching_mediators(n):
+    """The built-in records, then two that declare their own switch points."""
+    return {**_mediators(n), "zoned": Zoned(), "banded": Banded()}
 
 
 def contains_all(candidates, points, tol=0.0):
@@ -259,6 +310,13 @@ class TestIsPne:
                     assert _gain(game, profile, *fast.witness) > fast.gain_tol
 
 
+def _dense_max(game, profile, player):
+    """The best of 2,001 evenly spaced deviations of ``player``."""
+    rows = np.repeat([profile], 2001, axis=0)
+    rows[:, player] = np.linspace(0.0, 1.0, 2001)
+    return _payoff_rows(game, rows)[:, player].max()
+
+
 def _payoff_at(game, profile, player, y):
     trial = list(profile)
     trial[player] = y
@@ -301,11 +359,11 @@ class TestExactLine:
         deg = 1 if density == "uniform" else 2
         fit_at = (0.15, 0.85) if deg == 1 else (0.15, 0.5, 0.85)
         rng = np.random.default_rng([n, len(density), 23])
-        for name, mediator in _mediators(n).items():
+        for name, mediator in _switching_mediators(n).items():
             game = GameSpec(n, mediator, dist)
             for profile in _profiles(rng, game, 3):
                 for player in range(n):
-                    kinks = _line_kinks(game, profile, player)
+                    kinks, _ = _line_kinks(game, profile, player)
                     for a, b in zip(kinks, kinks[1:]):
                         if b - a < 1e-6:
                             continue
@@ -320,7 +378,7 @@ class TestExactLine:
     @given(st.data())
     def test_no_dense_deviation_beats_the_exact_gain(self, data):
         n = data.draw(st.integers(2, 4))
-        mediator = data.draw(st.sampled_from(sorted(_mediators(n).items())))[1]
+        mediator = data.draw(st.sampled_from(sorted(_switching_mediators(n).items())))[1]
         dist = DENSITIES[data.draw(st.sampled_from(sorted(DENSITIES)))]
         game = GameSpec(n, mediator, dist)
         anchors = [*optimal_locations(n), *quantile_locations(n, dist), *(e for pii in game.piis for e in pii)]
@@ -328,9 +386,25 @@ class TestExactLine:
         profile = data.draw(st.tuples(*[coord] * n))
         player = data.draw(st.integers(0, n - 1))
         sup = _lines_max(game, profile, [player])[0][0]
-        rows = np.repeat([profile], 2001, axis=0)
-        rows[:, player] = np.linspace(0.0, 1.0, 2001)
-        assert _payoff_rows(game, rows)[:, player].max() <= sup + 1e-12
+        assert _dense_max(game, profile, player) <= sup + 1e-12
+
+    @pytest.mark.parametrize("name", ["zoned", "banded"])
+    def test_declared_switch_points_match_the_dense_grid(self, name):
+        # A record's own switch points are kinks of every line, so the exact
+        # gain neither misses nor invents a deviation the dense grid finds.
+        rng = np.random.default_rng(len(name))
+        for n in (2, 3, 4):
+            game = GameSpec(n, _switching_mediators(n)[name], DENSITIES["zigzag" if n == 3 else "uniform"])
+            profiles = [tuple(rng.random(n)) for _ in range(8)] + [optimal_locations(n)]
+            for profile in profiles + ([(0.3, 0.7), (0.2, 0.8)] if n == 2 else []):
+                base = payoff(game, profile)
+                for player in range(n):
+                    dense = _dense_max(game, profile, player)
+                    sup = _lines_max(game, profile, [player])[0][0]
+                    assert dense <= sup + 1e-12 and sup <= dense + 2e-3, (profile, player)
+                report = is_pne(game, profile)
+                want = max(_dense_max(game, profile, p) - base[p] for p in range(n))
+                assert abs(report.worst_gain - want) <= 2e-3, profile
 
     def test_refuted_profiles_have_priced_witnesses(self):
         # Non-equilibria drawn as criterion 5 draws them, checked exhaustively.

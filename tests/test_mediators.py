@@ -589,9 +589,9 @@ _DENSITY_CLASSES = {"Uniform", "PiecewiseLinearDensity"}
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hotelling_mediators"
 
 
-def _class_tests(path, classes):
-    """``file:line`` of every ``isinstance`` call in ``path`` that names one
-    of ``classes``, outside ``core.py`` and ``metrics._direction_weights``."""
+def _checked_nodes(path):
+    """Every syntax-tree node of ``path`` outside ``core.py`` and
+    ``metrics._direction_weights``."""
     if path.name == "core.py":
         return []
     tree = ast.parse(path.read_text(), str(path))
@@ -599,9 +599,15 @@ def _class_tests(path, classes):
     if path.name == "metrics.py":
         (oracle,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_direction_weights"]
         exempt = {id(node) for node in ast.walk(oracle)}
+    return [node for node in ast.walk(tree) if id(node) not in exempt]
+
+
+def _class_tests(path, classes):
+    """``file:line`` of every ``isinstance`` call in ``path`` that names one
+    of ``classes``, outside ``core.py`` and ``metrics._direction_weights``."""
     found = []
-    for node in ast.walk(tree):
-        if id(node) in exempt or not isinstance(node, ast.Call) or len(node.args) != 2:
+    for node in _checked_nodes(path):
+        if not isinstance(node, ast.Call) or len(node.args) != 2:
             continue
         if not (isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
             continue
@@ -615,6 +621,21 @@ def test_no_module_dispatches_on_the_record_class():
     paths = sorted(_PACKAGE.glob("*.py"))
     assert {p.name for p in paths} >= {"core.py", "mediators.py", "metrics.py", "equilibrium.py"}
     assert [hit for p in paths for hit in _class_tests(p, _RECORD_CLASSES)] == []
+
+
+def test_no_module_reads_the_obedience_band():
+    # Where a record's eligibility flips is its ``switch_points``; only the
+    # record reads its own band.  The command line's flag of the same name,
+    # ``args.equality_tol``, builds a record and reads none.
+    hits = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(_PACKAGE.glob("*.py"))
+        for node in _checked_nodes(p)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "equality_tol"
+        and not (isinstance(node.value, ast.Name) and node.value.id == "args")
+    ]
+    assert hits == []
 
 
 def test_no_module_dispatches_on_the_density_class():

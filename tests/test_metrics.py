@@ -407,6 +407,21 @@ class TestIcSearch:
         monkeypatch.setattr(metrics, "_golden_max", golden_max)
         assert ic_search(GameSpec(4, _MEDIATORS[kind]()), budget=300, seed=11) == est
 
+    @pytest.mark.parametrize("kind", ["dict", "lime"])
+    def test_a_fixture_offset_out_of_range_skips_only_itself(self, kind, monkeypatch):
+        # At n = 50 the offset 1e-2 is not below 1/(2n), but the smaller
+        # offsets are valid fixtures and must still be priced.
+        monkeypatch.setattr(metrics, "_SWEEPS", 0)
+        game = GameSpec(50, _MEDIATORS[kind]())
+        gaps = []
+        for delta in metrics._FIXTURE_DELTAS:
+            try:
+                gaps.append(intervention_gap(game, adversarial_profile(kind, 50, delta)))
+            except ValueError:
+                assert delta >= 1 / 100
+        assert 0 < len(gaps) < len(metrics._FIXTURE_DELTAS)
+        assert ic_search(game, budget=1).fixture_lower == max(gaps)
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_clime_search_below_width_bound(self, n):
         # With two protected intervals of half-width lam, the damage of
