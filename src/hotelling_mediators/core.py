@@ -830,10 +830,13 @@ class GameSpec:
     and beside them into ``pii_arrays``, the read-only arrays the row
     compiler reads: ``(ends, bounds)``, the sorted interval endpoints between
     -inf and inf, and the lower ends over the upper ends, shape ``(2,
-    intervals)``.  ``nime_twin`` is the same game under no intervention,
-    built once here for every intervention gap; a no-intervention game is
-    its own twin.  ``plan_arrays`` is None until the game's first grid
-    enumeration keeps its probe plan there as arrays, for every later one.
+    intervals)``.  ``fixed_breakpoints``, also read-only, holds the row
+    compiler's candidates that no profile moves: 0, 1 and the distinct
+    interval endpoints, sorted.  ``nime_twin`` is the same game under no
+    intervention, built once here for every intervention gap; a
+    no-intervention game is its own twin.  ``plan_arrays`` is None until
+    the game's first grid enumeration keeps its probe plan there as
+    arrays, for every later one.
     """
 
     n: int
@@ -841,6 +844,7 @@ class GameSpec:
     distribution: UserDistribution = UNIFORM
     piis: tuple = field(init=False, repr=False, compare=False)
     pii_arrays: tuple = field(init=False, repr=False, compare=False)
+    fixed_breakpoints: np.ndarray = field(init=False, repr=False, compare=False)
     nime_twin: GameSpec = field(init=False, repr=False, compare=False)
     plan_arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -854,10 +858,11 @@ class GameSpec:
         piis = self.mediator.intervals(self.n, self.distribution)
         object.__setattr__(self, "piis", piis)
         ends = np.array([-math.inf, *(e for pii in piis for e in pii), math.inf])
-        arrays = (ends, np.array(piis).reshape(-1, 2).T)
+        arrays = (ends, np.array(piis).reshape(-1, 2).T, np.array(sorted({0.0, 1.0, *ends[1:-1]})))
         for array in arrays:
             array.flags.writeable = False
-        object.__setattr__(self, "pii_arrays", arrays)
+        object.__setattr__(self, "pii_arrays", arrays[:2])
+        object.__setattr__(self, "fixed_breakpoints", arrays[2])
         twin = self if isinstance(self.mediator, Nime) else GameSpec(self.n, Nime(), self.distribution)
         object.__setattr__(self, "nime_twin", twin)
 

@@ -36,10 +36,11 @@ run over these pieces in closed form.
 Compilation is linear-size.  The rule is bound to the profile first (see
 :func:`_bind_rule`): the eligible players are resolved and sorted by
 location once per profile, so a user inside an interval finds its outside
-facilities by bisection.  The candidate breakpoints are the rule's possible
-switch points, at most n + 1 + 3 per interval: 0 and 1, the midpoints of
-adjacent distinct eligible sites, the interval endpoints, and per interval
-one midpoint across it (see :func:`_policy_breakpoints`).  The bound rule
+facilities by bisection.  The candidate breakpoints are the rule's live
+switch points, at most n + 1 + 3 per interval: 0 and 1, the interval
+endpoints, the midpoints of adjacent distinct eligible sites not inside an
+interval with an occupied side, and per interval one midpoint across it
+but under a half split (see :func:`_policy_breakpoints`).  The bound rule
 scans O(n) facilities once per piece, so a profile compiles in O(n^2) time.
 
 This module also owns the kinks of one player's deviation line, between
@@ -55,9 +56,9 @@ nearest distance, the tie count, whether a side is occupied) runs over the
 leading axis, elementwise across profiles and pieces, at any n, and every
 protected interval's candidates are found in one pass over all intervals.
 It reads the intervals as the arrays a game builds once beside its
-``piis`` (``game.pii_arrays``), never rebuilding them per call.  Its
-candidates are padded to one width with duplicates, and every non-empty
-piece it yields is bitwise the scalar compiler's.
+``piis`` (``game.pii_arrays`` and ``game.fixed_breakpoints``), never
+rebuilding them per call.  It builds the scalar compiler's live candidate
+set, so every non-empty piece it yields is bitwise the scalar compiler's.
 """
 
 from __future__ import annotations
@@ -239,39 +240,46 @@ class PiecewisePolicy:
         )
 
 
-def _policy_breakpoints(sites, piis):
-    """Candidate locations where the bound rule may change: O(n) of them.
+def _policy_breakpoints(sites, piis, half_split):
+    """Live candidates: locations where the bound rule may change, O(n).
 
     ``sites`` are the sorted distinct locations the rule chooses among.  The
-    candidates are 0 and 1, the midpoint of every pair of adjacent sites,
-    every protected-interval endpoint, and per interval the midpoint between
-    the last site <= lo and the first site >= hi when it falls inside the
-    interval.
+    candidates are 0 and 1, every protected-interval endpoint, the midpoint
+    of every pair of adjacent sites but those strictly inside an interval
+    with an occupied side, and without ``half_split`` per interval the
+    midpoint between the last site <= lo and the first site >= hi when it
+    falls inside the interval.
 
     The set is complete.  Inside an interval the branch is fixed for the
     profile, so the rule can only change where the nearest facility of the
     scanned subset does.  Outside every interval, and inside one with no
     outside facility, the whole site set is scanned, and its nearest site
-    changes only at an adjacent-site midpoint.  Inside an interval with both
-    sides occupied, the nearest of the outside facilities is the last site
-    <= lo or the first site >= hi, so it changes only at their midpoint.  The
-    one-sided and half-split branches pick the nearest facility of one side,
-    which cannot change while the user stays strictly inside.  The interval
-    endpoints bound those branches.  In floats a nearest-facility switch can
-    land one ulp past its midpoint, which moves a piece boundary, and so an
-    integral, by at most that ulp.
+    changes only at an adjacent-site midpoint.  Inside an interval with an
+    occupied side the rule reads only the outside facilities, so no site
+    midpoint there can switch it.  With both sides occupied, the nearest of
+    the outside facilities is the last site <= lo or the first site >= hi,
+    so it changes only at their midpoint.  The one-sided and half-split
+    branches pick the nearest facility of each side they read, which cannot
+    change while the user stays strictly inside, so a half split has no
+    cross midpoint.  The interval endpoints bound those branches.  In floats
+    a nearest-facility switch can land one ulp past its midpoint, which
+    moves a piece boundary, and so an integral, by at most that ulp.
     """
     points = {0.0, 1.0}
-    points.update(0.5 * (a + b) for a, b in zip(sites, sites[1:]))
+    mids = [0.5 * (a + b) for a, b in zip(sites, sites[1:])]
+    settled = 0  # mids[:settled] are placed or dropped
     for lo, hi in piis:
-        points.add(lo)
-        points.add(hi)
+        points.update((lo, hi))
         k = bisect_right(sites, lo)
         j = bisect_left(sites, hi)
-        if k and j < len(sites):
-            mid = 0.5 * (sites[k - 1] + sites[j])
-            if lo < mid < hi:
-                points.add(mid)
+        if k or j < len(sites):
+            points.update(mids[settled : bisect_right(mids, lo)])
+            settled = bisect_left(mids, hi)
+            if k and j < len(sites) and not half_split:
+                mid = 0.5 * (sites[k - 1] + sites[j])
+                if lo < mid < hi:
+                    points.add(mid)
+    points.update(mids[settled:])
     return sorted(points)
 
 
@@ -340,7 +348,7 @@ def _compile(game, locs):
     piis = game.piis
     snapped = _snap_to_endpoints(locs, piis)
     rule, sites = _bind_rule(game, snapped)
-    bps = _policy_breakpoints(sorted(set(sites)), piis)
+    bps = _policy_breakpoints(sorted(set(sites)), piis, game.mediator.half_split)
     pieces = []
     for lo, hi in zip(bps, bps[1:]):
         d = rule(0.5 * (lo + hi))
@@ -411,42 +419,48 @@ def _compiled_rows(game, locs):
     """Array form of :func:`_compiled_pieces` over canonicalized profiles
     held player-major, ``locs`` of shape ``(n, B)``: one column per profile.
 
-    Returns ``(cands, weights)``: per profile the sorted candidate
-    breakpoints of :func:`_policy_breakpoints`, shape ``(B, K)``, padded to
-    one count with duplicates of its own candidates, and the bound rule at
+    Returns ``(cands, weights)``: per profile the sorted live candidates
+    of :func:`_policy_breakpoints`, shape ``(B, K)``, and the bound rule at
     the midpoint of every consecutive pair, shape ``(n, B, K - 1)``.  The
     players lead every array, so each reduction over them is a reduction
     over the leading axis, elementwise across profiles and pieces, at any
-    n; every interval's candidates are found in the same pass.  Padding
-    only makes zero-width pieces, whose midpoint is a breakpoint; callers
-    skip them.  Pieces are not coalesced.  Every non-empty piece and its
-    weights are bitwise those of the scalar compiler, which stays the path
-    for single profiles: the array overhead only pays off over many rows.
+    n; every interval's candidates are found in the same pass.  Dead
+    candidates, equal sites' midpoints among them, sort last as copies of
+    1.0, and K is the widest row's live count.  That padding and coinciding
+    candidates make zero-width pieces only; callers skip them.  Pieces are
+    not coalesced.  Every non-empty piece and its weights are bitwise those
+    of the scalar compiler, which stays the path for single profiles: the
+    array overhead only pays off over many rows.
     """
     eligible = game.mediator.eligible_rows(locs)
     if eligible is None:
         sites = np.sort(locs, axis=0)
     else:
         # Skipped players stand in as copies of an eligible site (or of 0.0
-        # when nobody is eligible), so their midpoints are candidates already.
+        # when nobody is eligible), so their midpoints are dead: equal sites.
         fill = np.where(eligible, locs, 0.0).max(axis=0)
         sites = np.sort(np.where(eligible, locs, fill), axis=0)
-    rows = locs.shape[1]
-    parts = [np.zeros((rows, 1)), np.ones((rows, 1)), (0.5 * (sites[:-1] + sites[1:])).T]
+    mids = 0.5 * (sites[:-1] + sites[1:])
+    live = sites[:-1] != sites[1:]
     if game.piis:
-        bounds = game.pii_arrays[1][..., None]
-        los, his = bounds
+        los, his = game.pii_arrays[1][..., None]
         below = sites[:, None] <= los
         above = sites[:, None] >= his
-        # Per interval, the last site <= lo and the first site >= hi (0.0
-        # and 1.0 when absent), shape (intervals, B).
-        last_below = np.where(below, sites[:, None], 0.0).max(axis=0)
-        mid = 0.5 * (last_below + np.where(above, sites[:, None], 1.0).min(axis=0))
-        ok = below.any(axis=0) & above.any(axis=0) & (los < mid) & (mid < his)
-        # Per interval lo, hi and the midpoint (or lo again), in that order.
-        ends = np.broadcast_to(bounds, (2, len(los), rows))
-        parts.append(np.concatenate([ends, np.where(ok, mid, los)[None]]).T.reshape(rows, -1))
-    cands = np.sort(np.concatenate(parts, axis=1), axis=1)
+        has_below, has_above = below.any(axis=0), above.any(axis=0)
+        # A site midpoint strictly inside an interval with an occupied side.
+        live &= ~((mids[:, None] > los) & (mids[:, None] < his) & (has_below | has_above)).any(axis=1)
+        if not game.mediator.half_split:
+            # Per interval, the last site <= lo and the first site >= hi
+            # (0.0 and 1.0 when absent), shape (intervals, B).
+            last_below = np.where(below, sites[:, None], 0.0).max(axis=0)
+            mid = 0.5 * (last_below + np.where(above, sites[:, None], 1.0).min(axis=0))
+            ok = has_below & has_above & (los < mid) & (mid < his)
+            mids, live = np.concatenate([mids, mid]), np.concatenate([live, ok])
+    # Dead candidates sort last as copies of 1.0; keep the widest row's.
+    fixed = game.fixed_breakpoints
+    cands = np.concatenate([np.broadcast_to(fixed, (locs.shape[1], len(fixed))), np.where(live, mids, 1.0).T], axis=1)
+    cands.sort(axis=1)
+    cands = cands[:, : len(fixed) + live.sum(axis=0).max(initial=0)]
     return cands, _rule_rows(game, locs, eligible, 0.5 * (cands[:, :-1] + cands[:, 1:]))
 
 

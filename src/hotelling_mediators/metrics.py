@@ -28,9 +28,9 @@ every value stays bitwise what the density's public methods give.  The
 random phase of :func:`ic_search`, equilibrium enumeration and the
 exhaustive equilibrium check's deviation lines price their rows in blocks
 through the array compiler and one row integrator instead, with the
-players on the leading axis of every array; every row's gap and payoffs
-are bitwise equal to the scalar path's, so both return the same answers
-either way.
+players on the leading axis of every array.  Both compilers build one live
+candidate set, so every row's gap and payoffs are bitwise equal to the
+scalar path's, and both return the same answers either way.
 """
 
 from __future__ import annotations

@@ -10,12 +10,13 @@ exactly what pricing one row at a time does.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from hotelling_mediators import GameSpec, Lime, ic_search
+from hotelling_mediators import Clime, GameSpec, Glime, Lime, ic_search, quantile_locations
 from hotelling_mediators import metrics
 from hotelling_mediators.metrics import _gap_locs, _gap_rows, _payoff_locs, _payoff_rows
 
@@ -82,6 +83,75 @@ def test_signed_zero_profiles_price_as_scalar(n, density):
             assert all(_bitwise(a, b) for a, b in zip(payoffs[k], want)), (name, profile, payoffs[k], want)
             want = _gap_locs(game, profile)
             assert _bitwise(gaps[k], want), (name, profile, gaps[k], want)
+
+
+def _assert_rows_price_as_scalar(game, profiles, label):
+    rows = np.array(profiles)
+    payoffs, gaps = _payoff_rows(game, rows), _gap_rows(game, rows)
+    for k, profile in enumerate(profiles):
+        want = _payoff_locs(game, profile)
+        assert all(_bitwise(a, b) for a, b in zip(payoffs[k], want)), (label, profile, payoffs[k], want)
+        want = _gap_locs(game, profile)
+        assert _bitwise(gaps[k], want), (label, profile, gaps[k], want)
+
+
+# Profiles with a doubled site, where the row compiler once split a piece at
+# the site (the midpoint of the pair) and so differed from the scalar
+# compiler in the last ulp of a payoff or the gap.
+DOUBLED_SITES = {
+    "lime3": (GameSpec(3, Lime()), (0.7054206061112956, 0.7054206061112959, 0.7054206061112956)),
+    "glime3": (GameSpec(3, Glime()), (0.79340880592727, 0.7934088059272703, 0.79340880592727)),
+    "clime3": (GameSpec(3, Clime(lam=1 / 8)), (0.8046774640372168, 0.8046774640372166, 0.8046774640372166)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOUBLED_SITES))
+def test_doubled_site_prices_as_scalar(case):
+    game, profile = DOUBLED_SITES[case]
+    _assert_rows_price_as_scalar(game, [profile], case)
+
+
+def _ulps(x, k):
+    """``x`` moved ``k`` floats up (down for k < 0), clipped to [0, 1]."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return min(max(x, 0.0), 1.0)
+
+
+def _adversarial(rng, game, family, count):
+    """``count`` profiles of one family.  ``cluster``: every player within
+    3 ulps of one centre, a uniform draw, an interval endpoint or a
+    reference location, so sites coincide or stand an ulp or two apart.
+    ``picks``: every coordinate drawn from -0.0, 0.0, the least subnormal,
+    1.0 and the float below it, the quantile locations and dictated
+    targets, and the interval endpoints and their float neighbours.
+    ``grid``: every coordinate on the 1/120 grid."""
+    n = game.n
+    anchors = [*quantile_locations(n, game.distribution), *game.mediator.targets]
+    ends = [e for pii in game.piis for e in pii]
+    picks = [-0.0, 0.0, 5e-324, 1.0, _ulps(1.0, -1), *anchors, *ends]
+    picks += [_ulps(e, k) for e in ends for k in (-1, 1)]
+    out = []
+    for _ in range(count):
+        if family == "cluster":
+            where = int(rng.integers(3))
+            centre = float(rng.random()) if where == 0 or not ends else float(rng.choice(ends if where == 1 else anchors))
+            out.append(tuple(_ulps(centre, int(k)) for k in rng.integers(-3, 4, n)))
+        elif family == "picks":
+            out.append(tuple(picks[k] for k in rng.integers(len(picks), size=n)))
+        else:
+            out.append(tuple(int(k) / 120 for k in rng.integers(121, size=n)))
+    return out
+
+
+@pytest.mark.parametrize("family", ["cluster", "picks", "grid"])
+@pytest.mark.parametrize("density", sorted(DENSITIES))
+def test_adversarial_rows_price_as_scalar(density, family):
+    for n in (2, 3, 4, 5, 6, 7, 8, 16):
+        rng = np.random.default_rng([n, len(density), len(family), 25])
+        for name, mediator in {**_mediators(n), "dict-custom": _custom_dictator(n)}.items():
+            game = GameSpec(n, mediator, DENSITIES[density])
+            _assert_rows_price_as_scalar(game, _adversarial(rng, game, family, 24), (name, n))
 
 
 @pytest.mark.parametrize("kind", sorted(DENSITIES))

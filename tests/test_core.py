@@ -379,6 +379,11 @@ class TestProfiles:
             validate_profile((0.1, 1.2))
 
 
+def _game_arrays(game):
+    """The read-only arrays a game builds beside its intervals."""
+    return (*game.pii_arrays, game.fixed_breakpoints)
+
+
 class TestMediatorRecords:
     def test_epsilon_bounds(self):
         with pytest.raises(ValueError):
@@ -461,6 +466,9 @@ class TestMediatorRecords:
                     assert bounds.shape == (2, len(game.piis))
                     assert list(zip(*bounds.tolist())) == list(game.piis)
                     assert not ends.flags.writeable and not bounds.flags.writeable
+                    fixed = game.fixed_breakpoints
+                    assert fixed.tolist() == sorted({0.0, 1.0, *(e for pii in game.piis for e in pii)})
+                    assert not fixed.flags.writeable
                     assert game.plan_arrays is None
 
     def test_pickled_game_rebuilds_read_only_arrays(self):
@@ -472,7 +480,8 @@ class TestMediatorRecords:
             assert copy == game and hash(copy) == hash(game)
             assert copy.plan_arrays is None and game.plan_arrays is not None
             assert (copy.nime_twin is copy) == (game.nime_twin is game)
-            for got, want in zip(copy.pii_arrays + copy.nime_twin.pii_arrays, game.pii_arrays + game.nime_twin.pii_arrays):
+            pairs = zip(_game_arrays(copy) + _game_arrays(copy.nime_twin), _game_arrays(game) + _game_arrays(game.nime_twin))
+            for got, want in pairs:
                 assert not got.flags.writeable and np.array_equal(got, want)
             if game.distribution != UNIFORM:
                 columns = copy.distribution._columns

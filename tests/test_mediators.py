@@ -35,7 +35,7 @@ from hotelling_mediators.core import _MEDIATORS
 from hotelling_mediators.mediators import _compiled_pieces, _snap_rows, _snap_to_endpoints
 
 from test_metrics import _counting_prefixes
-from test_policy_reference import COORDS, PROPERTY_GAMES, ZIGZAG, anchored
+from test_policy_reference import COORDS, DENSITIES, PROPERTY_GAMES, ZIGZAG, _custom_dictator, _mediators, _profiles, anchored
 
 TOL = 1e-12
 
@@ -536,6 +536,76 @@ class TestPolicyAgreement:
                     t = lo + w * (hi - lo)
                     if lo < t < hi:
                         assert close(direct(game, profile, t), d)
+
+
+def _all_candidates(sites, piis, half_split):
+    """The candidate set before the dead ones were dropped: 0 and 1, every
+    adjacent-site midpoint and interval endpoint, and every interval's
+    midpoint across it, half split or not."""
+    points = {0.0, 1.0, *(0.5 * (a + b) for a, b in zip(sites, sites[1:]))}
+    for lo, hi in piis:
+        points.update((lo, hi))
+        below = [s for s in sites if s <= lo]
+        above = [s for s in sites if s >= hi]
+        if below and above and lo < 0.5 * (below[-1] + above[0]) < hi:
+            points.add(0.5 * (below[-1] + above[0]))
+    return sorted(points)
+
+
+def _live_set_cases():
+    """``(game, profile, sites)`` over every kind and density at n = 2..5,
+    8 and 16: mixed profiles (uniform draws, anchors, the 1/120 grid,
+    duplicates, points by the interval endpoints), uniform draws and grid
+    points; ``sites`` are the sorted distinct eligible locations."""
+    for n in (2, 3, 4, 5, 8, 16):
+        rng = np.random.default_rng([n, 25])
+        for mediator in [*_mediators(n).values(), _custom_dictator(n)]:
+            for density in DENSITIES.values():
+                game = GameSpec(n, mediator, density)
+                profiles = _profiles(rng, game, 12)
+                profiles += [tuple(rng.random(n)) for _ in range(4)]
+                profiles += [tuple(int(k) / 120 for k in rng.integers(121, size=n)) for _ in range(4)]
+                for profile in profiles:
+                    snapped = _snap_to_endpoints(profile, game.piis)
+                    yield game, profile, sorted(set(mediators._bind_rule(game, snapped)[1]))
+
+
+LIVE_SET_CASES = list(_live_set_cases())
+
+
+class TestLiveCandidates:
+    """The compilers drop the candidates where the rule cannot switch."""
+
+    def test_no_dead_candidate_is_kept(self):
+        for game, profile, sites in LIVE_SET_CASES:
+            bps = compile_policy(game, profile).point_dists
+            for lo, hi in game.piis:
+                below = [s for s in sites if s <= lo]
+                above = [s for s in sites if s >= hi]
+                if not (below or above):
+                    continue
+                # Only a cross midpoint, and none for a half split.
+                cross = () if game.mediator.half_split or not (below and above) else (0.5 * (below[-1] + above[0]),)
+                assert all(b in cross for b in bps if lo < b < hi), (game, profile, (lo, hi), sorted(bps))
+
+    def test_policy_is_the_rule_at_dropped_candidates(self):
+        dropped = 0
+        for game, profile, sites in LIVE_SET_CASES:
+            policy = compile_policy(game, profile)
+            for t in set(_all_candidates(sites, game.piis, game.mediator.half_split)) - set(policy.point_dists):
+                dropped += 1
+                assert policy.evaluate(t) == direct(game, profile, t), (game, profile, t)
+        assert dropped
+
+    def test_prices_as_the_all_candidate_set(self, monkeypatch):
+        for game, profile, _ in LIVE_SET_CASES:
+            _cleared(monkeypatch)
+            got = (*payoff(game, profile), social_cost(game, profile), intervention_gap(game, profile))
+            with monkeypatch.context() as patch:
+                patch.setattr(mediators, "_policy_breakpoints", _all_candidates)
+                _cleared(patch)
+                want = (*payoff(game, profile), social_cost(game, profile), intervention_gap(game, profile))
+            assert close(got, want, 1e-15), (game, profile, got, want)
 
 
 class TestRuleSymmetries:
