@@ -15,7 +15,6 @@ from hotelling_mediators import (
     Lime,
     Nime,
     adversarial_profile,
-    analytic_ic_bounds,
     ic_search,
     intervention_gap,
     payoff,
@@ -63,7 +62,7 @@ def main():
               f"  gap = {intervention_gap(game, prof):.6f}")
 
     lam = 1 / 8
-    lower, upper = analytic_ic_bounds(Clime(lam=lam), 2)
+    lower, upper = Clime(lam=lam).ic_bounds(2)
     print(f"\nTwo-player configurable rule: cost equals lam - lam^2 = {lower:.6f} (= {upper:.6f})")
 
 

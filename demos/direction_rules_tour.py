@@ -14,14 +14,13 @@ from hotelling_mediators import (
     Nime,
     compile_policy,
     direct,
-    pii_intervals,
 )
 
 
 def show(game, profile, users, label):
     print(f"\n{label}")
     print(f"  profile: {profile}")
-    piis = pii_intervals(game.mediator, game.n, game.distribution)
+    piis = game.piis
     if piis:
         print(f"  protected intervals: {piis}")
     for t in users:

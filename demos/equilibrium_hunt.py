@@ -19,7 +19,6 @@ from hotelling_mediators import (
     Nime,
     better_response_dynamics,
     is_pne,
-    known_pne,
     neutrality_check,
     optimal_locations,
     pne_enumerate,
@@ -48,7 +47,7 @@ def main():
     print("\nAnalytically known equilibrium sets")
     for game in (GameSpec(2, Nime()), GameSpec(5, Lime(epsilon=1e-3)),
                  GameSpec(2, Clime(lam=1 / 8, epsilon=1e-3))):
-        print(f"  {game.mediator.kind:5s} n={game.n}: {known_pne(game)}")
+        print(f"  {game.mediator.kind:5s} n={game.n}: {game.mediator.known_pne(game.n, game.distribution)}")
 
     print("\nBetter-response dynamics")
     trace = better_response_dynamics(GameSpec(3, Dictator()), (0.2, 0.5, 0.9), max_steps=20, seed=0)

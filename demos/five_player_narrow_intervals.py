@@ -19,7 +19,6 @@ from hotelling_mediators import (
     intervention_gap,
     is_pne,
     optimal_locations,
-    pii_intervals,
     pne_enumerate,
     social_cost,
 )
@@ -27,12 +26,12 @@ from hotelling_mediators import (
 
 def main():
     wide = GameSpec(5, Clime(lam=1 / 10, epsilon=1e-3))
-    print("lam = 1/10 (wide intervals):", pii_intervals(wide.mediator, 5))
+    print("lam = 1/10 (wide intervals):", wide.piis)
     opt = optimal_locations(5)
     print(f"  optimal locations {opt} certify: {is_pne(wide, opt).is_pne}")
 
     narrow = GameSpec(5, Clime(lam=1 / 40, epsilon=1e-3))
-    print("\nlam = 1/40 (narrow intervals):", pii_intervals(narrow.mediator, 5))
+    print("\nlam = 1/40 (narrow intervals):", narrow.piis)
     print(f"  optimal locations certify: {is_pne(narrow, opt).is_pne}  (they no longer hold)")
 
     print("\nEnumerating the 1/24 grid (contains the suspected equilibrium) ...")

@@ -14,7 +14,6 @@ from hotelling_mediators import (
     is_pne,
     mc_social_cost,
     payoff,
-    pii_intervals,
     quantile_locations,
     social_cost,
 )
@@ -31,7 +30,7 @@ def main():
         locs = quantile_locations(n, ramp)
         print(f"\n{n} players under the quantile rule")
         print(f"  odd-quantile locations: {tuple(round(s, 6) for s in locs)}")
-        print(f"  protected intervals:    {tuple((round(a, 4), round(b, 4)) for a, b in pii_intervals(game.mediator, n, ramp))}")
+        print(f"  protected intervals:    {tuple((round(a, 4), round(b, 4)) for a, b in game.piis)}")
         shares = payoff(game, locs)
         print(f"  payoffs (all 1/{n}):    {tuple(round(s, 9) for s in shares)}")
         report = is_pne(game, locs)

@@ -19,21 +19,14 @@ from .core import (
     Uniform,
     distribution_from_json,
     mediator_from_json,
-    mediator_to_json,
     optimal_locations,
     quantile_locations,
     validate_profile,
 )
-from .mediators import (
-    PiecewisePolicy,
-    compile_policy,
-    direct,
-    pii_intervals,
-)
+from .mediators import PiecewisePolicy, compile_policy, direct
 from .metrics import (
     IcEstimate,
     adversarial_profile,
-    analytic_ic_bounds,
     ic_search,
     intervention_gap,
     mc_payoff,
@@ -44,9 +37,7 @@ from .metrics import (
 from .equilibrium import (
     DynamicsTrace,
     PneReport,
-    best_response_gain,
     better_response_dynamics,
-    candidate_deviations,
     is_pne,
     known_pne,
     neutrality_check,
@@ -67,17 +58,14 @@ __all__ = [
     "Uniform",
     "distribution_from_json",
     "mediator_from_json",
-    "mediator_to_json",
     "optimal_locations",
     "quantile_locations",
     "validate_profile",
     "PiecewisePolicy",
     "compile_policy",
     "direct",
-    "pii_intervals",
     "IcEstimate",
     "adversarial_profile",
-    "analytic_ic_bounds",
     "ic_search",
     "intervention_gap",
     "mc_payoff",
@@ -86,9 +74,7 @@ __all__ = [
     "social_cost",
     "DynamicsTrace",
     "PneReport",
-    "best_response_gain",
     "better_response_dynamics",
-    "candidate_deviations",
     "is_pne",
     "known_pne",
     "neutrality_check",

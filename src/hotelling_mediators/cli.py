@@ -57,8 +57,9 @@ def _parse_locations(flag, text):
 
 
 def _build_game(args):
-    """The game of the flags: the mediator flags become its wire object,
-    which the mediator's own record parses."""
+    """The game of the flags: the mediator flags the user gave become its
+    wire object, which the mediator's own record parses, so a flag the kind
+    does not read is an error there."""
     dist = UNIFORM
     if args.distribution:
         with open(args.distribution) as fh:
@@ -67,11 +68,10 @@ def _build_game(args):
             except RecursionError:
                 raise ValueError(f"{args.distribution}: JSON nested too deeply") from None
         dist = distribution_from_json(obj)
-    wire = {"kind": args.mediator, "epsilon": args.epsilon, "equalityTol": args.equality_tol}
-    if args.lam is not None:
-        wire["lambda"] = args.lam
-    if args.targets:
+    wire = {"kind": args.mediator, "epsilon": args.epsilon, "lambda": args.lam, "equalityTol": args.equality_tol}
+    if args.targets is not None:
         wire["targets"] = _parse_locations("--targets", args.targets)
+    wire = {key: value for key, value in wire.items() if value is not None}
     return GameSpec(n=args.n, mediator=mediator_from_json(wire), distribution=dist)
 
 
@@ -116,6 +116,11 @@ def _cmd_pne(args):
     if args.expect is not None and args.expect not in verdicts:
         mode = "--enumerate" if args.enumerate else "--profile"
         raise ValueError(f"--expect {args.expect} never matches {mode}, which expects one of {', '.join(verdicts)}")
+    # Each mode refuses the other mode's flag rather than dropping it.
+    if args.enumerate and args.profile is not None:
+        raise ValueError("--profile and --enumerate exclude each other")
+    if not args.enumerate and args.grid_step is not None:
+        raise ValueError("--grid-step needs --enumerate")
     game = _build_game(args)
     if args.enumerate:
         if args.grid_step is None:
@@ -185,10 +190,11 @@ def _cmd_table1(args):
 def _add_game_flags(p):
     p.add_argument("--mediator", required=True, choices=list(_MEDIATORS))
     p.add_argument("--n", type=int, required=True, help="number of players")
-    p.add_argument("--epsilon", type=float, default=1e-3, help="random-redirect weight")
+    # No defaults: a flag left out is left to the mediator's record.
+    p.add_argument("--epsilon", type=float, default=None, help="random-redirect weight")
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="clime interval half-width")
     p.add_argument("--targets", default=None, help="dictated targets, comma-separated")
-    p.add_argument("--equality-tol", type=float, default=1e-9, help="dictator obedience tolerance")
+    p.add_argument("--equality-tol", type=float, default=None, help="dictator obedience tolerance")
     p.add_argument("--distribution", default=None, help="JSON file with the user distribution")
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "Clime",
     "Mediator",
     "mediator_from_json",
-    "mediator_to_json",
     "GameSpec",
     "validate_location",
     "validate_profile",
@@ -105,8 +104,8 @@ def _is_sequence(value):
 
 def _location(value):
     """``value`` as a float when it is a real number (see :func:`_is_real`)
-    in [0, 1], else None (NaN included).  Every location, quantile level,
-    dictated target and candidate deviation is judged here."""
+    in [0, 1], else None (NaN included).  Every location, quantile level
+    and dictated target is judged here."""
     # A float, numpy's float64 included, skips the slower abstract test.
     if isinstance(value, float) or _is_real(value):
         value = float(value)
@@ -506,6 +505,8 @@ class Mediator:
     # 50/50 to the nearest on each side rather than to the nearest of both.
     epsilon: ClassVar[float] = 0.0
     half_split: ClassVar[bool] = False
+    # The keys of the wire format that :meth:`from_json` reads.
+    wire_keys: ClassVar[tuple] = ("kind",)
 
     def bind(self, n):
         """This record as used in an n-player game; ValueError if it cannot be."""
@@ -592,6 +593,7 @@ class Dictator(Mediator):
     equality_tol: float = 1e-9
 
     kind: ClassVar[str] = "dict"
+    wire_keys: ClassVar[tuple] = ("kind", "targets", "equalityTol")
 
     def __post_init__(self):
         if self.targets is not None:
@@ -642,6 +644,8 @@ class Dictator(Mediator):
 
 class _Limited(Mediator):
     """Base of the limited-intervention records, which all carry ``epsilon``."""
+
+    wire_keys: ClassVar[tuple] = ("kind", "epsilon")
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon, 0.0, _EPSILON_MAX))
@@ -742,6 +746,7 @@ class Clime(_Limited):
     epsilon: float = 1e-3
 
     kind: ClassVar[str] = "clime"
+    wire_keys: ClassVar[tuple] = ("kind", "lambda", "epsilon")
 
     def __post_init__(self):
         super().__post_init__()
@@ -801,7 +806,8 @@ def mediator_from_json(obj):
 
     Schema: ``{"kind": "nime"|"dict"|"lime"|"glime"|"clime", "epsilon": ...,
     "lambda": ..., "targets": [...], "equalityTol": ...}`` with parameters
-    only where the kind uses them.  Any other shape raises ValueError.
+    only where the kind reads them (its ``wire_keys``).  Any other shape,
+    a key the kind does not read included, raises ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"a mediator must be a JSON object, got {type(obj).__name__}")
@@ -809,11 +815,10 @@ def mediator_from_json(obj):
     cls = _MEDIATORS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown mediator kind {kind!r}")
+    unread = [key for key in obj if key not in cls.wire_keys]
+    if unread:
+        raise ValueError(f"mediator kind {kind!r} does not read {unread[0]!r}; it reads {', '.join(cls.wire_keys)}")
     return cls.from_json(obj)
-
-
-def mediator_to_json(mediator):
-    return mediator.to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,8 @@ a game keeps the plan as arrays from its first enumeration on
 (:func:`_plan_arrays`), and the grid's sorted profiles come out directly as
 integer arrays, block by block (:func:`_grid_blocks`).  The order moves only
 which deviation refutes a profile first, never whether one does.
-:func:`candidate_deviations` lists one player's entries, and better-response
-dynamics reads the same plan without the one-sided offsets, plus a grid of
-its own.
+Better-response dynamics reads the same plan without the one-sided offsets,
+plus a grid of its own, and prices every player's candidates as one stream.
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ from .mediators import _line_kinks
 from .metrics import _block_rows, _payoff_locs, _payoff_rows, _pool_map
 
 __all__ = [
-    "candidate_deviations",
-    "best_response_gain",
     "PneReport",
     "is_pne",
     "pne_enumerate",
@@ -138,31 +135,6 @@ def _probe(locs, entry):
     return min(max(scale * locs[col] + offset, 0.0), 1.0)
 
 
-def _player_candidates(plan, locs, player):
-    """The deviations of ``player``'s entries of ``plan`` at profile
-    ``locs``, deduplicated in plan order."""
-    return list(dict.fromkeys(_probe(locs, e) for e in plan if e[0] == player))
-
-
-def candidate_deviations(game, profile, player):
-    """One player's finite set of deviations that refutes most profiles fast.
-
-    The player's entries of the probe plan (:func:`_probe_plan`): opponent
-    locations and one-sided offsets, reflections of opponents through the
-    protected-interval endpoints, the endpoints and their offsets, the
-    distribution's reference locations (plus dictated targets) and the
-    segment ends; clipped to [0, 1] and deduplicated in probe order, so that
-    the nearest opponent, approached from the player's own side, comes
-    first.  The plan interleaves the players, but each player's own entries
-    keep this order.
-    """
-    locs = validate_profile(profile, game.n)
-    player = _integer("player", player, 0)
-    if player >= game.n:
-        raise ValueError(f"player index {player!r} is not an integer in range({game.n})")
-    return _player_candidates(_probe_plan(game), locs, player)
-
-
 def _deviation_payoffs(game, locs, deviations):
     """The candidate-scan loop: ``(player, y, payoff of player at y)`` for
     each deviation ``(player, y)``, opponents fixed, in probe order."""
@@ -170,29 +142,6 @@ def _deviation_payoffs(game, locs, deviations):
         trial = list(locs)
         trial[player] = y
         yield player, y, _payoff_locs(game, tuple(trial))[player]
-
-
-def best_response_gain(game, profile, player, candidates):
-    """Best payoff improvement of ``player`` over the candidate deviations.
-
-    Returns ``(gain, argmax)``; the gain may be negative when no candidate
-    beats the current location.  The candidates are priced as one stream of
-    rows (:func:`_price_streams`), bitwise as one deviation at a time.  A
-    player that is no integer in ``range(n)``, and candidates that are no
-    nonempty sequence of locations in [0, 1], raise ValueError.
-    """
-    locs = validate_profile(profile, game.n)
-    player = _integer("player", player, 0)
-    if player >= game.n:
-        raise ValueError(f"player index {player!r} is not an integer in range({game.n})")
-    candidates = validate_profile(candidates, name="candidates")
-    base = _payoff_locs(game, locs)[player]
-    values = _price_streams(game, locs, [(player, candidates)])[0]
-    best_gain, best_y = -math.inf, None
-    for y in candidates:
-        if values[y] - base > best_gain:
-            best_gain, best_y = values[y] - base, y
-    return best_gain, best_y
 
 
 def _newton(xs, fs):
@@ -215,7 +164,7 @@ def _horner(xs, coef, x):
 def _price_streams(game, locs, streams):
     """Each ``(player, ys)`` of ``streams`` as ``{y: payoff of player at y}``,
     opponents fixed: the one pricing loop of the exact check and of
-    :func:`best_response_gain`.
+    :func:`better_response_dynamics`.
 
     Every stream's deviations go out as one stream of rows, in blocks of at
     most ``_block_rows(game)`` rows through :func:`_payoff_rows`, each row
@@ -641,7 +590,9 @@ def known_pne(game):
     the PNE set of the game (the grid enumerator still applies there).  The
     no-intervention and interval rules are characterized for the uniform
     density only; the dictated targets and the quantile rule's equilibria
-    hold under any density.
+    hold under any density.  It is ``game.mediator.known_pne(game.n,
+    game.distribution)``, and stays only while ``bench/workloads.py``
+    imports it.
     """
     return game.mediator.known_pne(game.n, game.distribution)
 
@@ -663,14 +614,16 @@ def better_response_dynamics(game, start, max_steps, seed=0, gain_tol=_DEFAULT_G
     """Iterate single-player best-candidate moves from ``start``.
 
     Each step picks one player uniformly at random among those with an
-    improving candidate and applies its best candidate.  The candidates are
-    the player's entries of the probe plan read with ``side=0.0``, then the
-    uniform grid of step 1/100, dynamics' own, deduplicated in that order,
-    so moves are restricted to macroscopic candidates (opponents, interval
-    endpoints and reflections, reference locations, grid): the one-sided
-    offset probes of the plan would produce microscopic undercutting steps
-    and no observable convergence.  A ``max_steps`` that is no integer >= 1
-    or a ``seed`` that is no integer >= 0 raises ValueError.
+    improving candidate and applies its best candidate, the first with the
+    largest gain.  The candidates are the player's entries of the probe plan
+    read with ``side=0.0``, then the uniform grid of step 1/100, dynamics'
+    own, deduplicated in that order, so moves are restricted to macroscopic
+    candidates (opponents, interval endpoints and reflections, reference
+    locations, grid): the one-sided offset probes of the plan would produce
+    microscopic undercutting steps and no observable convergence.  Each
+    state prices every player's candidates as one stream of rows
+    (:func:`_price_streams`).  A ``max_steps`` that is no integer >= 1 or a
+    ``seed`` that is no integer >= 0 raises ValueError.
     """
     max_steps = _integer("max_steps", max_steps, 1)
     gain_tol = _real("gain_tol", gain_tol, 0.0)
@@ -682,10 +635,13 @@ def better_response_dynamics(game, start, max_steps, seed=0, gain_tol=_DEFAULT_G
     grid = [k * 0.01 for k in range(101)]
     plans = [[e for e in plan if e[0] == i] + [(i, 0, 0.0, y) for y in grid] for i in range(game.n)]
     while True:
+        base = _payoff_locs(game, current)
+        streams = [(i, list(dict.fromkeys(_probe(current, e) for e in own))) for i, own in enumerate(plans)]
         improvers = []
-        for player, own in enumerate(plans):
-            gain, y = best_response_gain(game, current, player, _player_candidates(own, current, player))
-            if gain > gain_tol:
+        for player, values in enumerate(_price_streams(game, current, streams)):
+            gains = {y: value - base[player] for y, value in values.items()}
+            y = max(gains, key=gains.__getitem__)
+            if gains[y] > gain_tol:
                 improvers.append((player, y))
         # The last state is checked like every other, so a run that ran out
         # of steps on a stable state still counts as converged.

@@ -69,11 +69,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNIFORM, _players, validate_location, validate_profile
+from .core import validate_location, validate_profile
 
 __all__ = [
     "direct",
-    "pii_intervals",
     "PiecewisePolicy",
     "compile_policy",
 ]
@@ -136,16 +135,6 @@ def _snap_to_endpoints(locs, piis):
                 out = list(locs)
             out[i] = e
     return locs if out is None else tuple(out)
-
-
-def pii_intervals(mediator, n, dist=UNIFORM):
-    """Potentially intervened intervals of a mediator for an n-player game.
-
-    Open, pairwise disjoint intervals inside (0, 1); empty for the rules that
-    never override the nearest-facility assignment.  The quantile-based rule
-    needs the user distribution to place its interval ends.
-    """
-    return mediator.intervals(_players(n), dist)
 
 
 def _bind_rule(game, locs):

@@ -11,8 +11,8 @@ The intervention cost of a mediator is the supremum over profiles of how much
 its social cost exceeds the no-intervention social cost of the same profile.
 The supremum itself is out of numerical reach, so :func:`ic_search` reports a
 certified lower estimate (best profile found by fixtures, random sampling and
-coordinate ascent) next to the analytic bounds from
-:func:`analytic_ic_bounds`.
+coordinate ascent) next to the analytic bounds of the mediator's record
+(``ic_bounds``).
 
 Single profiles are priced by the scalar path (compile, then sum piece by
 piece).  The compiler keeps its last compile, so repeated calls on the same
@@ -48,7 +48,6 @@ __all__ = [
     "social_cost",
     "intervention_gap",
     "adversarial_profile",
-    "analytic_ic_bounds",
     "IcEstimate",
     "ic_search",
     "direction_weights",
@@ -200,16 +199,6 @@ def adversarial_profile(kind, n, delta=1e-3):
     if kind not in _MEDIATORS:
         raise ValueError(f"no adversarial fixture for mediator kind {kind!r}")
     return _MEDIATORS[kind].fixture(n, delta)
-
-
-def analytic_ic_bounds(mediator, n):
-    """Proven (lower, upper) bounds on the intervention cost, or None.
-
-    All bounds are for the uniform user distribution.  The limited-
-    intervention lower bound carries its epsilon dependence; the others are
-    epsilon-free.
-    """
-    return mediator.ic_bounds(_players(n))
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,12 @@ class TestUsageErrorsExitTwo:
             ["pne", "--mediator", "nime", "--n", "2", "--enumerate", "--grid-step", "0.25", "--threads", "-2"],
             ["pne", "--mediator", "nime", "--n", "2", "--profile", "0.5,0.5", "--threads", "-5"],
             ["pne", "--mediator", "nime", "--n", "2", "--enumerate"],
+            ["payoff", "--mediator", "nime", "--n", "2", "--profile", "0.1,0.5", "--epsilon", "nan"],
+            ["payoff", "--mediator", "nime", "--n", "2", "--equality-tol", "-5", "--profile", "0.1,0.2"],
+            ["payoff", "--mediator", "lime", "--n", "3", "--targets", "0.1,0.2,0.3", "--profile", "0.1,0.5,0.9"],
+            ["ic", "--mediator", "dict", "--n", "3", "--epsilon", "0.01", "--budget", "50"],
+            ["pne", "--mediator", "nime", "--n", "2", "--enumerate", "--grid-step", "0.5", "--profile", "0.1,0.2"],
+            ["pne", "--mediator", "nime", "--n", "2", "--grid-step", "0.5", "--profile", "0.1,0.2"],
         ],
         ids=[
             "ic-budget-0",
@@ -216,6 +222,12 @@ class TestUsageErrorsExitTwo:
             "enumerate-threads-negative",
             "pne-profile-threads-negative",
             "enumerate-without-grid-step",
+            "nime-epsilon-nan",
+            "nime-equality-tol",
+            "lime-targets",
+            "dict-epsilon",
+            "enumerate-with-profile",
+            "profile-with-grid-step",
         ],
     )
     def test_exits_two_with_error_line(self, argv, capsys):

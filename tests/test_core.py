@@ -21,16 +21,13 @@ from hotelling_mediators import (
     PiecewiseLinearDensity,
     UNIFORM,
     adversarial_profile,
-    best_response_gain,
     better_response_dynamics,
-    candidate_deviations,
     compile_policy,
     direct,
     distribution_from_json,
     is_pne,
     mc_payoff,
     mediator_from_json,
-    mediator_to_json,
     optimal_locations,
     payoff,
     pne_enumerate,
@@ -421,8 +418,8 @@ class TestMediatorRecords:
     def test_mediator_json_roundtrip(self):
         for kind in _MEDIATORS:
             for m in SAMPLES[kind]:
-                assert mediator_to_json(m)["kind"] == kind
-                assert mediator_from_json(json.loads(json.dumps(mediator_to_json(m)))) == m
+                assert m.to_json()["kind"] == kind
+                assert mediator_from_json(json.loads(json.dumps(m.to_json()))) == m
 
     def test_mediator_json_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -441,11 +438,23 @@ class TestMediatorRecords:
             {"kind": "dict", "targets": 5},
             {"kind": "dict", "targets": [0.2, "x"]},
             {"kind": "dict", "equalityTol": True},
+            {"kind": "nime", "epsilon": "garbage", "lambda": [1]},
+            {"kind": "nime", "epsilon": 1e-3},
+            {"kind": "dict", "epsilon": 1e-3},
+            {"kind": "lime", "equalityTol": 1e-9},
+            {"kind": "glime", "targets": [0.2, 0.8]},
+            {"kind": "clime", "lambda": 0.1, "equalityTol": 1e-9},
+            {"kind": "lime", "eps": 1e-3},
         ],
     )
     def test_malformed_mediator_json(self, obj):
         with pytest.raises(ValueError):
             mediator_from_json(obj)
+
+    def test_unread_mediator_key_is_named(self):
+        # A key the kind never reads was dropped: this parsed as Nime().
+        with pytest.raises(ValueError, match="'nime' does not read 'epsilon'"):
+            mediator_from_json({"kind": "nime", "epsilon": "garbage", "lambda": [1]})
 
     def test_dictator_rejects_nan_equality_tol(self):
         with pytest.raises(ValueError):
@@ -531,16 +540,13 @@ class TestArgumentCheckers:
             lambda: Clime(lam="0.1"),
             lambda: Dictator(equality_tol="1"),
             lambda: Dictator(equality_tol=True),
-            lambda: best_response_gain(NIME2, (0.1, 0.9), True, [0.5]),
             lambda: Dictator(equality_tol=math.inf),
-            lambda: candidate_deviations(NIME2, (0.1, 0.9), 2),
         ],
         ids=[
             "is_pne-gain_tol-bool", "dynamics-gain_tol-bool", "enumerate-grid_step-bool",
             "is_pne-gain_tol-str", "enumerate-grid_step-str", "shard-float", "shard-str",
             "adversarial-delta-str", "lime-epsilon-str", "clime-lambda-str",
-            "dict-equality_tol-str", "dict-equality_tol-bool", "best_response-player-bool",
-            "dict-equality_tol-inf", "candidates-player-past-end",
+            "dict-equality_tol-str", "dict-equality_tol-bool", "dict-equality_tol-inf",
         ],
     )
     def test_bad_value_raises_value_error(self, call):
@@ -589,7 +595,6 @@ class TestLocationChecks:
             lambda: PiecewiseLinearDensity(None, (1.0,)),
             lambda: PiecewiseLinearDensity((0.0, 1.0), 5),
             lambda: FLAT.abs_moment("0.5", 0.0, 1.0),
-            lambda: best_response_gain(NIME2, P2, 0, ["0.5"]),
             lambda: is_pne(NIME2, ("0.5", "0.5")),
             lambda: better_response_dynamics(NIME2, ("0.1", "0.9"), 1),
             lambda: mc_payoff(NIME2, ("0.1", "0.9"), 10),
@@ -604,7 +609,7 @@ class TestLocationChecks:
             "payoff-none", "dict-targets-str", "dict-targets-bool", "direct-str", "direct-bool",
             "cdf-str", "evaluate-str", "quantile-bool", "quantile-str", "pwl-quantile-none",
             "pwl-knots-str", "pwl-knots-bool", "pwl-knots-int", "pwl-knots-none", "pwl-values-int",
-            "pwl-abs-moment-str", "best_response-candidate-str", "is_pne-str",
+            "pwl-abs-moment-str", "is_pne-str",
             "dynamics-str", "mc_payoff-str", "mass-outside", "abs-moment-outside",
             "pwl-first-moment-outside", "first-moment-bool", "mass-str",
         ],

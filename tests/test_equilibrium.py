@@ -20,15 +20,12 @@ from hotelling_mediators import (
     Lime,
     Nime,
     PiecewiseLinearDensity,
-    best_response_gain,
     better_response_dynamics,
-    candidate_deviations,
     is_pne,
     known_pne,
     neutrality_check,
     optimal_locations,
     payoff,
-    pii_intervals,
     pne_enumerate,
     quantile_locations,
     social_cost,
@@ -39,7 +36,6 @@ from hotelling_mediators.equilibrium import (
     _enumerate_chunk,
     _grid_blocks,
     _lines_max,
-    _player_candidates,
     _price_runs,
     _probe,
     _probe_plan,
@@ -110,67 +106,65 @@ def contains_all(candidates, points, tol=0.0):
     return all(any(abs(c - p) <= tol for c in candidates) for p in points)
 
 
+def _candidates(game, profile, player, plan=None):
+    """``player``'s entries of the probe plan (``game``'s own unless
+    ``plan`` is given) at ``profile``, deduplicated in plan order."""
+    entries = _probe_plan(game) if plan is None else plan
+    return list(dict.fromkeys(_probe(profile, e) for e in entries if e[0] == player))
+
+
+def _candidate_gain(game, profile, player):
+    """The best gain of ``player`` over its probe-plan candidates, each priced
+    alone, as ``(gain, argmax)``: the first candidate with the largest."""
+    base = payoff(game, profile)[player]
+    gains = {y: _payoff_at(game, profile, player, y) - base for y in _candidates(game, profile, player)}
+    best = max(gains, key=gains.__getitem__)
+    return gains[best], best
+
+
 class TestCandidates:
     def test_nime_pair_candidates(self):
         game = GameSpec(2, Nime())
-        got = candidate_deviations(game, (0.5, 0.5), 0)
+        got = _candidates(game, (0.5, 0.5), 0)
         expected = [0.0, 0.5 - DELTA, 0.5, 0.5 + DELTA, 0.25, 0.75, 1.0, 0.25, 0.5, 0.75]
         assert contains_all(got, expected)
 
     def test_lime_interval_edges_probed(self):
         game = GameSpec(3, Lime(epsilon=1e-3))
-        got = candidate_deviations(game, optimal_locations(3), 0)
+        got = _candidates(game, optimal_locations(3), 0)
         edges = [1 / 6, 0.5, 5 / 6]
         probes = edges + [e - DELTA for e in edges] + [e + DELTA for e in edges]
         assert contains_all(got, probes)
 
     def test_clime_lambda_edges_probed(self):
         game = GameSpec(2, Clime(lam=1 / 8, epsilon=1e-3))
-        got = candidate_deviations(game, (0.1, 0.9), 1)
+        got = _candidates(game, (0.1, 0.9), 1)
         assert contains_all(got, [3 / 8 - DELTA, 3 / 8, 3 / 8 + DELTA, 5 / 8 - DELTA, 5 / 8, 5 / 8 + DELTA])
 
     def test_deduplicated_and_clipped(self):
         game = GameSpec(2, Nime())
-        got = candidate_deviations(game, (0.0, 1.0), 0)
+        got = _candidates(game, (0.0, 1.0), 0)
         assert len(got) == len(set(got))
         assert all(0.0 <= c <= 1.0 for c in got)
 
 
 class TestBestResponse:
-    @pytest.mark.parametrize(
-        "player, candidates",
-        [(-1, [0.5]), (3, [0.5]), (1.0, [0.5]), (0, [0.5, math.nan]), (0, [0.5, 1.5]), (0, [])],
-        ids=[
-            "player-negative",
-            "player-past-end",
-            "player-not-integer",
-            "candidate-nan",
-            "candidate-outside-segment",
-            "candidates-empty",
-        ],
-    )
-    def test_bad_input_raises(self, player, candidates):
-        with pytest.raises(ValueError):
-            best_response_gain(GameSpec(3, Lime()), (0.2, 0.5, 0.8), player, candidates)
-
     def test_undercutting_gain(self):
         game = GameSpec(2, Nime())
-        gain, where = best_response_gain(
-            game, (0.25, 0.75), 0, candidate_deviations(game, (0.25, 0.75), 0)
-        )
+        gain, where = _candidate_gain(game, (0.25, 0.75), 0)
         assert abs(gain - 0.25) <= 1e-5
         assert abs(where - (0.75 - DELTA)) <= 1e-12
 
     def test_no_gain_at_limited_intervention_optimum(self):
         game = GameSpec(3, Lime(epsilon=1e-3))
         profile = optimal_locations(3)
-        gain, _ = best_response_gain(game, profile, 1, candidate_deviations(game, profile, 1))
+        gain, _ = _candidate_gain(game, profile, 1)
         assert gain <= 0.0
 
     def test_no_gain_under_dictated_targets(self):
         game = GameSpec(2, Dictator())
         profile = (0.25, 0.75)
-        gain, _ = best_response_gain(game, profile, 0, candidate_deviations(game, profile, 0))
+        gain, _ = _candidate_gain(game, profile, 0)
         assert gain <= 0.0
 
 
@@ -333,7 +327,7 @@ class TestExactLine:
         # concave quadratic piece; no candidate of the finite set lands there.
         game = GameSpec(3, Nime(), NIME_ZIGZAG)
         profile = (0.81522, 0.72999, 0.11320)
-        candidate_gain, _ = best_response_gain(game, profile, 0, candidate_deviations(game, profile, 0))
+        candidate_gain, _ = _candidate_gain(game, profile, 0)
         sup, (y, value), limit, _ = _lines_max(game, profile, [0])[0]
         assert sup - payoff(game, profile)[0] >= candidate_gain + 2.5e-5
         assert limit is None and value == sup and abs(y - 0.165) <= 1e-3
@@ -347,7 +341,7 @@ class TestExactLine:
             for profile in _profiles(rng, game, 3):
                 base = payoff(game, profile)
                 for player in range(n):
-                    gain, _ = best_response_gain(game, profile, player, candidate_deviations(game, profile, player))
+                    gain, _ = _candidate_gain(game, profile, player)
                     assert _lines_max(game, profile, [player])[0][0] - base[player] >= gain - 1e-12, (name, profile, player)
 
     @pytest.mark.parametrize("density", sorted(DENSITIES))
@@ -659,7 +653,7 @@ class TestEnumeration:
         # Certified profiles never place a facility strictly inside a
         # protected interval.
         game = GameSpec(3, Lime(epsilon=1e-3))
-        piis = pii_intervals(game.mediator, 3)
+        piis = game.piis
         for profile in pne_enumerate(game, 1 / 40):
             for s in profile:
                 assert not any(lo < s < hi for lo, hi in piis)
@@ -769,7 +763,7 @@ class TestProbeWaves:
             for locs in _profiles(rng, game, 6):
                 want = _reference_probes(game, locs, offsets=False)
                 for player in range(n):
-                    got = [(player, y) for y in _player_candidates(plan, locs, player)]
+                    got = [(player, y) for y in _candidates(game, locs, player, plan)]
                     _same_floats(got, list(dict.fromkeys(w for w in want if w[0] == player)))
 
     @pytest.mark.parametrize(
@@ -1157,6 +1151,24 @@ class TestDynamics:
     def test_pinned_trace(self, game, start, seed, max_steps, converged, states):
         trace = better_response_dynamics(game, start, max_steps=max_steps, seed=seed)
         assert trace == equilibrium.DynamicsTrace(states=states, converged=converged, steps=len(states) - 1)
+
+    def test_each_state_is_one_row_stream(self, monkeypatch):
+        # Every player's candidates at a state go out as one _price_streams
+        # call, and the state's own payoffs as one _payoff_locs call.
+        calls = {"_price_streams": [], "_payoff_locs": []}
+        for name, seen in calls.items():
+
+            def counting(game, locs, *rest, seen=seen, real=getattr(equilibrium, name)):
+                seen.append((locs, [i for i, _ in rest[0]] if rest else None))
+                return real(game, locs, *rest)
+
+            monkeypatch.setattr(equilibrium, name, counting)
+        game = GameSpec(4, Lime(epsilon=1e-3))
+        trace = better_response_dynamics(game, (0.05, 0.3, 0.6, 0.95), max_steps=30, seed=4)
+        assert trace.steps == 4
+        for seen in calls.values():
+            assert [locs for locs, _ in seen] == list(trace.states)
+        assert all(players == [0, 1, 2, 3] for _, players in calls["_price_streams"])
 
     @pytest.mark.parametrize("max_steps", [0, -2, math.nan, 2.5, True, "3"])
     def test_max_steps_must_be_a_positive_integer(self, max_steps):

@@ -25,7 +25,6 @@ from hotelling_mediators import (
     intervention_gap,
     optimal_locations,
     payoff,
-    pii_intervals,
     quantile_locations,
     social_cost,
     validate_profile,
@@ -132,21 +131,21 @@ class TestClime:
 
 class TestPiiIntervals:
     def test_lime_four_players(self):
-        assert pii_intervals(Lime(), 4) == (
+        assert Lime().intervals(4, UNIFORM) == (
             (2 / 16, 6 / 16),
             (6 / 16, 10 / 16),
             (10 / 16, 14 / 16),
         )
 
     def test_clime_two_players_single_interval(self):
-        assert pii_intervals(Clime(lam=1 / 8), 2) == ((3 / 8, 5 / 8),)
+        assert Clime(lam=1 / 8).intervals(2, UNIFORM) == ((3 / 8, 5 / 8),)
 
     def test_nime_empty(self):
-        assert pii_intervals(Nime(), 5) == ()
-        assert pii_intervals(Dictator(), 3) == ()
+        assert Nime().intervals(5, UNIFORM) == ()
+        assert Dictator().intervals(3, UNIFORM) == ()
 
     def test_glime_uses_distribution(self):
-        got = pii_intervals(Glime(), 2, RAMP)
+        got = Glime().intervals(2, RAMP)
         assert abs(got[0][0] - 0.5) <= TOL
         assert abs(got[0][1] - math.sqrt(3) / 2) <= TOL
 
@@ -162,7 +161,7 @@ class TestPiiIntervals:
                             continue
                         games += 1
                         piis = game.piis
-                        assert piis == pii_intervals(game.mediator, n, dist)
+                        assert piis == game.mediator.intervals(n, dist)
                         for lo, hi in piis:
                             assert 0.0 < lo < hi < 1.0
                         for (a, b), (c, d) in zip(piis, piis[1:]):

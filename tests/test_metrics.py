@@ -16,7 +16,6 @@ from hotelling_mediators import (
     Lime,
     Nime,
     adversarial_profile,
-    analytic_ic_bounds,
     better_response_dynamics,
     ic_search,
     intervention_gap,
@@ -235,20 +234,22 @@ class TestAdversarialProfiles:
 
     @pytest.mark.parametrize("n", [3.9, 3.0, True, "3", None])
     def test_player_count_must_be_an_integer(self, n):
-        # int(n) truncated: adversarial_profile("lime", 3.9) ran as n = 3 and
-        # analytic_ic_bounds(Lime(), 2.9) as n = 2.
+        # int(n) truncated: adversarial_profile("lime", 3.9) ran as n = 3.
+        # The analytic bounds are read through a game, whose n is checked the
+        # same way.
         with pytest.raises(ValueError, match="integer"):
             adversarial_profile("lime", n)
         with pytest.raises(ValueError, match="integer"):
-            analytic_ic_bounds(Lime(), n)
+            GameSpec(n, Lime())
 
     def test_player_count_minimum_and_numpy_integers(self):
         with pytest.raises(ValueError, match="two players"):
             adversarial_profile("lime", 1)
         with pytest.raises(ValueError, match="two players"):
-            analytic_ic_bounds(Lime(), np.int64(1))
+            GameSpec(np.int64(1), Lime())
         assert adversarial_profile("lime", np.int64(4), 0.01) == adversarial_profile("lime", 4, 0.01)
-        assert analytic_ic_bounds(Lime(), np.int32(3)) == analytic_ic_bounds(Lime(), 3)
+        game = GameSpec(np.int32(3), Lime())
+        assert game.mediator.ic_bounds(game.n) == Lime().ic_bounds(3)
 
     def test_rejects_unsupported(self):
         with pytest.raises(ValueError):
@@ -265,34 +266,34 @@ class TestAdversarialProfiles:
 
 class TestAnalyticBounds:
     def test_nime_zero(self):
-        assert analytic_ic_bounds(Nime(), 5) == (0.0, 0.0)
+        assert Nime().ic_bounds(5) == (0.0, 0.0)
 
     def test_dict_three_players(self):
-        lower, upper = analytic_ic_bounds(Dictator(), 3)
+        lower, upper = Dictator().ic_bounds(3)
         assert abs(lower - (0.5 - 0.25 + 1 / 36)) <= EXACT
         assert round(lower, 3) == 0.278
         assert upper is None
 
     def test_lime_three_players_small_epsilon(self):
-        lower, upper = analytic_ic_bounds(Lime(epsilon=1e-9), 3)
+        lower, upper = Lime(epsilon=1e-9).ic_bounds(3)
         assert abs(lower - 2 / 9) <= 1e-9
         assert abs(upper - 2.5 / 9) <= EXACT
 
     def test_lime_two_players_absent(self):
-        assert analytic_ic_bounds(Lime(), 2) == (None, None)
+        assert Lime().ic_bounds(2) == (None, None)
 
     def test_clime_two_players_tight(self):
-        lower, upper = analytic_ic_bounds(Clime(lam=0.25), 2)
+        lower, upper = Clime(lam=0.25).ic_bounds(2)
         assert abs(lower - 3 / 16) <= EXACT
         assert lower == upper
 
     def test_clime_many_players_upper_only(self):
-        lower, upper = analytic_ic_bounds(Clime(lam=0.05), 4)
+        lower, upper = Clime(lam=0.05).ic_bounds(4)
         assert lower is None
         assert abs(upper - 0.2) <= EXACT
 
     def test_glime_bounds(self):
-        lower, upper = analytic_ic_bounds(Glime(), 4)
+        lower, upper = Glime().ic_bounds(4)
         assert abs(lower - (0.25 - 1 / 8 + 1 / 64)) <= EXACT
         assert abs(upper - (0.5 - 3 / 16 + 1 / 64)) <= EXACT
 

@@ -26,7 +26,6 @@ from hotelling_mediators import (
     direct,
     intervention_gap,
     payoff,
-    pii_intervals,
     quantile_locations,
     social_cost,
 )
@@ -146,7 +145,7 @@ def _profiles(rng, game, count):
     n = game.n
     m = game.mediator
     anchors = m.targets if isinstance(m, Dictator) else quantile_locations(n, game.distribution)
-    piis = pii_intervals(m, n, game.distribution) or pii_intervals(Lime(), n)
+    piis = game.piis or Lime().intervals(n, UNIFORM)
     endpoints = sorted({e for pii in piis for e in pii})
     out = []
     for _ in range(count):
