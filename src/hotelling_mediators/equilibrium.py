@@ -68,6 +68,16 @@ _SIDE_DELTA = 1e-6
 
 _DEFAULT_GAIN_TOL = 1e-9
 
+# Rows per kernel call of a :func:`_price_streams` pass, in blocks of
+# ``_block_rows(game)`` (about 4 * 8,192 weight entries).  Its two callers
+# price short, bounded streams: at n = 6 the first pass of an exhaustive
+# check holds 229-564 rows for lime under the uniform density and up to 850
+# for glime under a zigzag, the second pass few or none, and a state of
+# better-response dynamics on lime about 690.  Each kernel call costs about
+# 120 us before it prices a row, so a 404-row lime pass takes 2 calls in
+# blocks of 260 rows rather than 7 in blocks of 65.
+_STREAM_BLOCKS = 4
+
 # Enumeration refuses grids with more sorted profiles than this.
 _MAX_GRID_PROFILES = 10**8
 
@@ -166,24 +176,24 @@ def _price_streams(game, locs, streams):
     opponents fixed: the one pricing loop of the exact check and of
     :func:`better_response_dynamics`.
 
-    Every stream's deviations go out as one stream of rows, in blocks of at
-    most ``_block_rows(game)`` rows through :func:`_payoff_rows`, each row
-    the profile with the player's column moved, so peak memory stays flat
-    however long the stream; a block may mix players.  Every payoff is
-    bitwise the one :func:`_payoff_locs` gives the deviation alone.
+    Every stream's deviations go out as one stream of rows, each row the
+    profile with the player's column moved, built at once by one tile of the
+    profile and one column write; a block may mix players.  The rows go
+    through :func:`_payoff_rows` in blocks of ``_STREAM_BLOCKS`` times
+    ``_block_rows(game)`` rows, so a pass of a small game takes a few kernel
+    calls while the kernel's weight arrays stay bounded however long the
+    stream, and the payoffs are read back once.  Every payoff is bitwise the
+    one :func:`_payoff_locs` gives the deviation alone.
     """
-    players = [i for i, line in streams for _ in line]
-    ys = [y for _, line in streams for y in line]
-    row = np.asarray(locs, dtype=float)
-    step = _block_rows(game)
-    values = []
-    for k in range(0, len(ys), step):
-        cols = players[k : k + step]
-        at = np.arange(len(cols))
-        block = np.tile(row, (len(cols), 1))
-        block[at, cols] = ys[k : k + step]
-        values.extend(_payoff_rows(game, block)[at, cols].tolist())
-    values = iter(values)
+    players = np.array([i for i, line in streams for _ in line], dtype=np.intp)
+    at = np.arange(len(players))
+    rows = np.tile(np.asarray(locs, dtype=float), (len(players), 1))
+    rows[at, players] = [y for _, line in streams for y in line]
+    step = _STREAM_BLOCKS * _block_rows(game)
+    payoffs = np.empty_like(rows)
+    for k in range(0, len(rows), step):
+        payoffs[k : k + step] = _payoff_rows(game, rows[k : k + step])
+    values = iter(payoffs[at, players].tolist())
     return [{y: next(values) for y in line} for _, line in streams]
 
 

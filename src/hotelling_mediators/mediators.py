@@ -318,9 +318,9 @@ def _same_floats(a, b):
 
 
 def _compile(game, locs):
-    """``(locations, breakpoints, pieces, rule, memo)``, compiled afresh
-    from the location tuple ``locs``: the canonicalized locations, and the
-    (lo, hi, distribution) pieces over (0, 1).
+    """``(locations, breakpoints, pieces, rule, memo, costs)``, compiled
+    afresh from the location tuple ``locs``: the canonicalized locations,
+    and the (lo, hi, distribution) pieces over (0, 1).
 
     Facilities are snapped onto interval endpoints once, here, and the rule
     is bound to the snapped profile once.  Adjacent pieces with identical
@@ -329,10 +329,13 @@ def _compile(game, locs):
     (ties, interval endpoints).  ``memo`` is a fresh dict for the density
     prefixes of the points this compile is priced at (see the density's
     ``_integrals``), so every integration over one compile computes a
-    point's prefixes once; it lives and dies with the compile.  The rest is
-    made of tuples and a rule that keeps no state, and a memo entry depends
-    only on its point and the game's density, so callers may share the
-    compile.
+    point's prefixes once; it lives and dies with the compile.  ``costs``
+    is the slot ``[social cost, the no-intervention twin's social cost]``,
+    both None until an integrator first prices them (see
+    :func:`hotelling_mediators.metrics._kept_costs`), so a kept compile
+    prices each side once.  The rest is made of tuples and a rule that keeps
+    no state, a memo entry depends only on its point and the game's density,
+    and a cost only on the compile, so callers may share the compile.
     """
     piis = game.piis
     snapped = _snap_to_endpoints(locs, piis)
@@ -345,7 +348,7 @@ def _compile(game, locs):
             pieces[-1] = (pieces[-1][0], hi, d)
         else:
             pieces.append((lo, hi, d))
-    return (snapped, tuple(bps), tuple(pieces), rule, {})
+    return (snapped, tuple(bps), tuple(pieces), rule, {}, [None, None])
 
 
 def _compiled_pieces(game, locs):
@@ -354,7 +357,8 @@ def _compiled_pieces(game, locs):
     A call with the same ``game`` object and the same input floats bit for
     bit (see :func:`_same_floats`) returns the kept compile again, so
     payoff, social cost and gap on one profile compile it once and share
-    its prefix memo.  Any other call compiles and replaces it.
+    its prefix memo and its costs.  Any other call compiles and replaces
+    it.
     """
     global _last_compile
     last_game, last_locs, last = _last_compile
@@ -369,7 +373,7 @@ def _compiled_pieces(game, locs):
 def compile_policy(game, profile, include_point_dists=True):
     """Compile the game's mediator and a profile into an exact policy."""
     locs = validate_profile(profile, game.n)
-    _, bps, pieces, rule, _ = _compiled_pieces(game, locs)
+    _, bps, pieces, rule, _, _ = _compiled_pieces(game, locs)
     point_dists = {b: rule(b) for b in bps} if include_point_dists else {}
     return PiecewisePolicy(
         breakpoints=tuple(p[0] for p in pieces) + (1.0,),

@@ -18,19 +18,24 @@ Single profiles are priced by the scalar path (compile, then sum piece by
 piece).  The compiler keeps its last compile, so repeated calls on the same
 game object and the same profile (payoff, social cost and gap of one
 profile, in any order) compile it once; the gap's no-intervention side is
-compiled beside it, never in its place.  The results are bitwise those of
-a fresh compile.  Under a piecewise-linear density every mass and absolute
-moment is a difference of (cdf, first-moment) prefixes.  Each compile
-carries its own memo of prefixes, which lives and dies with it, so the
-calls on one compiled profile compute each point's prefixes once in total
-and share them between pieces, facilities, calls and both sides of a gap;
-every value stays bitwise what the density's public methods give.  The
-random phase of :func:`ic_search`, equilibrium enumeration and the
-exhaustive equilibrium check's deviation lines price their rows in blocks
-through the array compiler and one row integrator instead, with the
-players on the leading axis of every array.  Both compilers build one live
-candidate set, so every row's gap and payoffs are bitwise equal to the
-scalar path's, and both return the same answers either way.
+compiled beside it, never in its place.  The kept compile also keeps its
+social cost and its twin's, each priced on first use, so social cost and
+then the gap price the mediator's side once, and a repeated gap prices
+nothing.  The results are bitwise those of a fresh compile.  Under a
+piecewise-linear density every mass and absolute moment is a difference of
+(cdf, first-moment) prefixes.  Each compile carries its own memo of
+prefixes, which lives and dies with it, so the calls on one compiled
+profile compute each point's prefixes once in total and share them between
+pieces, facilities, calls and both sides of a gap; every value stays
+bitwise what the density's public methods give.  The random phase of
+:func:`ic_search`, equilibrium enumeration and the exhaustive equilibrium
+check's deviation lines price their rows in blocks through the array
+compiler and one row integrator instead, with the players on the leading
+axis of every array; the exact check's passes, short and bounded, take
+blocks four times as large, so a small game's pass is a few kernel calls.
+Both compilers build one live candidate set, so every row's gap and
+payoffs are bitwise equal to the scalar path's, and both return the same
+answers either way.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ def _cost(compiled, abs_moment):
     """Social cost of a compile of :func:`_compiled_pieces`, its facilities
     as the compiler canonicalized them, priced by ``abs_moment`` from the
     density's ``_integrals``."""
-    locs, _, pieces, _, _ = compiled
+    locs, _, pieces, _, _, _ = compiled
     total = 0.0
     for lo, hi, w in pieces:
         for i, wi in enumerate(w):
@@ -86,24 +91,37 @@ def _cost(compiled, abs_moment):
     return total
 
 
+def _kept_costs(game, compiled, sides):
+    """The compile's cost slot ``[social cost, the no-intervention twin's
+    (game.nime_twin) social cost]`` with its first ``sides`` entries priced:
+    each is priced on first use and kept for every later call on the
+    compile.
+
+    The twin prices the facilities as the mediator's compiler canonicalized
+    them, so both sides see the same positions, and both sides share the
+    prefix memo of the mediator's compile.  The twin is compiled outside the
+    kept compile, so it never evicts the mediator's; a no-intervention game
+    is its own twin and shares its cost.
+    """
+    costs = compiled[5]
+    if costs[sides - 1] is None:
+        _, abs_moment = game.distribution._integrals(compiled[4])
+        if costs[0] is None:
+            costs[0] = _cost(compiled, abs_moment)
+        if sides == 2:
+            twin = game.nime_twin
+            costs[1] = costs[0] if twin is game else _cost(_compile(twin, compiled[0]), abs_moment)
+    return costs
+
+
 def social_cost(game, profile):
     """Expected distance a user travels to her assigned facility."""
-    compiled = _compiled_pieces(game, validate_profile(profile, game.n))
-    _, abs_moment = game.distribution._integrals(compiled[4])
-    return _cost(compiled, abs_moment)
+    return _kept_costs(game, _compiled_pieces(game, validate_profile(profile, game.n)), 1)[0]
 
 
 def _gap_locs(game, locs):
-    # The mediator is compiled once.  Its no-intervention twin
-    # (``game.nime_twin``) prices the facilities as the mediator's compiler
-    # canonicalized them, so both sides see the same positions, and both
-    # sides share the prefix memo of the mediator's compile.  The twin is
-    # compiled outside the kept compile, so it never evicts the mediator's;
-    # a no-intervention game is its own twin and reuses its compile.
-    compiled = _compiled_pieces(game, locs)
-    _, abs_moment = game.distribution._integrals(compiled[4])
-    twin = compiled if game.nime_twin is game else _compile(game.nime_twin, compiled[0])
-    return _cost(compiled, abs_moment) - _cost(twin, abs_moment)
+    cost, twin = _kept_costs(game, _compiled_pieces(game, locs), 2)
+    return cost - twin
 
 
 def _runs(game, locs):
@@ -246,6 +264,10 @@ _FIXTURE_DELTAS = (1e-2, 1e-3, 1e-4)
 _SWEEPS = 50
 # Weight entries per block of random rows priced at once: large enough to
 # amortize numpy's per-call overhead, small enough to keep peak memory flat.
+# The random phase and enumeration's waves take this size; the exact check's
+# passes, which are short and bounded, take ``equilibrium._STREAM_BLOCKS``
+# blocks per kernel call instead.  At 32,768 for every caller, search's and
+# enumeration's peak memory rose by 4-6% and their throughput did not.
 _BLOCK_ELEMENTS = 8192
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -475,9 +475,10 @@ class TestRowPricedLines:
         assert got.is_pne and repr(got) == _scalar_report(game, profile, monkeypatch)
 
     def test_long_line_spans_blocks(self, monkeypatch):
-        # At n = 16 a block holds 8 rows and the line 489 points (uniform
-        # density: one pass, no stationary points): every point is priced
-        # once, in full blocks but the last, moving column 0 only.
+        # At n = 16 a pass's block holds 4 * 8 = 32 rows and the line 489
+        # points (uniform density: one pass, no stationary points): every
+        # point is priced once, in full blocks but the last, moving column 0
+        # only.
         game = GameSpec(16, Lime(epsilon=1e-3))
         profile = tuple(np.random.default_rng(16).random(16).tolist())
         blocks = []
@@ -492,8 +493,9 @@ class TestRowPricedLines:
         monkeypatch.setattr(equilibrium, "_price_streams", _scalar_price_streams)
         assert repr(got) == repr(_lines_max(game, profile, [0])[0])
         sizes = [len(rows) for rows in blocks]
-        assert _block_rows(game) == 8 and len(blocks) > 2
-        assert sizes[:-1] == [8] * (len(sizes) - 1)
+        cap = equilibrium._STREAM_BLOCKS * _block_rows(game)
+        assert cap == 32 and len(blocks) > 2
+        assert sizes[:-1] == [cap] * (len(sizes) - 1)
         ys = [y for rows in blocks for y in rows[:, 0].tolist()]
         assert len(ys) == len(set(ys)) == got[3] > 400
         assert all((rows[:, 1:] == profile[1:]).all() for rows in blocks)
@@ -503,7 +505,7 @@ class TestRowPricedLines:
         # interior points go out as one stream of full blocks, mixing
         # players, and the stream takes no more calls than its rows need.
         game = GameSpec(6, Lime())
-        cap = _block_rows(game)
+        cap = equilibrium._STREAM_BLOCKS * _block_rows(game)
         payoff_rows = equilibrium._payoff_rows
         rng = np.random.default_rng(6)
         for profile in [optimal_locations(6), *(tuple(rng.random(6).tolist()) for _ in range(4))]:
@@ -523,6 +525,26 @@ class TestRowPricedLines:
             moved = [set(np.flatnonzero((block != profile).any(axis=0)).tolist()) for block in blocks]
             assert set().union(*moved) == set(range(6)) and max(map(len, moved)) > 1
             assert repr(report) == _scalar_report(game, profile, monkeypatch)
+
+    def test_lime_six_pass_takes_two_kernel_calls(self, monkeypatch):
+        # A uniform lime n = 6 check of a profile off the equilibrium prices
+        # about 400 rows in one pass: two kernel calls, not one per block
+        # of the random phase (seven).
+        game = GameSpec(6, Lime())
+        profile = (1 / 12, 0.3, 5 / 12, 0.55, 0.75, 0.97)
+        calls = []
+        payoff_rows = equilibrium._payoff_rows
+
+        def counting(game, rows):
+            calls.append(len(rows))
+            return payoff_rows(game, rows)
+
+        monkeypatch.setattr(equilibrium, "_payoff_rows", counting)
+        report = is_pne(game, profile)
+        assert not report.is_pne and sum(calls) > 6 * _block_rows(game)
+        assert len(calls) <= 2, calls
+        monkeypatch.setattr(equilibrium, "_payoff_rows", payoff_rows)
+        assert repr(report) == _scalar_report(game, profile, monkeypatch)
 
 
 class TestEnumeration:

@@ -248,7 +248,7 @@ class TestCompileMemo:
 
     def _fresh(self, monkeypatch, game, locs):
         _cleared(monkeypatch)
-        locs, bps, pieces, _, _ = _compiled_pieces(game, locs)
+        locs, bps, pieces, *_ = _compiled_pieces(game, locs)
         return locs, bps, pieces
 
     @pytest.mark.parametrize("game", [GameSpec(3, Nime()), GameSpec(3, Lime(epsilon=0.1)), GameSpec(3, Dictator())])
@@ -266,7 +266,7 @@ class TestCompileMemo:
         calls = _counting_binds(monkeypatch)
         _cleared(monkeypatch)
         _compiled_pieces(game, (0.1, 0.5, 0.9))
-        locs, _, _, _, _ = _compiled_pieces(game, tuple(np.array([0.1, 0.5, 0.9])))
+        locs, *_ = _compiled_pieces(game, tuple(np.array([0.1, 0.5, 0.9])))
         assert len(calls) == 2 and all(type(x) is np.float64 for x in locs)
 
     def test_equal_games_do_not_share_a_compile(self, monkeypatch):
@@ -297,6 +297,29 @@ class TestCompileMemo:
                 query(game, profile)
             assert len(calls) == 2 and len(seen) == len(set(seen)) == 12, (order, calls, seen)
 
+    def test_a_kept_compile_prices_each_cost_once(self, monkeypatch):
+        # Social cost, then the gap twice: the mediator's cost is priced
+        # once and shared, the twin's once, and a repeated gap prices
+        # nothing; every value is a fresh compile's, bit for bit.
+        game = GameSpec(4, Lime())
+        profile = (0.1, 0.3, 0.6, 0.9)
+        queries = (social_cost, intervention_gap, intervention_gap)
+        want = []
+        for query in queries:
+            _cleared(monkeypatch)
+            want.append(query(game, profile))
+        calls = []
+        cost = metrics._cost
+
+        def counting(compiled, abs_moment):
+            calls.append(compiled[0])
+            return cost(compiled, abs_moment)
+
+        monkeypatch.setattr(metrics, "_cost", counting)
+        _cleared(monkeypatch)
+        _same([query(game, profile) for query in queries], want)
+        assert len(calls) == 2, calls
+
     def test_the_memo_holds_one_compile(self, monkeypatch):
         game = GameSpec(3, Glime(), RAMP)
         a, b = (0.1, 0.5, 0.9), (0.2, 0.5, 0.9)
@@ -319,7 +342,7 @@ class TestCompileMemo:
 
     def test_the_shared_result_is_immutable(self, monkeypatch):
         _cleared(monkeypatch)
-        locs, bps, pieces, _, _ = _compiled_pieces(GameSpec(3, Lime()), [0.1, 0.5, 0.9])
+        locs, bps, pieces, *_ = _compiled_pieces(GameSpec(3, Lime()), [0.1, 0.5, 0.9])
         assert type(locs) is tuple and type(bps) is tuple and type(pieces) is tuple
 
     def test_threads_never_share_a_result(self, monkeypatch):

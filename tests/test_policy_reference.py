@@ -130,7 +130,7 @@ def _reference_compiled_pieces(game, locs):
             pieces[-1] = (pieces[-1][0], hi, d)
         else:
             pieces.append((lo, hi, d))
-    return locs, bps, pieces, rule, {}
+    return locs, bps, pieces, rule, {}, [None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def test_agrees_with_all_pairs_reference(n, density, monkeypatch):
             assert abs(got[2] - want[2]) <= AGREE_TOL, (name, profile, got[2], want[2])
 
             # The bound rule is the reference rule, bitwise, everywhere.
-            _, ref_bps, _, ref_rule, _ = _reference_compiled_pieces(game, profile)
+            _, ref_bps, _, ref_rule, *_ = _reference_compiled_pieces(game, profile)
             for t in ref_bps + [float(t) for t in rng.random(8)]:
                 assert direct(game, profile, t) == ref_rule(t), (name, profile, t)
 
