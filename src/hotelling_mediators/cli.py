@@ -139,14 +139,10 @@ def _cmd_pne(args):
 
 
 def _cmd_ic(args):
-    game = _build_game(args)
-    est = ic_search(game, budget=args.budget, seed=args.seed, threads=args.threads)
-    row = [
-        game.mediator.kind, game.n, args.seed, args.budget, est.search_lower, est.fixture_lower,
-        est.analytic_lower, est.analytic_upper, est.argmax_profile,
-    ]
-    header = "mediator,n,seed,budget,searchLower,fixtureLower,analyticLower,analyticUpper,argmaxProfile"
-    _emit(args, est.to_json(), [row], header)
+    est = ic_search(_build_game(args), budget=args.budget, seed=args.seed, threads=args.threads)
+    obj = est.to_json()
+    row = {**obj, "mediator": obj["mediator"]["kind"]}
+    _emit(args, obj, [row.values()], ",".join(row))
     return 0
 
 

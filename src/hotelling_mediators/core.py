@@ -505,8 +505,10 @@ class Mediator:
     # 50/50 to the nearest on each side rather than to the nearest of both.
     epsilon: ClassVar[float] = 0.0
     half_split: ClassVar[bool] = False
-    # The keys of the wire format that :meth:`from_json` reads.
-    wire_keys: ClassVar[tuple] = ("kind",)
+    # The wire format after ``kind``: (key, field) pairs in the order that
+    # :meth:`to_json` writes them (None left out, tuples as lists); from_json
+    # passes the keys present, and only those, for the constructor to judge.
+    wire: ClassVar[tuple] = ()
 
     def bind(self, n):
         """This record as used in an n-player game; ValueError if it cannot be."""
@@ -533,11 +535,16 @@ class Mediator:
         return ()
 
     def to_json(self):
-        return {"kind": self.kind}
+        out = {"kind": self.kind}
+        for key, name in self.wire:
+            value = getattr(self, name)
+            if value is not None:
+                out[key] = list(value) if isinstance(value, tuple) else value
+        return out
 
     @classmethod
     def from_json(cls, obj):
-        return cls()
+        return cls(**{name: obj[key] for key, name in cls.wire if key in obj})
 
     def ic_bounds(self, n):
         """Proven (lower, upper) intervention-cost bounds under the uniform
@@ -593,7 +600,7 @@ class Dictator(Mediator):
     equality_tol: float = 1e-9
 
     kind: ClassVar[str] = "dict"
-    wire_keys: ClassVar[tuple] = ("kind", "targets", "equalityTol")
+    wire: ClassVar[tuple] = (("equalityTol", "equality_tol"), ("targets", "targets"))
 
     def __post_init__(self):
         if self.targets is not None:
@@ -605,19 +612,6 @@ class Dictator(Mediator):
             return replace(self, targets=optimal_locations(n))
         validate_profile(self.targets, n, name="targets")
         return self
-
-    def to_json(self):
-        out = {"kind": self.kind, "equalityTol": self.equality_tol}
-        if self.targets is not None:
-            out["targets"] = list(self.targets)
-        return out
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            targets=_json_list(obj, "targets") if obj.get("targets") is not None else None,
-            equality_tol=obj.get("equalityTol", 1e-9),
-        )
 
     def eligible(self, locs):
         return [i for i, s in enumerate(locs) if abs(s - self.targets[i]) <= self.equality_tol]
@@ -645,17 +639,10 @@ class Dictator(Mediator):
 class _Limited(Mediator):
     """Base of the limited-intervention records, which all carry ``epsilon``."""
 
-    wire_keys: ClassVar[tuple] = ("kind", "epsilon")
+    wire: ClassVar[tuple] = (("epsilon", "epsilon"),)
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon, 0.0, _EPSILON_MAX))
-
-    def to_json(self):
-        return {"kind": self.kind, "epsilon": self.epsilon}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(epsilon=obj.get("epsilon", 1e-3))
 
 
 @dataclass(frozen=True)
@@ -742,11 +729,12 @@ class Clime(_Limited):
     damage of intervening.
     """
 
-    lam: float
+    # No usable default: None fails the check, as a missing "lambda" must.
+    lam: float = None
     epsilon: float = 1e-3
 
     kind: ClassVar[str] = "clime"
-    wire_keys: ClassVar[tuple] = ("kind", "lambda", "epsilon")
+    wire: ClassVar[tuple] = (("lambda", "lam"), ("epsilon", "epsilon"))
 
     def __post_init__(self):
         super().__post_init__()
@@ -772,13 +760,6 @@ class Clime(_Limited):
         width = Fraction(self.lam)
         centers = {Fraction(1, n), Fraction(n - 1, n)}
         return tuple((float(c - width), float(c + width)) for c in sorted(centers))
-
-    def to_json(self):
-        return {"kind": self.kind, "lambda": self.lam, "epsilon": self.epsilon}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(lam=obj.get("lambda"), epsilon=obj.get("epsilon", 1e-3))
 
     def ic_bounds(self, n):
         if n == 2:
@@ -806,8 +787,8 @@ def mediator_from_json(obj):
 
     Schema: ``{"kind": "nime"|"dict"|"lime"|"glime"|"clime", "epsilon": ...,
     "lambda": ..., "targets": [...], "equalityTol": ...}`` with parameters
-    only where the kind reads them (its ``wire_keys``).  Any other shape,
-    a key the kind does not read included, raises ValueError.
+    only where the kind reads them (its ``wire``).  Any other shape, a key
+    the kind does not read included, raises ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"a mediator must be a JSON object, got {type(obj).__name__}")
@@ -815,9 +796,10 @@ def mediator_from_json(obj):
     cls = _MEDIATORS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown mediator kind {kind!r}")
-    unread = [key for key in obj if key not in cls.wire_keys]
+    keys = ["kind", *(key for key, _ in cls.wire)]
+    unread = [key for key in obj if key not in keys]
     if unread:
-        raise ValueError(f"mediator kind {kind!r} does not read {unread[0]!r}; it reads {', '.join(cls.wire_keys)}")
+        raise ValueError(f"mediator kind {kind!r} does not read {unread[0]!r}; it reads {', '.join(keys)}")
     return cls.from_json(obj)
 
 

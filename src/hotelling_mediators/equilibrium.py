@@ -28,13 +28,15 @@ read the last coordinate, the one the grid walk counts up fastest.
 :func:`_refute_fast` is the single-profile path: it walks the plan one scalar
 payoff at a time.  Grid enumeration refutes blocks of profiles in waves
 instead, pricing every wave's deviations as one block of rows, and a block's
-base payoffs with its first wave; a wave holds one probe's rows together, so
-a run of equal rows is priced once.  Each row is priced bitwise as the scalar
-path prices it, so the verdicts agree.  Enumeration pays its fixed costs once:
-a game keeps the plan as arrays from its first enumeration on
-(:func:`_plan_arrays`), and the grid's sorted profiles come out directly as
-integer arrays, block by block (:func:`_grid_blocks`).  The order moves only
-which deviation refutes a profile first, never whether one does.
+base payoffs with its first wave; a wave holds one probe's rows together, and
+every row stream here and in :mod:`~hotelling_mediators.metrics` goes through
+one pricer, :func:`~hotelling_mediators.metrics._price_rows`, which prices a
+run of equal rows once.  Each row is priced bitwise as the scalar path prices
+it, so the verdicts agree.  Enumeration pays its fixed costs once: a game
+keeps the plan as arrays from its first enumeration on (:func:`_plan_arrays`),
+and the grid's sorted profiles come out directly as integer arrays, block by
+block (:func:`_grid_blocks`).  The order moves only which deviation refutes a
+profile first, never whether one does.
 Better-response dynamics reads the same plan without the one-sided offsets,
 plus a grid of its own, and prices every player's candidates as one stream.
 """
@@ -50,7 +52,7 @@ import numpy as np
 
 from .core import _integer, _real, quantile_locations, validate_profile
 from .mediators import _line_kinks
-from .metrics import _block_rows, _payoff_locs, _payoff_rows, _pool_map
+from .metrics import _block_rows, _payoff_locs, _payoff_rows, _pool_map, _price_rows
 
 __all__ = [
     "PneReport",
@@ -173,26 +175,21 @@ def _horner(xs, coef, x):
 
 def _price_streams(game, locs, streams):
     """Each ``(player, ys)`` of ``streams`` as ``{y: payoff of player at y}``,
-    opponents fixed: the one pricing loop of the exact check and of
+    opponents fixed: the pricing of the exact check and of
     :func:`better_response_dynamics`.
 
     Every stream's deviations go out as one stream of rows, each row the
     profile with the player's column moved, built at once by one tile of the
-    profile and one column write; a block may mix players.  The rows go
-    through :func:`_payoff_rows` in blocks of ``_STREAM_BLOCKS`` times
-    ``_block_rows(game)`` rows, so a pass of a small game takes a few kernel
-    calls while the kernel's weight arrays stay bounded however long the
-    stream, and the payoffs are read back once.  Every payoff is bitwise the
-    one :func:`_payoff_locs` gives the deviation alone.
+    profile and one column write; a block may mix players.  :func:`_price_rows`
+    prices them in blocks of ``_STREAM_BLOCKS`` times ``_block_rows(game)``
+    rows, so a pass of a small game takes a few kernel calls, and every
+    payoff is bitwise the one :func:`_payoff_locs` gives the deviation alone.
     """
     players = np.array([i for i, line in streams for _ in line], dtype=np.intp)
     at = np.arange(len(players))
     rows = np.tile(np.asarray(locs, dtype=float), (len(players), 1))
     rows[at, players] = [y for _, line in streams for y in line]
-    step = _STREAM_BLOCKS * _block_rows(game)
-    payoffs = np.empty_like(rows)
-    for k in range(0, len(rows), step):
-        payoffs[k : k + step] = _payoff_rows(game, rows[k : k + step])
+    payoffs, _ = _price_rows(_payoff_rows, game, rows, _STREAM_BLOCKS)
     values = iter(payoffs[at, players].tolist())
     return [{y: next(values) for y in line} for _, line in streams]
 
@@ -453,21 +450,6 @@ def _plan_arrays(game):
     return plan
 
 
-def _price_runs(game, rows):
-    """:func:`_payoff_rows` of a ``(B, n)`` array, each run of consecutive
-    rows that are equal bit for bit priced once, as ``(payoffs, priced)``.
-
-    Rows are compared through an int64 view, so rows that differ only in the
-    sign of a zero are priced apart.  The kernel prices every row bitwise as
-    it prices that row alone, so the payoffs are those of pricing every
-    row."""
-    bits = rows.view(np.int64)
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    value = _payoff_rows(game, rows[new])
-    return value[np.cumsum(new) - 1], len(value)
-
-
 def _refute_rows(game, locs, gain_tol, plan):
     """:func:`_refute_fast` over the rows of a ``(B, n)`` array at once.
 
@@ -479,10 +461,10 @@ def _refute_rows(game, locs, gain_tol, plan):
     probe-major, ``(width, live, n)``, so one probe's rows are consecutive
     and, on sorted grid blocks, follow the grid's runs: a probe that does
     not read the last coordinate (the plan's first, on a sorted profile)
-    repeats its row along each run, and :func:`_price_runs` prices every run
+    repeats its row along each run, and :func:`_price_rows` prices every run
     of equal rows once.  A wave is capped at ``_block_rows(game)`` rows, so
     with B at most that the first call holds at most two blocks of rows and
-    every later one at most one.  Every row is priced bitwise as
+    every later one at most one: each wave is one kernel call.  Every row is priced bitwise as
     :func:`_refute_fast` prices it, whatever else its call holds, so the
     verdicts are the scalar scan's; survivors take every probe.  Returns
     ``(survivors, waves, rows, priced)``: the indices of the rows no probe
@@ -506,11 +488,11 @@ def _refute_rows(game, locs, gain_tol, plan):
         trial[at, :, player[j]] = np.minimum(np.maximum(moved, 0.0), 1.0)
         trial = trial.reshape(-1, n)
         if threshold is None:
-            value, count = _price_runs(game, np.concatenate([locs, trial]))
+            value, count = _price_rows(_payoff_rows, game, np.concatenate([locs, trial]), blocks=2)
             threshold = value[: len(locs)] + gain_tol
             value = value[len(locs) :]
         else:
-            value, count = _price_runs(game, trial)
+            value, count = _price_rows(_payoff_rows, game, trial, blocks=2)
         hit = value.reshape(width, live.size, n)[at, :, player[j]] > threshold[live][:, player[j]].T
         live = live[~hit.any(axis=0)]
         waves += 1

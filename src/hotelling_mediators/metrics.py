@@ -29,13 +29,13 @@ profile compute each point's prefixes once in total and share them between
 pieces, facilities, calls and both sides of a gap; every value stays
 bitwise what the density's public methods give.  The random phase of
 :func:`ic_search`, equilibrium enumeration and the exhaustive equilibrium
-check's deviation lines price their rows in blocks through the array
-compiler and one row integrator instead, with the players on the leading
-axis of every array; the exact check's passes, short and bounded, take
-blocks four times as large, so a small game's pass is a few kernel calls.
-Both compilers build one live candidate set, so every row's gap and
-payoffs are bitwise equal to the scalar path's, and both return the same
-answers either way.
+check's deviation lines are row streams instead, and one pricer
+(:func:`_price_rows`) prices them all: each run of equal rows once, the
+rest in blocks through the array compiler and one row integrator, with the
+players on the leading axis of every array; the exact check's passes,
+short and bounded, take blocks four times as large.  Both compilers build
+one live candidate set, so every row's gap and payoffs are bitwise equal to
+the scalar path's, and both return the same answers either way.
 """
 
 from __future__ import annotations
@@ -262,6 +262,8 @@ _FIXTURE_DELTAS = (1e-2, 1e-3, 1e-4)
 # Coordinate-ascent sweeps after the random phase; the ascent stops early at
 # the first sweep that improves no coordinate.
 _SWEEPS = 50
+# Rows a random-phase job draws and prices at once, and the fewest it holds.
+_DRAW_ROWS = 2048
 # Weight entries per block of random rows priced at once: large enough to
 # amortize numpy's per-call overhead, small enough to keep peak memory flat.
 # The random phase and enumeration's waves take this size; the exact check's
@@ -300,18 +302,37 @@ def _better(gap, locs, best_gap, best_locs):
     return gap == best_gap and (best_locs is None or locs < best_locs)
 
 
+def _price_rows(kernel, game, rows, blocks=1):
+    """``kernel`` (:func:`_payoff_rows` or :func:`_gap_rows`) of a ``(B, n)``
+    array as ``(values, priced)``, the one loop that prices row streams: each
+    run of rows equal bit for bit (an int64 view, so the sign of a zero
+    counts) is priced once, in blocks of ``blocks * _block_rows(game)``
+    distinct rows.  The kernel prices a row bitwise as it prices it alone, so
+    the values are those of pricing every row."""
+    bits = rows.view(np.int64)
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    distinct = rows[new]
+    step = blocks * _block_rows(game)
+    values = [kernel(game, distinct[k : k + step]) for k in range(0, len(distinct), step)]
+    return np.concatenate(values or [rows[:0]])[np.cumsum(new) - 1], len(distinct)
+
+
 def _gap_chunk(args):
-    game, rows = args
-    step = _block_rows(game)
+    """The best ``(gap, profile)`` of random profiles ``start`` to ``stop -
+    1`` of ``seed``'s stream, drawn ``_DRAW_ROWS`` at a time from the
+    stream advanced past the rows before them, so every row is bitwise that
+    row of one ``default_rng(seed).random((budget, n))`` draw."""
+    game, seed, start, stop = args
+    rng = np.random.Generator(np.random.PCG64(seed).advance(start * game.n))
     best_gap, best_locs = -math.inf, None
-    for k in range(0, len(rows), step):
-        block = rows[k : k + step]
-        gaps = _gap_rows(game, block)
+    for k in range(start, stop, _DRAW_ROWS):
+        rows = rng.random((min(_DRAW_ROWS, stop - k), game.n))
+        gaps, _ = _price_rows(_gap_rows, game, rows)
         top = gaps.max()
-        for j in np.flatnonzero(gaps == top):
-            locs = tuple(block[j])
-            if _better(top, locs, best_gap, best_locs):
-                best_gap, best_locs = top, locs
+        locs = min(map(tuple, rows[gaps == top]))
+        if _better(top, locs, best_gap, best_locs):
+            best_gap, best_locs = top, locs
     return best_gap, best_locs
 
 
@@ -347,8 +368,9 @@ def ic_search(game, budget, seed=0, threads=1):
     Evaluates the known adversarial fixtures (a few offsets each), ``budget``
     uniformly random profiles drawn from ``seed``, and then refines the best
     profile found by coordinate ascent with a golden-section line search per
-    coordinate.  The random profiles are priced in blocks of rows at once,
-    each gap bitwise equal to pricing its profile alone.  A coordinate's line
+    coordinate.  The random profiles are drawn per job in flat memory (see
+    :func:`_gap_chunk`) and priced in blocks of rows at once, each gap
+    bitwise equal to pricing its profile alone.  A coordinate's line
     depends only on the other coordinates, so its search is skipped while
     none of them has moved since the last one: it would return what it
     returned then.  Deterministic for fixed ``seed`` regardless of
@@ -374,12 +396,10 @@ def ic_search(game, budget, seed=0, threads=1):
         if _better(gap, locs, best_gap, best_locs):
             best_gap, best_locs = gap, locs
 
-    rng = np.random.default_rng(seed)
-    samples = rng.random((budget, n))
-    chunk = 2048
-    jobs = [(game, samples[k : k + chunk]) for k in range(0, budget, chunk)]
+    chunk = budget if threads == 1 else max(_DRAW_ROWS, math.ceil(budget / (threads * 8)))
+    jobs = [(game, seed, k, min(k + chunk, budget)) for k in range(0, budget, chunk)]
     for gap, locs in _pool_map(_gap_chunk, jobs, threads):
-        if locs is not None and _better(gap, locs, best_gap, best_locs):
+        if _better(gap, locs, best_gap, best_locs):
             best_gap, best_locs = gap, locs
 
     # Coordinate ascent from the incumbent.  ``searched[i]`` is the number of

@@ -11,15 +11,18 @@ return exactly what pricing one row at a time does.
 
 import itertools
 import math
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from hotelling_mediators import Clime, GameSpec, Glime, Lime, ic_search, quantile_locations
+from hotelling_mediators import Clime, GameSpec, Glime, Lime, Nime, compile_policy, direct, ic_search, quantile_locations
 from hotelling_mediators import metrics
 from hotelling_mediators.metrics import _gap_locs, _gap_rows, _payoff_locs, _payoff_rows
 
+from test_equilibrium import Banded
 from test_policy_reference import COORDS, DENSITIES, PROPERTY_GAMES, _custom_dictator, _mediators, _profiles, anchored
 
 NS = (2, 3, 4, 5, 6, 7, 8, 12, 16, 32)
@@ -224,3 +227,73 @@ def test_ic_search_threads_agree_above_one_chunk():
     one = ic_search(game, budget=4500, seed=5, threads=1)
     two = ic_search(game, budget=4500, seed=5, threads=2)
     assert one == two
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_random_phase_ties_go_to_the_smallest_profile(seed, threads):
+    # Every no-intervention gap is exactly 0.0, so the random phase ties on
+    # every row, across blocks, draws and jobs, and nothing beats it later.
+    est = ic_search(GameSpec(3, Nime()), budget=5000, seed=seed, threads=threads)
+    rows = np.random.default_rng(seed).random((5000, 3))
+    assert est.search_lower == 0.0
+    assert est.argmax_profile == min(map(tuple, rows.tolist()))
+
+
+def test_random_phase_draws_the_seed_stream_in_flat_memory(monkeypatch):
+    seen = []
+
+    def stub(game, rows):
+        seen.append(rows.copy())
+        return np.zeros(len(rows))
+
+    monkeypatch.setattr(metrics, "_gap_rows", stub)
+    game = GameSpec(2, Nime())
+    ic_search(game, budget=5000, seed=4)
+    want = np.random.default_rng(4).random((5000, 2))
+    assert np.concatenate(seen).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    # Measured after the run above, so one-time allocations are out of both.
+    monkeypatch.setattr(metrics, "_gap_rows", lambda game, rows: rows.sum(axis=1))
+    peaks = []
+    for budget in (10**4, 2 * 10**5):
+        tracemalloc.start()
+        ic_search(game, budget=budget, seed=4)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # One draw of the whole budget would hold 3.2 MB at the larger one.
+    assert peaks[1] < 1.5 * peaks[0] < 10**6, peaks
+
+
+# Banded eligibility beside each limited record's protected intervals.
+@dataclass(frozen=True)
+class BandedLime(Banded, Lime):
+    pass
+
+
+@dataclass(frozen=True)
+class BandedGlime(Banded, Glime):
+    pass
+
+
+@dataclass(frozen=True)
+class BandedClime(Banded, Clime):
+    pass
+
+
+@pytest.mark.parametrize("density", ["uniform", "zigzag"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+def test_eligible_set_with_intervals_prices_as_scalar(n, density):
+    # A kind that is an eligible set with protected intervals compiles with
+    # no code of its own: inside an interval only the eligible players
+    # outside it may serve.
+    rng = np.random.default_rng([n, len(density), 28])
+    mediators = [BandedLime(1e-2), BandedGlime(1e-2), BandedClime(min(1 / 8, 1 / (2 * n)), 1e-2)]
+    for mediator in mediators:
+        game = GameSpec(n, mediator, DENSITIES[density])
+        profiles = _profiles(rng, game, 60)
+        _assert_rows_price_as_scalar(game, profiles, game.mediator)
+        for profile in profiles[:10]:
+            policy = compile_policy(game, profile)
+            for t in (*profile, *policy.point_dists, *rng.random(4).tolist()):
+                assert policy.evaluate(t) == direct(game, profile, t), (game.mediator, profile, t)

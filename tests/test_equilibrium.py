@@ -36,14 +36,13 @@ from hotelling_mediators.equilibrium import (
     _enumerate_chunk,
     _grid_blocks,
     _lines_max,
-    _price_runs,
     _probe,
     _probe_plan,
     _refute_fast,
     _refute_rows,
 )
 from hotelling_mediators.mediators import _line_kinks
-from hotelling_mediators.metrics import _block_rows, _payoff_locs, _payoff_rows
+from hotelling_mediators.metrics import _block_rows, _payoff_locs, _payoff_rows, _price_rows
 
 from test_core import RANDOM_DENSITIES
 from test_policy_reference import DENSITIES, ZIGZAG, _mediators, _profiles
@@ -902,7 +901,7 @@ class TestProbeWaves:
         rows = np.array(
             [(0.2, 0.7), (0.2, 0.7), (0.2, 0.7), (0.3, 0.7), (0.2, 0.7), (-0.0, 0.5), (0.0, 0.5), (0.0, 0.5)]
         )
-        value, priced = _price_runs(game, rows)
+        value, priced = _price_rows(equilibrium._payoff_rows, game, rows)
         want = [(0.2, 0.7), (0.3, 0.7), (0.2, 0.7), (-0.0, 0.5), (0.0, 0.5)]
         assert len(calls) == 1 and priced == len(want)
         assert [tuple(r) for r in calls[0].tolist()] == want
