@@ -807,29 +807,46 @@ def mediator_from_json(obj):
 # Game description
 # ---------------------------------------------------------------------------
 
+# A facility this close to a protected-interval endpoint is canonicalized
+# onto it before any evaluation.  Interval endpoints are derived quantities
+# (for example 1/n + lam or a quantile), and profiles commonly arrive through
+# decimal round-trips (command-line flags, JSON), so a location that equals
+# an endpoint mathematically can land slightly inside; the snap absorbs both
+# float rounding and 7-significant-digit decimal input while staying an order
+# of magnitude below the 1e-6 one-sided probes used by equilibrium
+# certification, which must keep sampling genuinely-inside behavior.  Users
+# are never snapped: a user precisely at an endpoint follows the
+# no-intervention branch, and anything wider would bias the integrals.
+_PII_FACILITY_SNAP = 1e-7
+
 
 @dataclass(frozen=True)
 class GameSpec:
     """A game is the number of players, the mediator, and the user density.
 
-    The mediator is bound to the player count at construction, and its
-    protected intervals for this game are worked out once into ``piis``,
-    and beside them into ``pii_arrays``, the read-only arrays the row
-    compiler reads: ``(ends, bounds)``, the sorted interval endpoints between
-    -inf and inf, and the lower ends over the upper ends, shape ``(2,
-    intervals)``.  ``fixed_breakpoints``, also read-only, holds the row
-    compiler's candidates that no profile moves: 0, 1 and the distinct
-    interval endpoints, sorted.  ``nime_twin`` is the same game under no
-    intervention, built once here for every intervention gap; a
-    no-intervention game is its own twin.  ``plan_arrays`` is None until
-    the game's first grid enumeration keeps its probe plan there as
-    arrays, for every later one.
+    The mediator is bound to the player count at construction, and the
+    game's fixed geometry is built once, here, for every path to read:
+    ``piis``, the protected intervals; ``ends``, their endpoints in order
+    (a shared one twice) between -inf and inf; and ``kink_families``,
+    ``(levels, centres, lows, highs)``: the c of y_i = c (0, 1, density
+    breakpoints, endpoints, snap-band edges) and of y_i + y_j = 2c
+    (endpoints, density breakpoints), each sorted, and the snap bands'
+    edges after a -inf sentinel, all Python floats.  From ``ends`` come the
+    row compiler's read-only arrays: ``pii_arrays``, ``(ends, bounds)``
+    with the lower ends over the upper ends, shape ``(2, intervals)``, and
+    ``fixed_breakpoints``, 0, 1 and the distinct endpoints, sorted.
+    ``nime_twin`` is the same game under no intervention, built once here
+    for every intervention gap; a no-intervention game is its own twin.
+    ``plan_arrays`` is None until the game's first grid enumeration keeps
+    its probe plan there as arrays, for every later one.
     """
 
     n: int
     mediator: Mediator
     distribution: UserDistribution = UNIFORM
     piis: tuple = field(init=False, repr=False, compare=False)
+    ends: tuple = field(init=False, repr=False, compare=False)
+    kink_families: tuple = field(init=False, repr=False, compare=False)
     pii_arrays: tuple = field(init=False, repr=False, compare=False)
     fixed_breakpoints: np.ndarray = field(init=False, repr=False, compare=False)
     nime_twin: GameSpec = field(init=False, repr=False, compare=False)
@@ -843,9 +860,15 @@ class GameSpec:
             raise TypeError(f"not a user distribution: {self.distribution!r}")
         object.__setattr__(self, "mediator", self.mediator.bind(self.n))
         piis = self.mediator.intervals(self.n, self.distribution)
+        endpoints = tuple(e for pii in piis for e in pii)
+        breaks, _ = self.distribution.line_shape
+        lows = (-math.inf, *(e - _PII_FACILITY_SNAP for e in endpoints))
+        highs = (-math.inf, *(e + _PII_FACILITY_SNAP for e in endpoints))
+        levels = tuple(sorted({0.0, 1.0, *breaks, *endpoints, *lows[1:], *highs[1:]}))
         object.__setattr__(self, "piis", piis)
-        ends = np.array([-math.inf, *(e for pii in piis for e in pii), math.inf])
-        arrays = (ends, np.array(piis).reshape(-1, 2).T, np.array(sorted({0.0, 1.0, *ends[1:-1]})))
+        object.__setattr__(self, "ends", (-math.inf, *endpoints, math.inf))
+        object.__setattr__(self, "kink_families", (levels, tuple(sorted({*endpoints, *breaks})), lows, highs))
+        arrays = (np.array(self.ends), np.array(piis).reshape(-1, 2).T, np.array(sorted({0.0, 1.0, *endpoints})))
         for array in arrays:
             array.flags.writeable = False
         object.__setattr__(self, "pii_arrays", arrays[:2])

@@ -52,7 +52,7 @@ import numpy as np
 
 from .core import _integer, _real, quantile_locations, validate_profile
 from .mediators import _line_kinks
-from .metrics import _block_rows, _payoff_locs, _payoff_rows, _pool_map, _price_rows
+from .metrics import _MAX_PROFILES, _block_rows, _payoff_locs, _payoff_rows, _pool_map, _price_rows
 
 __all__ = [
     "PneReport",
@@ -79,9 +79,6 @@ _DEFAULT_GAIN_TOL = 1e-9
 # 120 us before it prices a row, so a 404-row lime pass takes 2 calls in
 # blocks of 260 rows rather than 7 in blocks of 65.
 _STREAM_BLOCKS = 4
-
-# Enumeration refuses grids with more sorted profiles than this.
-_MAX_GRID_PROFILES = 10**8
 
 _log = logging.getLogger("hotelling_mediators")
 
@@ -125,14 +122,13 @@ def _probe_plan(game, side=_SIDE_DELTA):
             yield player, j, 1.0, toward
             yield player, j, 1.0, -toward
             yield player, j, 1.0, -0.0
-        for lo, hi in game.piis:
-            for e in (lo, hi):
-                for j in opponents:
-                    yield player, j, -1.0, 2.0 * e
+        for e in game.ends[1:-1]:
+            for j in opponents:
+                yield player, j, -1.0, 2.0 * e
 
     for entries in zip(*map(opponent_entries, reversed(range(game.n)))):
         yield from entries
-    static = [p for pii in game.piis for e in pii for p in (e, e - side, e + side)]
+    static = [p for e in game.ends[1:-1] for p in (e, e - side, e + side)]
     static += quantile_locations(game.n, game.distribution)
     static += game.mediator.targets
     static += [0.0, 1.0]
@@ -184,8 +180,12 @@ def _price_streams(game, locs, streams):
     prices them in blocks of ``_STREAM_BLOCKS`` times ``_block_rows(game)``
     rows, so a pass of a small game takes a few kernel calls, and every
     payoff is bitwise the one :func:`_payoff_locs` gives the deviation alone.
+    A pass with no deviation, as every second pass under the uniform
+    density, prices nothing.
     """
     players = np.array([i for i, line in streams for _ in line], dtype=np.intp)
+    if not players.size:
+        return [{} for _ in streams]
     at = np.arange(len(players))
     rows = np.tile(np.asarray(locs, dtype=float), (len(players), 1))
     rows[at, players] = [y for _, line in streams for y in line]
@@ -551,9 +551,9 @@ def pne_enumerate(game, grid_step, gain_tol=_DEFAULT_GAIN_TOL, shard=None, threa
         raise ValueError(f"1/grid_step must be an integer, got {grid_step!r}")
     # A grid of grid_n steps holds more than grid_n sorted profiles, so one
     # past the budget in grid_n alone is refused before they are counted.
-    total = math.comb(grid_n + game.n, game.n) if grid_n < _MAX_GRID_PROFILES else math.inf
-    if total > _MAX_GRID_PROFILES:
-        raise ValueError(f"grid_step {grid_step!r} gives over the {_MAX_GRID_PROFILES} sorted profiles of the budget")
+    total = math.comb(grid_n + game.n, game.n) if grid_n < _MAX_PROFILES else math.inf
+    if total > _MAX_PROFILES:
+        raise ValueError(f"grid_step {grid_step!r} gives over the {_MAX_PROFILES} sorted profiles of the budget")
     # Anything but a pair of integers fails the range test below.
     try:
         start, stop = (0, total) if shard is None else (_integer("shard", v, 0) for v in shard)

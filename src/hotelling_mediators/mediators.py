@@ -43,10 +43,10 @@ interval with an occupied side, and per interval one midpoint across it
 but under a half split (see :func:`_policy_breakpoints`).  The bound rule
 scans O(n) facilities once per piece, so a profile compiles in O(n^2) time.
 
-This module also owns the kinks of one player's deviation line, between
-which the exact equilibrium check prices it (see :func:`_line_kinks`): the
-candidates above as the player moves, the snap bands' edges, and the
-record's ``switch_points``, where the player's eligibility flips.
+The kinks of one player's deviation line, between which the exact
+equilibrium check prices it, are the game's fixed geometry, which the game
+builds once (``game.kink_families``), restricted to that line, plus the
+record's ``switch_points`` (see :func:`_line_kinks`).
 
 :func:`_compiled_rows` is the same compiler over many profiles at once, used
 to price random profiles, grid waves and deviation lines in blocks.  It
@@ -55,10 +55,11 @@ weights as ``(n, B, pieces)``, so every reduction over the players (the
 nearest distance, the tie count, whether a side is occupied) runs over the
 leading axis, elementwise across profiles and pieces, at any n, and every
 protected interval's candidates are found in one pass over all intervals.
-It reads the intervals as the arrays a game builds once beside its
-``piis`` (``game.pii_arrays`` and ``game.fixed_breakpoints``), never
-rebuilding them per call.  It builds the scalar compiler's live candidate
-set, so every non-empty piece it yields is bitwise the scalar compiler's.
+It builds the scalar compiler's live candidate set, so every non-empty
+piece it yields is bitwise the scalar compiler's.  No path here rebuilds
+the game's endpoints, snap bands or kink families per call: the snap and
+the scalar rule read ``game.ends``, the row compiler ``game.pii_arrays``
+and ``game.fixed_breakpoints``.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import validate_location, validate_profile
+from .core import _PII_FACILITY_SNAP, validate_location, validate_profile
 
 __all__ = [
     "direct",
@@ -101,31 +102,18 @@ def _nearest_weights(locs, t, subset):
     return tuple(out)
 
 
-# A facility this close to a protected-interval endpoint is canonicalized
-# onto it before any evaluation.  Interval endpoints are derived quantities
-# (for example 1/n + lam or a quantile), and profiles commonly arrive through
-# decimal round-trips (command-line flags, JSON), so a location that equals
-# an endpoint mathematically can land slightly inside; the snap absorbs both
-# float rounding and 7-significant-digit decimal input while staying an order
-# of magnitude below the 1e-6 one-sided probes used by equilibrium
-# certification, which must keep sampling genuinely-inside behavior.  Users
-# are never snapped: a user precisely at an endpoint follows the
-# no-intervention branch, and anything wider would bias the integrals.
-_PII_FACILITY_SNAP = 1e-7
-
-
-def _snap_to_endpoints(locs, piis):
-    """Canonicalize facilities onto interval endpoints they almost touch.
+def _snap_to_endpoints(game, locs):
+    """Canonicalize facilities onto the game's interval endpoints they
+    almost touch.
 
     A facility moves to the nearer of the last endpoint below it and the
-    first at or above it, ties to the lower, when that one lies within
-    ``_PII_FACILITY_SNAP``; a facility on an endpoint stays, so snapping a
-    snapped profile changes nothing.  The endpoints are sorted, since the
-    intervals are increasing and disjoint.
+    first at or above it in ``game.ends``, ties to the lower, when that one
+    lies within ``_PII_FACILITY_SNAP``; a facility on an endpoint stays, so
+    snapping a snapped profile changes nothing.
     """
-    if not piis:
+    if not game.piis:
         return locs
-    ends = [-math.inf, *(e for pii in piis for e in pii), math.inf]
+    ends = game.ends
     out = None
     for i, s in enumerate(locs):
         k = bisect_left(ends, s)
@@ -157,20 +145,19 @@ def _bind_rule(game, locs):
     if not sites:
         uniform = (1.0 / len(locs),) * len(locs)
         return (lambda t: uniform), sites
-    piis = game.piis
-    if not piis:
+    if not game.piis:
         return (lambda t: _nearest_weights(locs, t, players)), sites
     order = sorted(players, key=locs.__getitem__)
     ranked = [locs[i] for i in order]
-    los = [lo for lo, _ in piis]
+    ends = game.ends
     keep = 1.0 - m.epsilon
     u = m.epsilon / len(locs)
 
     def rule(t):
-        k = bisect_left(los, t) - 1  # the last interval with lo < t
-        if k < 0 or t >= piis[k][1]:
+        k = bisect_left(ends, t)  # inside an interval iff ends[k] is an upper end (k even) above t
+        if k % 2 or t == ends[k]:
             return _nearest_weights(locs, t, players)
-        lo, hi = piis[k]
+        lo, hi = ends[k - 1], ends[k]
         left = order[: bisect_right(ranked, lo)]
         right = order[bisect_left(ranked, hi) :]
         if left and right:
@@ -190,7 +177,7 @@ def direct(game, profile, t):
     """Evaluate the game's mediator pointwise: user ``t`` -> distribution."""
     locs = validate_profile(profile, game.n)
     t = validate_location(t)
-    rule, _ = _bind_rule(game, _snap_to_endpoints(locs, game.piis))
+    rule, _ = _bind_rule(game, _snap_to_endpoints(game, locs))
     return rule(t)
 
 
@@ -279,23 +266,20 @@ def _line_kinks(game, locs, i):
     deviation snaps onto the endpoint, a kink.
 
     A kink is where the compiled policy can change shape as the player moves
-    to y: where y crosses an opponent, an interval endpoint or the edge of
-    its snap band, or one of the record's switch points (where the player's
-    eligibility flips), and where a moving candidate (y + z) / 2 of
-    :func:`_policy_breakpoints` crosses an interval endpoint or a density
-    breakpoint c, at y = 2c - z.  The set also holds 0, 1 and the density
-    breakpoints, and is clipped to [0, 1].  Between consecutive kinks the
-    payoff is a polynomial in y.
+    to y: the game's fixed ``kink_families`` restricted to the line, that
+    is its levels (0, 1, density breakpoints, interval endpoints and their
+    snap-band edges) and the reflections 2c - z of the opponents z through
+    its centres c, where a moving candidate (y + z) / 2 of
+    :func:`_policy_breakpoints` crosses an endpoint or a breakpoint; the
+    opponents; and the record's switch points, per call, as they may read
+    the opponents.  The set is clipped to [0, 1].  Between consecutive
+    kinks the payoff is a polynomial in y.
     """
-    locs = _snap_to_endpoints(locs, game.piis)
+    locs = _snap_to_endpoints(game, locs)
     opponents = [z for j, z in enumerate(locs) if j != i]
-    breaks, _ = game.distribution.line_shape
-    ends = [e for pii in game.piis for e in pii]
-    # The snap bands, sorted, after a sentinel that holds no span.
-    lows = [-math.inf] + [e - _PII_FACILITY_SNAP for e in ends]
-    highs = [-math.inf] + [e + _PII_FACILITY_SNAP for e in ends]
-    kinks = {0.0, 1.0, *opponents, *breaks, *ends, *lows[1:], *highs[1:], *game.mediator.switch_points(locs, i)}
-    kinks.update([2.0 * c - z for c in (*ends, *breaks) for z in opponents])
+    levels, centres, lows, highs = game.kink_families
+    kinks = {*levels, *opponents, *game.mediator.switch_points(locs, i)}
+    kinks.update([2.0 * c - z for c in centres for z in opponents])
     kinks = sorted([k for k in kinks if 0.0 <= k <= 1.0])
     # The band with the last low at or below a reaches furthest.
     return kinks, [(a, b) for a, b in zip(kinks, kinks[1:]) if b > highs[bisect_right(lows, a) - 1]]
@@ -337,10 +321,9 @@ def _compile(game, locs):
     no state, a memo entry depends only on its point and the game's density,
     and a cost only on the compile, so callers may share the compile.
     """
-    piis = game.piis
-    snapped = _snap_to_endpoints(locs, piis)
+    snapped = _snap_to_endpoints(game, locs)
     rule, sites = _bind_rule(game, snapped)
-    bps = _policy_breakpoints(sorted(set(sites)), piis, game.mediator.half_split)
+    bps = _policy_breakpoints(sorted(set(sites)), game.piis, game.mediator.half_split)
     pieces = []
     for lo, hi in zip(bps, bps[1:]):
         d = rule(0.5 * (lo + hi))

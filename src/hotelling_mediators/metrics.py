@@ -272,6 +272,9 @@ _DRAW_ROWS = 2048
 # enumeration's peak memory rose by 4-6% and their throughput did not.
 _BLOCK_ELEMENTS = 8192
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The one profile cap: enumeration refuses grids with more sorted profiles
+# than this, and :func:`ic_search` larger budgets.
+_MAX_PROFILES = 10**8
 
 
 def _block_rows(game):
@@ -319,18 +322,19 @@ def _price_rows(kernel, game, rows, blocks=1):
 
 
 def _gap_chunk(args):
-    """The best ``(gap, profile)`` of random profiles ``start`` to ``stop -
-    1`` of ``seed``'s stream, drawn ``_DRAW_ROWS`` at a time from the
-    stream advanced past the rows before them, so every row is bitwise that
-    row of one ``default_rng(seed).random((budget, n))`` draw."""
+    """The best ``(gap, profile)``, as a float and a tuple of floats, of
+    random profiles ``start`` to ``stop - 1`` of ``seed``'s stream, drawn
+    ``_DRAW_ROWS`` at a time from the stream advanced past the rows before
+    them, so every row is bitwise that row of one
+    ``default_rng(seed).random((budget, n))`` draw."""
     game, seed, start, stop = args
     rng = np.random.Generator(np.random.PCG64(seed).advance(start * game.n))
     best_gap, best_locs = -math.inf, None
     for k in range(start, stop, _DRAW_ROWS):
         rows = rng.random((min(_DRAW_ROWS, stop - k), game.n))
         gaps, _ = _price_rows(_gap_rows, game, rows)
-        top = gaps.max()
-        locs = min(map(tuple, rows[gaps == top]))
+        top = float(gaps.max())
+        locs = min(map(tuple, rows[gaps == top].tolist()))
         if _better(top, locs, best_gap, best_locs):
             best_gap, best_locs = top, locs
     return best_gap, best_locs
@@ -374,11 +378,14 @@ def ic_search(game, budget, seed=0, threads=1):
     depends only on the other coordinates, so its search is skipped while
     none of them has moved since the last one: it would return what it
     returned then.  Deterministic for fixed ``seed`` regardless of
-    ``threads``.  A ``budget`` or ``threads`` that is no integer >= 1 and a
-    ``seed`` that is no integer >= 0 raise ValueError, so every estimate is
-    reproducible from the seed it reports.
+    ``threads``.  A ``budget`` that is no integer in [1,
+    ``_MAX_PROFILES``], ``threads`` that is no integer >= 1 and a ``seed``
+    that is no integer >= 0 raise ValueError before any profile is priced,
+    so every estimate is reproducible from the seed it reports.
     """
     budget = _integer("budget", budget, 1)
+    if budget > _MAX_PROFILES:
+        raise ValueError(f"budget must be an integer in [1, {_MAX_PROFILES}], got {budget!r}")
     threads = _integer("threads", threads, 1)
     seed = _integer("seed", seed, 0)
     n = game.n
@@ -472,7 +479,7 @@ def direction_weights(game, profile, ts):
 
 def _snapped(game, profile):
     """The validated profile, snapped onto interval endpoints, as an array."""
-    return np.asarray(_snap_to_endpoints(validate_profile(profile, game.n), game.piis))
+    return np.asarray(_snap_to_endpoints(game, validate_profile(profile, game.n)))
 
 
 def _direction_weights(game, locs, ts):

@@ -240,6 +240,14 @@ def test_random_phase_ties_go_to_the_smallest_profile(seed, threads):
     assert est.argmax_profile == min(map(tuple, rows.tolist()))
 
 
+def test_random_phase_returns_python_floats():
+    # The random phase sets this argmax; it handed back numpy scalars, whose
+    # reprs differ from those of the fixture and ascent phases' floats.
+    est = ic_search(GameSpec(3, Nime()), budget=5000, seed=1)
+    assert type(est.search_lower) is float
+    assert [type(y) for y in est.argmax_profile] == [float] * 3
+
+
 def test_random_phase_draws_the_seed_stream_in_flat_memory(monkeypatch):
     seen = []
 

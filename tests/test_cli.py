@@ -197,6 +197,7 @@ class TestUsageErrorsExitTwo:
         "argv",
         [
             ["ic", "--mediator", "lime", "--n", "3", "--budget", "0"],
+            ["ic", "--mediator", "lime", "--n", "3", "--budget", "1000000000000"],
             ["table1", "--budget", "0"],
             ["pne", "--mediator", "lime", "--n", "3", "--profile", "0.2,0.5,0.8", "--gain-tol", "0"],
             ["pne", "--mediator", "nime", "--n", "2", "--enumerate", "--grid-step", "0.25", "--gain-tol", "-1"],
@@ -214,6 +215,7 @@ class TestUsageErrorsExitTwo:
         ],
         ids=[
             "ic-budget-0",
+            "ic-budget-over-cap",
             "table1-budget-0",
             "pne-gain-tol-0",
             "enumerate-gain-tol-negative",

@@ -471,7 +471,9 @@ class TestMediatorRecords:
                 for n in (2,) if m.targets else (2, 3, 5):
                     game = GameSpec(n, m, ZIGZAG)
                     ends, bounds = game.pii_arrays
-                    assert ends.tolist() == [-math.inf, *(e for pii in game.piis for e in pii), math.inf]
+                    assert ends.tolist() == list(game.ends) == [-math.inf, *(e for pii in game.piis for e in pii), math.inf]
+                    # Python floats, so kinks and witnesses keep their repr.
+                    assert all(type(c) is float for family in (game.ends, *game.kink_families) for c in family)
                     assert bounds.shape == (2, len(game.piis))
                     assert list(zip(*bounds.tolist())) == list(game.piis)
                     assert not ends.flags.writeable and not bounds.flags.writeable
@@ -489,6 +491,7 @@ class TestMediatorRecords:
             assert copy == game and hash(copy) == hash(game)
             assert copy.plan_arrays is None and game.plan_arrays is not None
             assert (copy.nime_twin is copy) == (game.nime_twin is game)
+            assert (copy.ends, copy.kink_families) == (game.ends, game.kink_families)
             pairs = zip(_game_arrays(copy) + _game_arrays(copy.nime_twin), _game_arrays(game) + _game_arrays(game.nime_twin))
             for got, want in pairs:
                 assert not got.flags.writeable and np.array_equal(got, want)

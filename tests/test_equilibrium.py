@@ -545,6 +545,30 @@ class TestRowPricedLines:
         monkeypatch.setattr(equilibrium, "_payoff_rows", payoff_rows)
         assert repr(report) == _scalar_report(game, profile, monkeypatch)
 
+    @pytest.mark.parametrize(
+        "profile, want",
+        [
+            ((0.1, 0.3, 0.6, 0.9), "PneReport(is_pne=False, worst_gain=0.26231249999999995, witness=(3, 0.6249999), "
+             "candidate_count=194, gain_tol=1e-09)"),
+            (optimal_locations(4), "PneReport(is_pne=True, worst_gain=0.0, witness=None, candidate_count=96, "
+             "gain_tol=1e-09)"),
+        ],
+        ids=["refuted", "equilibrium"],
+    )
+    def test_uniform_check_skips_the_empty_second_pass(self, profile, want, monkeypatch):
+        # A uniform-density line has no stationary points, so the second
+        # pass holds no deviation and is not priced at all.
+        calls = []
+        price_rows = equilibrium._price_rows
+
+        def counting(kernel, game, rows, *rest):
+            calls.append(len(rows))
+            return price_rows(kernel, game, rows, *rest)
+
+        monkeypatch.setattr(equilibrium, "_price_rows", counting)
+        assert repr(is_pne(GameSpec(4, Lime()), profile)) == want
+        assert len(calls) == 1 and calls[0] > 0, calls
+
 
 class TestEnumeration:
     def test_lime_two_player_grid(self):

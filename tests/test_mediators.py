@@ -4,6 +4,7 @@ import ast
 import math
 import sys
 import threading
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from hotelling_mediators import (
     validate_profile,
 )
 from hotelling_mediators import mediators, metrics
-from hotelling_mediators.core import _MEDIATORS
+from hotelling_mediators.core import _MEDIATORS, _PII_FACILITY_SNAP
 from hotelling_mediators.mediators import _compiled_pieces, _snap_rows, _snap_to_endpoints
 
 from test_metrics import _counting_prefixes
@@ -497,8 +498,8 @@ class TestSnapping:
     def test_snapping_is_idempotent_and_rows_agree(self, coords):
         for game in SNAP_GAMES:
             profile = near_ends(game, coords)
-            once = _snap_to_endpoints(profile, game.piis)
-            assert _snap_to_endpoints(once, game.piis) == once, (game, profile)
+            once = _snap_to_endpoints(game, profile)
+            assert _snap_to_endpoints(game, once) == once, (game, profile)
             rows = _snap_rows(game, np.array([profile, once]))
             assert rows.tolist() == [list(once), list(once)], (game, profile)
 
@@ -510,10 +511,43 @@ class TestSnapping:
         game = GameSpec(3, Clime(lam=1e-8))
         (lo, hi), _ = game.piis
         profile = (lo + 5e-9, 0.5, 0.9)
-        assert _snap_to_endpoints(profile, game.piis) == (lo, 0.5, 0.9)
-        assert _snap_to_endpoints((hi - 5e-9, 0.5, 0.9), game.piis) == (hi, 0.5, 0.9)
-        assert _snap_to_endpoints((0.5 * (lo + hi), 0.5, 0.9), game.piis)[0] == lo
+        assert _snap_to_endpoints(game, profile) == (lo, 0.5, 0.9)
+        assert _snap_to_endpoints(game, (hi - 5e-9, 0.5, 0.9)) == (hi, 0.5, 0.9)
+        assert _snap_to_endpoints(game, (0.5 * (lo + hi), 0.5, 0.9))[0] == lo
         assert payoff(game, profile) == payoff(game, (lo, 0.5, 0.9))
+
+
+def _rebuilt_line_kinks(game, locs, i):
+    """:func:`mediators._line_kinks` as it stood when it rebuilt the
+    endpoints, snap bands and reflection centres on every call."""
+    locs = _snap_to_endpoints(game, locs)
+    opponents = [z for j, z in enumerate(locs) if j != i]
+    breaks, _ = game.distribution.line_shape
+    ends = [e for pii in game.piis for e in pii]
+    lows = [-math.inf] + [e - _PII_FACILITY_SNAP for e in ends]
+    highs = [-math.inf] + [e + _PII_FACILITY_SNAP for e in ends]
+    kinks = {0.0, 1.0, *opponents, *breaks, *ends, *lows[1:], *highs[1:], *game.mediator.switch_points(locs, i)}
+    kinks.update([2.0 * c - z for c in (*ends, *breaks) for z in opponents])
+    kinks = sorted([k for k in kinks if 0.0 <= k <= 1.0])
+    return kinks, [(a, b) for a, b in zip(kinks, kinks[1:]) if b > highs[bisect_right(lows, a) - 1]]
+
+
+@pytest.mark.parametrize("density", ["uniform", "zigzag"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_line_kinks_restrict_the_fixed_families(n, density):
+    # Profiles on endpoints, inside and outside their snap bands, and a
+    # hair off the dictated targets or quantiles: the game's families,
+    # restricted to each line, give the per-call rebuild's kinks and spans,
+    # down to the type and sign of every float.
+    rng = np.random.default_rng([n, len(density), 31])
+    for name, mediator in _mediators(n).items():
+        game = GameSpec(n, mediator, DENSITIES[density])
+        anchors = game.mediator.targets or quantile_locations(n, game.distribution)
+        near = [tuple(min(max(a + float(rng.choice([-1e-9, 0.0, 1e-9])), 0.0), 1.0) for a in anchors) for _ in range(4)]
+        for profile in _profiles(rng, game, 12) + near:
+            for i in range(n):
+                want = repr(_rebuilt_line_kinks(game, profile, i))
+                assert repr(mediators._line_kinks(game, profile, i)) == want, (name, profile, i)
 
 
 class TestPolicyAgreement:
@@ -588,7 +622,7 @@ def _live_set_cases():
                 profiles += [tuple(rng.random(n)) for _ in range(4)]
                 profiles += [tuple(int(k) / 120 for k in rng.integers(121, size=n)) for _ in range(4)]
                 for profile in profiles:
-                    snapped = _snap_to_endpoints(profile, game.piis)
+                    snapped = _snap_to_endpoints(game, profile)
                     yield game, profile, sorted(set(mediators._bind_rule(game, snapped)[1]))
 
 
@@ -727,6 +761,44 @@ def test_no_module_reads_the_obedience_band():
         and node.attr == "equality_tol"
         and not (isinstance(node.value, ast.Name) and node.value.id == "args")
     ]
+    assert hits == []
+
+
+def _names(node):
+    """The names a loop target or an iterated expression binds or reads."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _reads_piis(node):
+    """Whether ``node`` is a game's intervals, ``x.piis`` or a local ``piis``."""
+    return isinstance(node, ast.Attribute) and node.attr == "piis" or isinstance(node, ast.Name) and node.id == "piis"
+
+
+def test_fixed_geometry_has_one_owner():
+    # The game builds its endpoints, snap bands and kink families once
+    # (``GameSpec``); no other path flattens the intervals into endpoints or
+    # offsets an endpoint by the snap.  A comprehension over the intervals
+    # rebuilds a family, and so does a loop over them whose body iterates
+    # over its interval's ends; walking the intervals one at a time, as the
+    # candidate sets do, is neither.  The Monte Carlo oracle stays exempt.
+    hits = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        nodes = _checked_nodes(path)
+        snap_readers = set()
+        for node in nodes:
+            if isinstance(node, ast.FunctionDef) and node.name in ("_snap_to_endpoints", "_snap_rows"):
+                snap_readers |= {id(inner) for inner in ast.walk(node)}
+        for node in nodes:
+            if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                if any(_reads_piis(gen.iter) for gen in node.generators):
+                    hits.append(f"{path.name}:{node.lineno} comprehension over piis")
+            elif isinstance(node, ast.For) and _reads_piis(node.iter):
+                ends = _names(node.target)
+                inner = [n for stmt in node.body for n in ast.walk(stmt) if isinstance(n, (ast.For, ast.comprehension))]
+                if any(_names(n.iter) & ends for n in inner):
+                    hits.append(f"{path.name}:{node.lineno} loop over the ends of piis")
+            elif isinstance(node, ast.Name) and node.id == "_PII_FACILITY_SNAP" and id(node) not in snap_readers:
+                hits.append(f"{path.name}:{node.lineno} reads _PII_FACILITY_SNAP")
     assert hits == []
 
 

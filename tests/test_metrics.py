@@ -173,7 +173,7 @@ class TestSharedPrefixes:
                     seen.clear()
                     price(game, profile)
                     assert len(set(seen)) == len(seen), (mediator, profile, seen)
-                    snapped = _snap_to_endpoints(profile, game.piis)
+                    snapped = _snap_to_endpoints(game, profile)
                     ends = set(compile_policy(game, profile).breakpoints)
                     if price is intervention_gap:
                         ends |= set(compile_policy(game.nime_twin, snapped).breakpoints)
@@ -382,10 +382,13 @@ class TestIcSearch:
 
     @pytest.mark.parametrize(
         "budget, threads",
-        [(300, 0), (300, -3), (300, 2.5), (2.5, 1), (True, 1)],
-        ids=["threads-0", "threads-negative", "threads-fraction", "budget-fraction", "budget-bool"],
+        [(300, 0), (300, -3), (300, 2.5), (2.5, 1), (True, 1), (10**8 + 1, 1)],
+        ids=["threads-0", "threads-negative", "threads-fraction", "budget-fraction", "budget-bool", "budget-over-cap"],
     )
-    def test_budget_and_threads_must_be_positive_integers(self, budget, threads):
+    def test_budget_and_threads_must_be_positive_integers(self, budget, threads, monkeypatch):
+        # Refused before a single gap is priced, however large the budget.
+        monkeypatch.setattr(metrics, "_gap_locs", None)
+        monkeypatch.setattr(metrics, "_gap_rows", None)
         with pytest.raises(ValueError):
             ic_search(GameSpec(3, Lime(epsilon=1e-3)), budget, threads=threads)
 

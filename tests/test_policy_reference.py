@@ -95,7 +95,7 @@ def _reference_rule(game, locs):
         return lambda t: uniform
     piis = game.piis
     half = isinstance(m, Glime)
-    snapped = _snap_to_endpoints(locs, piis)
+    snapped = _snap_to_endpoints(game, locs)
     return lambda t: _reference_limited(snapped, t, piis, m.epsilon, half)
 
 
@@ -117,7 +117,7 @@ def _policy_breakpoints(locs, piis):
 
 def _reference_compiled_pieces(game, locs):
     piis = game.piis
-    locs = _snap_to_endpoints(locs, piis)
+    locs = _snap_to_endpoints(game, locs)
     rule = _reference_rule(game, locs)
     bps = _policy_breakpoints(locs, piis)
     pieces = []
