@@ -128,7 +128,7 @@ def _cmd_pne(args):
         profiles = pne_enumerate(game, args.grid_step, gain_tol=args.gain_tol, threads=args.threads)
         _emit(args, {"profiles": [list(p) for p in profiles]}, profiles or [["<empty>"]])
         return _check_expect(args.expect, "empty" if not profiles else "nonempty")
-    if not args.profile:
+    if args.profile is None:
         raise ValueError("pne needs --profile or --enumerate")
     report = is_pne(game, _parse_locations("--profile", args.profile), gain_tol=args.gain_tol)
     player, deviation = report.witness or (None, None)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .core import _integer, _real, quantile_locations, validate_profile
 from .mediators import _line_kinks
-from .metrics import _MAX_PROFILES, _block_rows, _payoff_locs, _payoff_rows, _pool_map, _price_rows
+from .metrics import _MAX_PROFILES, _block_rows, _log, _payoff_locs, _payoff_rows, _pool_map, _price_rows
 
 __all__ = [
     "PneReport",
@@ -79,8 +79,6 @@ _DEFAULT_GAIN_TOL = 1e-9
 # 120 us before it prices a row, so a 404-row lime pass takes 2 calls in
 # blocks of 260 rows rather than 7 in blocks of 65.
 _STREAM_BLOCKS = 4
-
-_log = logging.getLogger("hotelling_mediators")
 
 
 def _probe_plan(game, side=_SIDE_DELTA):

@@ -67,6 +67,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,13 +80,15 @@ __all__ = [
 ]
 
 
-def _nearest_weights(locs, t, subset):
-    """Nearest-facility weights over the players in ``subset``.
+def _nearest_weights(locs, t, subset, epsilon=0.0):
+    """Nearest-facility weights over the players in ``subset``, and with
+    ``epsilon`` the one-sided bound rule's redirect of them, ``keep * x + u``.
 
     Ties are split uniformly; distances compare exactly, so only players at
-    bit-identical distance share a tie.
+    bit-identical distance share a tie.  A unique nearest player's weights
+    are one shared tuple per (n, epsilon, winner) (see :func:`_one_hot`);
+    a tie builds its own.
     """
-    n = len(locs)
     dmin = None
     winners = None
     for i in subset:
@@ -95,11 +98,32 @@ def _nearest_weights(locs, t, subset):
             winners = [i]
         elif d == dmin:
             winners.append(i)
+    if len(winners) == 1:
+        return _one_hot(len(locs), winners[0], epsilon)
+    return _split(len(locs), winners, epsilon)
+
+
+@lru_cache(maxsize=1024)
+def _one_hot(n, i, epsilon):
+    """:func:`_split` with the single winner ``i``, built once while it
+    stays among the last 1,024 kept, which bounds the memory held."""
+    return _split(n, (i,), epsilon)
+
+
+def _split(n, winners, epsilon):
+    """Weights split evenly among ``winners``; with a non-zero ``epsilon``,
+    the one-sided bound rule's redirect of them, ``keep * x + u``: a
+    ``keep = 1 - epsilon`` share stays and ``u = epsilon / n`` goes to every
+    player."""
     w = 1.0 / len(winners)
     out = [0.0] * n
     for i in winners:
         out[i] = w
-    return tuple(out)
+    if not epsilon:
+        return tuple(out)
+    keep = 1.0 - epsilon
+    u = epsilon / n
+    return tuple(keep * x + u for x in out)
 
 
 def _snap_to_endpoints(game, locs):
@@ -150,8 +174,6 @@ def _bind_rule(game, locs):
     order = sorted(players, key=locs.__getitem__)
     ranked = [locs[i] for i in order]
     ends = game.ends
-    keep = 1.0 - m.epsilon
-    u = m.epsilon / len(locs)
 
     def rule(t):
         k = bisect_left(ends, t)  # inside an interval iff ends[k] is an upper end (k even) above t
@@ -167,7 +189,7 @@ def _bind_rule(game, locs):
                 return tuple(0.5 * a + 0.5 * b for a, b in zip(wl, wr))
             return _nearest_weights(locs, t, left + right)
         if left or right:
-            return tuple(keep * x + u for x in _nearest_weights(locs, t, left or right))
+            return _nearest_weights(locs, t, left or right, m.epsilon)
         return _nearest_weights(locs, t, players)
 
     return rule, sites

@@ -33,13 +33,17 @@ check's deviation lines are row streams instead, and one pricer
 (:func:`_price_rows`) prices them all: each run of equal rows once, the
 rest in blocks through the array compiler and one row integrator, with the
 players on the leading axis of every array; the exact check's passes,
-short and bounded, take blocks four times as large.  Both compilers build
-one live candidate set, so every row's gap and payoffs are bitwise equal to
-the scalar path's, and both return the same answers either way.
+short and bounded, take blocks four times as large.  The random phase
+prices the two sides of a gap as two streams, the mediator's cost of every
+row and then its twin's only for the rows that can still win (see
+:func:`_gap_chunk`).  Both compilers build one live candidate set, so every
+row's gap and payoffs are bitwise equal to the scalar path's, and both
+return the same answers either way.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -59,6 +63,8 @@ __all__ = [
     "mc_payoff",
     "mc_social_cost",
 ]
+
+_log = logging.getLogger("hotelling_mediators")
 
 
 def _payoff_locs(game, locs):
@@ -164,7 +170,8 @@ def _rows_cost(game, locs):
     weights, lo, hi = _runs(game, locs)
     moments = game.distribution.abs_moment_array(locs[..., None], lo, hi)
     terms = np.where(weights != 0.0, weights * moments, 0.0)
-    return np.cumsum(terms.transpose(1, 2, 0).reshape(locs.shape[1], -1), axis=1)[:, -1]
+    # A copy: the last column alone would pin the whole cumsum buffer.
+    return np.cumsum(terms.transpose(1, 2, 0).reshape(locs.shape[1], -1), axis=1)[:, -1].copy()
 
 
 def _payoff_rows(game, locs):
@@ -174,19 +181,21 @@ def _payoff_rows(game, locs):
     player-major, so the result is the transpose of its ``(n, B)`` sums."""
     weights, lo, hi = _runs(game, _snap_rows(game, np.transpose(locs)))
     terms = np.where(weights != 0.0, weights * game.distribution.mass_array(lo, hi), 0.0)
-    return np.cumsum(terms, axis=-1)[..., -1].T
+    return np.cumsum(terms, axis=-1)[..., -1].T.copy()
 
 
-def _gap_rows(game, rows):
-    """Intervention gap of every row of a ``(B, n)`` array, bitwise equal to
-    :func:`_gap_locs` on each row.
+def _cost_rows(game, rows):
+    """Social cost of every row of a ``(B, n)`` array, bitwise equal to the
+    mediator's side of :func:`_gap_locs` on each row."""
+    return _rows_cost(game, _snap_rows(game, np.transpose(rows)))
 
-    The mediator and its no-intervention twin are each priced on their own
-    candidate set, exactly as the scalar path prices them, on one
-    player-major ``(n, B)`` copy of the snapped rows.
-    """
-    locs = _snap_rows(game, np.transpose(rows))
-    return _rows_cost(game, locs) - _rows_cost(game.nime_twin, locs)
+
+def _twin_rows(game, rows):
+    """The no-intervention twin's social cost of every row of a ``(B, n)``
+    array, priced at the facilities as the mediator snaps them, bitwise
+    equal to the twin's side of :func:`_gap_locs` on each row.  A row's gap
+    is ``_cost_rows - _twin_rows``, bitwise :func:`_gap_locs`."""
+    return _rows_cost(game.nime_twin, _snap_rows(game, np.transpose(rows)))
 
 
 def intervention_gap(game, profile):
@@ -306,12 +315,13 @@ def _better(gap, locs, best_gap, best_locs):
 
 
 def _price_rows(kernel, game, rows, blocks=1):
-    """``kernel`` (:func:`_payoff_rows` or :func:`_gap_rows`) of a ``(B, n)``
-    array as ``(values, priced)``, the one loop that prices row streams: each
-    run of rows equal bit for bit (an int64 view, so the sign of a zero
-    counts) is priced once, in blocks of ``blocks * _block_rows(game)``
-    distinct rows.  The kernel prices a row bitwise as it prices it alone, so
-    the values are those of pricing every row."""
+    """``kernel`` (:func:`_payoff_rows`, :func:`_cost_rows` or
+    :func:`_twin_rows`) of a ``(B, n)`` array as ``(values, priced)``, the
+    one loop that prices row streams: each run of rows equal bit for bit
+    (an int64 view, so the sign of a zero counts) is priced once, in blocks
+    of ``blocks * _block_rows(game)`` distinct rows.  The kernel prices a
+    row bitwise as it prices it alone, so the values are those of pricing
+    every row."""
     bits = rows.view(np.int64)
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
@@ -322,22 +332,43 @@ def _price_rows(kernel, game, rows, blocks=1):
 
 
 def _gap_chunk(args):
-    """The best ``(gap, profile)``, as a float and a tuple of floats, of
-    random profiles ``start`` to ``stop - 1`` of ``seed``'s stream, drawn
-    ``_DRAW_ROWS`` at a time from the stream advanced past the rows before
-    them, so every row is bitwise that row of one
-    ``default_rng(seed).random((budget, n))`` draw."""
-    game, seed, start, stop = args
+    """``(gap, profile, twins)`` of random profiles ``start`` to ``stop - 1``
+    of ``seed``'s stream: the best gap at or above ``floor`` and its
+    profile, as a float and a tuple of floats (``floor`` and None when no
+    gap reaches it), and how many rows had their twin priced.
+
+    The rows are drawn ``_DRAW_ROWS`` at a time from the stream advanced
+    past the rows before them, so every row is bitwise that row of one
+    ``default_rng(seed).random((budget, n))`` draw.  Each draw prices the
+    mediator's cost of every row, then the twin's cost (see
+    :func:`_twin_rows`) of the rows in descending-cost order, one
+    ``_block_rows(game)`` block at a time, only for rows whose cost is at or
+    above the best gap so far, and stops at the first block with none.
+    That is exact: a twin's cost is >= 0 and float subtraction is monotone,
+    so a row's gap is at most its cost, and a row whose cost is below the
+    best can neither beat it nor tie it.  So the best gap and its
+    smallest profile are those of pricing every row's gap.
+    """
+    game, seed, start, stop, floor = args
     rng = np.random.Generator(np.random.PCG64(seed).advance(start * game.n))
-    best_gap, best_locs = -math.inf, None
+    step = _block_rows(game)
+    best_gap, best_locs, twins = floor, None, 0
     for k in range(start, stop, _DRAW_ROWS):
         rows = rng.random((min(_DRAW_ROWS, stop - k), game.n))
-        gaps, _ = _price_rows(_gap_rows, game, rows)
-        top = float(gaps.max())
-        locs = min(map(tuple, rows[gaps == top].tolist()))
-        if _better(top, locs, best_gap, best_locs):
-            best_gap, best_locs = top, locs
-    return best_gap, best_locs
+        costs, _ = _price_rows(_cost_rows, game, rows)
+        order = np.argsort(-costs, kind="stable")
+        for b in range(0, len(order), step):
+            pick = order[b : b + step]
+            pick = pick[costs[pick] >= best_gap]
+            if not len(pick):
+                break
+            twins += len(pick)
+            gaps = costs[pick] - _price_rows(_twin_rows, game, rows[pick])[0]
+            top = float(gaps.max())
+            locs = min(map(tuple, rows[pick][gaps == top].tolist()))
+            if _better(top, locs, best_gap, best_locs):
+                best_gap, best_locs = top, locs
+    return best_gap, best_locs, twins
 
 
 def _golden_max(f):
@@ -372,16 +403,21 @@ def ic_search(game, budget, seed=0, threads=1):
     Evaluates the known adversarial fixtures (a few offsets each), ``budget``
     uniformly random profiles drawn from ``seed``, and then refines the best
     profile found by coordinate ascent with a golden-section line search per
-    coordinate.  The random profiles are drawn per job in flat memory (see
-    :func:`_gap_chunk`) and priced in blocks of rows at once, each gap
-    bitwise equal to pricing its profile alone.  A coordinate's line
+    coordinate.  The random profiles are drawn per job in flat memory and
+    priced in blocks of rows at once, each gap bitwise equal to pricing its
+    profile alone; every job starts from the fixtures' best gap as its
+    floor and prices the twin only for the profiles that can still reach
+    the best (see :func:`_gap_chunk`).  A coordinate's line
     depends only on the other coordinates, so its search is skipped while
     none of them has moved since the last one: it would return what it
     returned then.  Deterministic for fixed ``seed`` regardless of
     ``threads``.  A ``budget`` that is no integer in [1,
     ``_MAX_PROFILES``], ``threads`` that is no integer >= 1 and a ``seed``
     that is no integer >= 0 raise ValueError before any profile is priced,
-    so every estimate is reproducible from the seed it reports.
+    so every estimate is reproducible from the seed it reports.  With the
+    ``hotelling_mediators`` logger at DEBUG it logs one record: rows drawn,
+    rows whose twin was priced, line searches run and skipped, the ascent's
+    gap evaluations, and the phase that set the argmax.
     """
     budget = _integer("budget", budget, 1)
     if budget > _MAX_PROFILES:
@@ -403,29 +439,36 @@ def ic_search(game, budget, seed=0, threads=1):
         if _better(gap, locs, best_gap, best_locs):
             best_gap, best_locs = gap, locs
 
+    phase = "fixture"
     chunk = budget if threads == 1 else max(_DRAW_ROWS, math.ceil(budget / (threads * 8)))
-    jobs = [(game, seed, k, min(k + chunk, budget)) for k in range(0, budget, chunk)]
-    for gap, locs in _pool_map(_gap_chunk, jobs, threads):
-        if _better(gap, locs, best_gap, best_locs):
-            best_gap, best_locs = gap, locs
+    jobs = [(game, seed, k, min(k + chunk, budget), best_gap) for k in range(0, budget, chunk)]
+    twins = 0
+    for gap, locs, priced in _pool_map(_gap_chunk, jobs, threads):
+        twins += priced
+        if locs is not None and _better(gap, locs, best_gap, best_locs):
+            best_gap, best_locs, phase = gap, locs, "random"
 
     # Coordinate ascent from the incumbent.  ``searched[i]`` is the number of
     # moves made when coordinate i's line was last searched.
     current = list(best_locs)
     current_gap = best_gap
-    moves = 0
+    moves = lines = skipped = evaluations = 0
     searched = [-1] * n
     for _ in range(_SWEEPS):
         improved = False
         for i in range(n):
             if searched[i] == moves:
+                skipped += 1
                 continue
 
             def line(y, i=i):
+                nonlocal evaluations
+                evaluations += 1
                 trial = current.copy()
                 trial[i] = y
                 return _gap_locs(game, tuple(trial))
 
+            lines += 1
             y, fy = _golden_max(line)
             if fy > current_gap + 1e-12:
                 current[i] = y
@@ -436,7 +479,13 @@ def ic_search(game, budget, seed=0, threads=1):
         if not improved:
             break
     if _better(current_gap, tuple(current), best_gap, best_locs):
-        best_gap, best_locs = current_gap, tuple(current)
+        best_gap, best_locs, phase = current_gap, tuple(current), "ascent"
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "ic_search n=%d budget=%d seed=%d: %d rows drawn, %d twin rows priced, %d line searches run, "
+            "%d skipped, %d ascent gap evaluations, argmax set by the %s phase",
+            n, budget, seed, budget, twins, lines, skipped, evaluations, phase,
+        )
 
     lower, upper = game.mediator.ic_bounds(n)
     return IcEstimate(

@@ -1,15 +1,17 @@
 """The row integrator against the scalar path.
 
-``_gap_rows`` (ic_search's random phase) and ``_payoff_rows`` (equilibrium
-enumeration's waves, the exhaustive equilibrium check's deviation lines and
-better-response dynamics' candidates) price a block of profiles with one
-array computation, held player-major; the scalar ``_gap_locs`` and
-``_payoff_locs`` stay the oracles.  Agreement is bitwise, sign of zero
-included, so ic_search, pne_enumerate, is_pne and better_response_dynamics
-return exactly what pricing one row at a time does.
+``_cost_rows`` and ``_twin_rows`` (ic_search's random phase, whose gap is
+their difference) and ``_payoff_rows`` (equilibrium enumeration's waves, the
+exhaustive equilibrium check's deviation lines and better-response
+dynamics' candidates) price a block of profiles with one array computation,
+held player-major; the scalar ``_gap_locs`` and ``_payoff_locs`` stay the
+oracles.  Agreement is bitwise, sign of zero included, so ic_search,
+pne_enumerate, is_pne and better_response_dynamics return exactly what
+pricing one row at a time does.
 """
 
 import itertools
+import logging
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -20,7 +22,8 @@ from hypothesis import given, settings
 
 from hotelling_mediators import Clime, GameSpec, Glime, Lime, Nime, compile_policy, direct, ic_search, quantile_locations
 from hotelling_mediators import metrics
-from hotelling_mediators.metrics import _gap_locs, _gap_rows, _payoff_locs, _payoff_rows
+from hotelling_mediators.mediators import _compiled_pieces
+from hotelling_mediators.metrics import _cost_rows, _gap_locs, _kept_costs, _payoff_locs, _payoff_rows, _twin_rows
 
 from test_equilibrium import Banded
 from test_policy_reference import COORDS, DENSITIES, PROPERTY_GAMES, _custom_dictator, _mediators, _profiles, anchored
@@ -30,6 +33,11 @@ NS = (2, 3, 4, 5, 6, 7, 8, 12, 16, 32)
 
 def _bitwise(a, b):
     return a == b and np.signbit(a) == np.signbit(b)
+
+
+def _gap_rows(game, rows):
+    """The random phase's gap of every row: its two kernels' difference."""
+    return _cost_rows(game, rows) - _twin_rows(game, rows)
 
 
 @pytest.mark.parametrize("density", sorted(DENSITIES))
@@ -207,8 +215,15 @@ def test_mass_array_equals_scalar(kind):
         assert _bitwise(got[k], dist.mass(a[k], b[k])), (a[k], b[k])
 
 
-def _scalar_gap_rows(game, rows):
-    return np.array([_gap_locs(game, tuple(row)) for row in rows])
+def _scalar_side(side, calls):
+    """A random-phase kernel that prices each row by the scalar path, side
+    0 the mediator's cost and side 1 its twin's, and counts its rows."""
+
+    def kernel(game, rows):
+        calls[side] += len(rows)
+        return np.array([_kept_costs(game, _compiled_pieces(game, tuple(row)), 2)[side] for row in rows.tolist()])
+
+    return kernel
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -216,10 +231,15 @@ def test_ic_search_equals_row_by_row_pricing(n, monkeypatch):
     for mediator in _mediators(n).values():
         game = GameSpec(n, mediator)
         got = ic_search(game, budget=300, seed=n)
+        calls = [0, 0]
         with monkeypatch.context() as patch:
-            patch.setattr(metrics, "_gap_rows", _scalar_gap_rows)
+            patch.setattr(metrics, "_cost_rows", _scalar_side(0, calls))
+            patch.setattr(metrics, "_twin_rows", _scalar_side(1, calls))
             want = ic_search(game, budget=300, seed=n)
         assert got == want
+        # Every row's cost and at least the costliest row's twin went
+        # through the scalar pricing.
+        assert calls[0] == 300 and calls[1] >= 1, calls
 
 
 def test_ic_search_threads_agree_above_one_chunk():
@@ -255,14 +275,15 @@ def test_random_phase_draws_the_seed_stream_in_flat_memory(monkeypatch):
         seen.append(rows.copy())
         return np.zeros(len(rows))
 
-    monkeypatch.setattr(metrics, "_gap_rows", stub)
+    monkeypatch.setattr(metrics, "_cost_rows", stub)
+    monkeypatch.setattr(metrics, "_twin_rows", lambda game, rows: np.zeros(len(rows)))
     game = GameSpec(2, Nime())
     ic_search(game, budget=5000, seed=4)
     want = np.random.default_rng(4).random((5000, 2))
     assert np.concatenate(seen).view(np.int64).tolist() == want.view(np.int64).tolist()
 
     # Measured after the run above, so one-time allocations are out of both.
-    monkeypatch.setattr(metrics, "_gap_rows", lambda game, rows: rows.sum(axis=1))
+    monkeypatch.setattr(metrics, "_cost_rows", lambda game, rows: rows.sum(axis=1))
     peaks = []
     for budget in (10**4, 2 * 10**5):
         tracemalloc.start()
@@ -271,6 +292,71 @@ def test_random_phase_draws_the_seed_stream_in_flat_memory(monkeypatch):
         tracemalloc.stop()
     # One draw of the whole budget would hold 3.2 MB at the larger one.
     assert peaks[1] < 1.5 * peaks[0] < 10**6, peaks
+
+
+def test_row_stream_peaks_like_one_block():
+    # Each block's row sums are kept until the stream is put together, so a
+    # block's result must not pin the buffer it was summed in.  Beside one
+    # block's arrays a stream holds a few arrays the size of its rows: the
+    # distinct rows, the kept values and the result.
+    game = GameSpec(8, Lime())
+    rows = np.random.default_rng(30).random((1500, 8))
+    step = metrics._block_rows(game)
+    assert len(rows) > 20 * step
+    peaks = {}
+    for kernel in (_cost_rows, _twin_rows, _payoff_rows):
+        for stream in (rows[:step], rows):
+            tracemalloc.start()
+            metrics._price_rows(kernel, game, stream)
+            peaks[kernel.__name__, len(stream)] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        one, many = peaks[kernel.__name__, step], peaks[kernel.__name__, len(rows)]
+        assert many < one + 3 * rows.nbytes, peaks
+    # The random phase's cost stream: a block's arrays dominate.
+    assert peaks["_cost_rows", len(rows)] < 1.5 * peaks["_cost_rows", step], peaks
+
+
+def _floor_and_fixture(game):
+    """ic_search's fixture phase: the best fixture gap and its profile."""
+    best = (-math.inf, None)
+    for delta in metrics._FIXTURE_DELTAS:
+        locs = game.mediator.fixture(game.n, delta)
+        if metrics._better(_gap_locs(game, locs), locs, *best):
+            best = (_gap_locs(game, locs), locs)
+    return best
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("smaller", [True, False])
+def test_random_phase_prices_the_twin_only_where_a_row_can_win(smaller, threads, monkeypatch, caplog):
+    # Stub kernels: a row's twin costs 0.0, so its gap is its cost, which is
+    # the fixture's gap for the rows whose first coordinate is below (above
+    # with ``smaller`` off) the fixture's and one ulp less for every other.
+    game = GameSpec(3, Lime())
+    floor, fixture = _floor_and_fixture(game)
+    below = math.nextafter(floor, -math.inf)
+
+    def ties(rows):
+        return rows[:, 0] < fixture[0] if smaller else rows[:, 0] > fixture[0]
+
+    def twin(game, rows):
+        # A row one ulp below the best never gets this far.
+        assert ties(rows).all()
+        return np.zeros(len(rows))
+
+    monkeypatch.setattr(metrics, "_cost_rows", lambda game, rows: np.where(ties(rows), floor, below))
+    monkeypatch.setattr(metrics, "_twin_rows", twin)
+    monkeypatch.setattr(metrics, "_SWEEPS", 0)
+    with caplog.at_level(logging.DEBUG, logger="hotelling_mediators"):
+        est = ic_search(game, budget=5000, seed=2, threads=threads)
+    rows = np.random.default_rng(2).random((5000, 3))
+    tied = rows[ties(rows)]
+    assert est.search_lower == floor
+    # Ties go to the smallest profile, across blocks, draws, jobs and phases.
+    assert est.argmax_profile == (min(map(tuple, tied.tolist())) if smaller else fixture)
+    [record] = [r for r in caplog.records if r.name == "hotelling_mediators"]
+    assert record.args[4] == len(tied)  # twin rows priced
+    assert record.args[-1] == ("random" if smaller else "fixture")
 
 
 # Banded eligibility beside each limited record's protected intervals.

@@ -2,6 +2,7 @@
 
 import io
 import json
+import logging
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -161,6 +162,15 @@ class TestIc:
         assert code == 0
         assert abs(json.loads(out)["fixtureLower"] - 0.140625) <= 1e-9
 
+    def test_search_record_leaves_stdout_alone(self, capsys, caplog):
+        # ic_search's DEBUG record goes to the logger, never to stdout.
+        argv = ["ic", "--mediator", "lime", "--n", "3", "--budget", "300"]
+        code, quiet = run_cli(capsys, *argv)
+        with caplog.at_level(logging.DEBUG, logger="hotelling_mediators"):
+            for threads in ("1", "2"):
+                assert run_cli(capsys, *argv, "--threads", threads) == (code, quiet)
+        assert len([r for r in caplog.records if r.name == "hotelling_mediators"]) == 2
+
     def test_nime_zero(self, capsys):
         code, out = run_cli(capsys, "ic", "--mediator", "nime", "--n", "5", "--budget", "50", "--format", "json")
         assert code == 0
@@ -212,6 +222,7 @@ class TestUsageErrorsExitTwo:
             ["ic", "--mediator", "dict", "--n", "3", "--epsilon", "0.01", "--budget", "50"],
             ["pne", "--mediator", "nime", "--n", "2", "--enumerate", "--grid-step", "0.5", "--profile", "0.1,0.2"],
             ["pne", "--mediator", "nime", "--n", "2", "--grid-step", "0.5", "--profile", "0.1,0.2"],
+            ["pne", "--mediator", "nime", "--n", "2", "--profile", ""],
         ],
         ids=[
             "ic-budget-0",
@@ -230,6 +241,7 @@ class TestUsageErrorsExitTwo:
             "dict-epsilon",
             "enumerate-with-profile",
             "profile-with-grid-step",
+            "pne-empty-profile",
         ],
     )
     def test_exits_two_with_error_line(self, argv, capsys):
@@ -239,6 +251,14 @@ class TestUsageErrorsExitTwo:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["payoff", "pne"])
+    def test_empty_profile_is_judged_as_given(self, command, capsys):
+        # An empty --profile was given: pne said it was missing.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--mediator", "nime", "--n", "2", "--profile", ""])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", "error: --profile must be comma-separated numbers, got ''\n")
 
     @pytest.mark.parametrize("command", ["ic", "table1"])
     def test_negative_seed_names_the_seed(self, command, capsys):

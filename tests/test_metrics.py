@@ -1,6 +1,7 @@
 """Exact payoff/social-cost integration and intervention-cost machinery."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -388,7 +389,8 @@ class TestIcSearch:
     def test_budget_and_threads_must_be_positive_integers(self, budget, threads, monkeypatch):
         # Refused before a single gap is priced, however large the budget.
         monkeypatch.setattr(metrics, "_gap_locs", None)
-        monkeypatch.setattr(metrics, "_gap_rows", None)
+        monkeypatch.setattr(metrics, "_cost_rows", None)
+        monkeypatch.setattr(metrics, "_twin_rows", None)
         with pytest.raises(ValueError):
             ic_search(GameSpec(3, Lime(epsilon=1e-3)), budget, threads=threads)
 
@@ -410,6 +412,42 @@ class TestIcSearch:
         assert len(lines) >= 4 and len(set(lines)) == len(lines)
         monkeypatch.setattr(metrics, "_golden_max", golden_max)
         assert ic_search(GameSpec(4, _MEDIATORS[kind]()), budget=300, seed=11) == est
+
+    @pytest.mark.parametrize(
+        "kind, n, sweeps, phase",
+        [("lime", 3, 0, "fixture"), ("glime", 3, 0, "random"), ("glime", 3, metrics._SWEEPS, "ascent"), ("nime", 2, 0, "random")],
+    )
+    def test_search_logs_what_it_did(self, kind, n, sweeps, phase, monkeypatch, caplog):
+        # One DEBUG record per search: rows drawn, twin rows priced, line
+        # searches run and skipped, ascent gap evaluations and the phase
+        # that set the argmax; nothing at INFO, and the estimate unchanged.
+        game = GameSpec(n, _MEDIATORS[kind]())
+        monkeypatch.setattr(metrics, "_SWEEPS", sweeps)
+        with caplog.at_level(logging.INFO, logger="hotelling_mediators"):
+            quiet = ic_search(game, budget=3000, seed=6)
+        assert not caplog.records
+        calls = []
+        gap_locs = metrics._gap_locs
+        monkeypatch.setattr(metrics, "_gap_locs", lambda game, locs: calls.append(locs) or gap_locs(game, locs))
+        for threads in (1, 2):
+            calls.clear()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="hotelling_mediators"):
+                assert ic_search(game, budget=3000, seed=6, threads=threads) == quiet
+            [record] = [r for r in caplog.records if r.name == "hotelling_mediators"]
+            assert record.levelno == logging.DEBUG
+            _, budget, _, drawn, twins, lines, skipped, evaluations, set_by = record.args
+            fixtures = len(calls) - evaluations
+            assert (budget, drawn, set_by) == (3000, 3000, phase)
+            assert 1 <= twins <= drawn
+            assert fixtures == (len(metrics._FIXTURE_DELTAS) if kind != "nime" else 0)
+            if sweeps:
+                # Every sweep searches or skips every line, and the first
+                # searches them all.
+                assert lines >= n and (lines + skipped) % n == 0
+                assert evaluations > lines
+            else:
+                assert lines == skipped == evaluations == 0
 
     @pytest.mark.parametrize("kind", ["dict", "lime"])
     def test_a_fixture_offset_out_of_range_skips_only_itself(self, kind, monkeypatch):
